@@ -6,7 +6,12 @@ The active build is chosen at import time (set ``DEMGRANULO_NO_NUMBA=1``
 to force the pure path) and can be switched at runtime with
 :func:`use_numba`, which the benchmark and the backend-equivalence tests
 rely on. Both builds are generated from the same source, so they cannot
-drift apart.
+drift apart. numba is optional (the ``jit`` extra); without it the pure
+build is the only one and the default.
+
+Directional kernels see the raster as one flat row-major array and walk
+it along the scan lines that :func:`line_layout` describes, gathering
+each line with one strided slice.
 
 Conventions baked into every kernel:
 
@@ -24,7 +29,7 @@ try:
     from numba import njit
 
     HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency
+except ImportError:  # numba is optional; the pure build runs without it
     HAS_NUMBA = False
 
 # Direction codes shared with the rest of the package.
@@ -32,6 +37,8 @@ ROW = 0
 COLUMN = 1
 DIAG_DOWN = 2
 DIAG_UP = 3
+DIRECTION_CODE = {"row": ROW, "column": COLUMN, "diag-down": DIAG_DOWN,
+                  "diag-up": DIAG_UP}
 
 _I64_MAX = np.int64(np.iinfo(np.int64).max)
 
@@ -46,20 +53,18 @@ def _build(jit):
             return fn
 
     @wrap
-    def window_extremum(padded, n, k, minimum, out):
+    def window_extremum(padded, n, width, minimum, out):
         # van Herk / Gil-Werman running extremum. padded has length
-        # n + 2k and already contains the boundary pads; out[j] is the
-        # extremum of padded[j : j + 2k + 1] for j in [0, n), i.e. the
-        # centred window of half-width k on the unpadded line. Block
-        # prefix/suffix arrays give O(1) comparisons per sample
-        # independent of k.
-        m = n + 2 * k
-        w = 2 * k + 1
+        # n + width - 1 and already contains the boundary pads; out[j]
+        # is the extremum of padded[j : j + width] for j in [0, n).
+        # Block prefix/suffix arrays give O(1) comparisons per sample
+        # independent of the width.
+        m = n + width - 1
         pre = np.empty(m, dtype=np.int64)
         suf = np.empty(m, dtype=np.int64)
         b = 0
         while b < m:
-            e = b + w
+            e = b + width
             if e > m:
                 e = m
             acc = padded[b]
@@ -84,70 +89,33 @@ def _build(jit):
                     if v > acc:
                         acc = v
                 suf[i] = acc
-            b += w
+            b += width
         for j in range(n):
             a = suf[j]
-            c = pre[j + 2 * k]
+            c = pre[j + width - 1]
             if minimum:
                 out[j] = a if a < c else c
             else:
                 out[j] = a if a > c else c
 
     @wrap
-    def filter_rows(values, k, minimum, out):
-        h, w = values.shape
-        padded = np.zeros(w + 2 * k, dtype=np.int64)
-        for r in range(h):
-            for c in range(w):
-                padded[k + c] = values[r, c]
-            window_extremum(padded, w, k, minimum, out[r])
-
-    @wrap
-    def filter_columns(values, k, minimum, out):
-        h, w = values.shape
-        padded = np.zeros(h + 2 * k, dtype=np.int64)
-        line = np.empty(h, dtype=np.int64)
-        for c in range(w):
-            for r in range(h):
-                padded[k + r] = values[r, c]
-            window_extremum(padded, h, k, minimum, line)
-            for r in range(h):
-                out[r, c] = line[r]
-
-    @wrap
-    def filter_diagonals(values, k, minimum, anti, out):
-        h, w = values.shape
-        maxlen = h if h < w else w
-        padded = np.zeros(maxlen + 2 * k, dtype=np.int64)
+    def filter_lines(flat, starts, lengths, step, before, after, minimum, out):
+        # Windowed extremum over the `before` cells preceding and the
+        # `after` cells following each cell of every scan line. Each
+        # line is gathered by one strided slice into a zero-padded
+        # buffer and scattered back the same way.
+        maxlen = lengths.max() if lengths.shape[0] else 0
+        padded = np.zeros(maxlen + before + after, dtype=np.int64)
         line = np.empty(maxlen, dtype=np.int64)
-        for li in range(h + w - 1):
-            if anti:
-                # lines of constant r + c, walked with step (+1, -1)
-                r0 = li - (w - 1)
-                if r0 < 0:
-                    r0 = 0
-                c0 = li - r0
-                rend = li if li < h - 1 else h - 1
-                length = rend - r0 + 1
-                dc = -1
-            else:
-                # lines of constant c - r, walked with step (+1, +1)
-                d = li - (h - 1)
-                r0 = -d if d < 0 else 0
-                c0 = d if d > 0 else 0
-                la = h - 1 - r0
-                lb = w - 1 - c0
-                length = (la if la < lb else lb) + 1
-                dc = 1
-            for i in range(length):
-                padded[k + i] = values[r0 + i, c0 + i * dc]
-            # pads beyond this line may hold stale samples from a
-            # longer previous line; the window reads k cells past it
-            for i in range(k + length, length + 2 * k):
-                padded[i] = 0
-            window_extremum(padded, length, k, minimum, line)
-            for i in range(length):
-                out[r0 + i, c0 + i * dc] = line[i]
+        for j in range(starts.shape[0]):
+            s = starts[j]
+            n = lengths[j]
+            end = s + (n - 1) * step + 1
+            padded[before:before + n] = flat[s:end:step]
+            # a longer previous line leaves stale samples past this one
+            padded[before + n:] = 0
+            window_extremum(padded, n, before + after + 1, minimum, line)
+            out[s:end:step] = line[:n]
 
     @wrap
     def offset_extremum(values, off_r, off_c, minimum, out):
@@ -178,7 +146,7 @@ def _build(jit):
                 out[r, c] = acc
 
     @wrap
-    def directional_loss(values, direction, loss, stack_pos, stack_lev):
+    def directional_loss(flat, starts, lengths, step, loss, stack_pos, stack_lev):
         # Single-pass volume-loss accumulation per scan line. Walks each
         # line once maintaining a stack of (start, level) pairs, exactly
         # like the classic largest-rectangle-in-histogram sweep. Every
@@ -187,50 +155,15 @@ def _build(jit):
         # segment of length t iff t <= width, so its whole volume
         # width * (lev - base) is lost when the segment first exceeds
         # the width; it is binned at loss[width].
-        h, w = values.shape
-        if direction == 0:
-            nlines = h
-        elif direction == 1:
-            nlines = w
-        else:
-            nlines = h + w - 1
-        for li in range(nlines):
-            if direction == 0:
-                r0 = li
-                c0 = 0
-                dr = 0
-                dc = 1
-                length = w
-            elif direction == 1:
-                r0 = 0
-                c0 = li
-                dr = 1
-                dc = 0
-                length = h
-            elif direction == 2:
-                d = li - (h - 1)
-                r0 = -d if d < 0 else 0
-                c0 = d if d > 0 else 0
-                la = h - 1 - r0
-                lb = w - 1 - c0
-                length = (la if la < lb else lb) + 1
-                dr = 1
-                dc = 1
-            else:
-                r0 = li - (w - 1)
-                if r0 < 0:
-                    r0 = 0
-                c0 = li - r0
-                rend = li if li < h - 1 else h - 1
-                length = rend - r0 + 1
-                dr = 1
-                dc = -1
+        line = np.empty(stack_pos.shape[0], dtype=np.int64)
+        for j in range(starts.shape[0]):
+            s = starts[j]
+            n = lengths[j]
+            line[:n] = flat[s:s + (n - 1) * step + 1:step]
+            line[n] = 0  # sentinel: lines end on masked ground
             sp = 0
-            for idx in range(length + 1):
-                if idx < length:
-                    v = values[r0 + idx * dr, c0 + idx * dc]
-                else:
-                    v = np.int64(0)  # sentinel: lines end on masked ground
+            for idx in range(n + 1):
+                v = line[idx]
                 start = idx
                 while sp > 0 and stack_lev[sp - 1] > v:
                     lev = stack_lev[sp - 1]
@@ -249,10 +182,7 @@ def _build(jit):
                     sp += 1
 
     return {
-        "window_extremum": window_extremum,
-        "filter_rows": filter_rows,
-        "filter_columns": filter_columns,
-        "filter_diagonals": filter_diagonals,
+        "filter_lines": filter_lines,
         "offset_extremum": offset_extremum,
         "directional_loss": directional_loss,
     }
@@ -299,21 +229,43 @@ def _as_int64_2d(values):
     return arr
 
 
-def directional_extremum(values, direction, k, minimum, kernels=None):
-    """Windowed min/max of half-width ``k`` along one scan direction."""
+def line_layout(shape, direction):
+    """Scan lines of a raster in one direction, as flat-index arithmetic.
+
+    Returns ``(starts, lengths, step)``: cell ``i`` of line ``j`` sits at
+    flat (row-major) index ``starts[j] + i * step``. The step is 1 for
+    rows, ``w`` for columns, ``w + 1`` for diag-down lines (constant
+    ``c - r``) and ``w - 1`` for diag-up lines (constant ``r + c``).
+    """
+    h, w = shape
+    if direction == ROW:
+        return np.arange(h, dtype=np.int64) * w, np.full(h, w, dtype=np.int64), 1
+    if direction == COLUMN:
+        return np.arange(w, dtype=np.int64), np.full(w, h, dtype=np.int64), w
+    index = np.arange(h + w - 1, dtype=np.int64)
+    if direction == DIAG_DOWN:
+        r0 = np.maximum(h - 1 - index, 0)
+        c0 = np.maximum(index - (h - 1), 0)
+        return r0 * w + c0, np.minimum(h - r0, w - c0), w + 1
+    if direction == DIAG_UP:
+        r0 = np.maximum(index - (w - 1), 0)
+        lengths = np.minimum(index, h - 1) - r0 + 1
+        # a one-wide raster has one-cell lines, which any nonzero step walks
+        return r0 * w + index - r0, lengths, max(w - 1, 1)
+    raise ValueError(f"unknown direction code {direction}")
+
+
+def directional_extremum(values, direction, k, minimum, kernels=None, after=None):
+    """Windowed min/max along one scan direction.
+
+    The window covers the ``k`` cells before each cell and the ``after``
+    cells following it (``k`` when not given, i.e. centred half-width k).
+    """
     ks = _active if kernels is None else kernels
     arr = _as_int64_2d(values)
     out = np.empty_like(arr)
-    if direction == ROW:
-        ks["filter_rows"](arr, k, minimum, out)
-    elif direction == COLUMN:
-        ks["filter_columns"](arr, k, minimum, out)
-    elif direction == DIAG_DOWN:
-        ks["filter_diagonals"](arr, k, minimum, False, out)
-    elif direction == DIAG_UP:
-        ks["filter_diagonals"](arr, k, minimum, True, out)
-    else:
-        raise ValueError(f"unknown direction code {direction}")
+    ks["filter_lines"](arr.ravel(), *line_layout(arr.shape, direction),
+                       k, k if after is None else after, minimum, out.ravel())
     return out
 
 
@@ -330,25 +282,10 @@ def offset_extremum(values, offsets_rc, minimum, kernels=None):
 
 def line_extremum(values, k, minimum, kernels=None):
     """1-D windowed min/max with zero padding, half-width ``k``."""
-    ks = _active if kernels is None else kernels
-    arr = np.ascontiguousarray(values, dtype=np.int64)
+    arr = np.asarray(values, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError("expected a 1-D array")
-    n = arr.shape[0]
-    padded = np.zeros(n + 2 * k, dtype=np.int64)
-    padded[k:k + n] = arr
-    out = np.empty(n, dtype=np.int64)
-    ks["window_extremum"](padded, n, k, minimum, out)
-    return out
-
-
-def max_line_length(shape, direction):
-    h, w = shape
-    if direction == ROW:
-        return w
-    if direction == COLUMN:
-        return h
-    return min(h, w)
+    return directional_extremum(arr[None, :], ROW, k, minimum, kernels)[0]
 
 
 def directional_loss(values, direction, kernels=None):
@@ -360,11 +297,12 @@ def directional_loss(values, direction, kernels=None):
     """
     ks = _active if kernels is None else kernels
     arr = _as_int64_2d(values)
-    maxlen = max_line_length(arr.shape, direction)
+    starts, lengths, step = line_layout(arr.shape, direction)
+    maxlen = int(lengths.max(initial=0))
     loss = np.zeros(maxlen + 2, dtype=np.int64)
     stack_pos = np.empty(maxlen + 1, dtype=np.int64)
     stack_lev = np.empty(maxlen + 1, dtype=np.int64)
-    ks["directional_loss"](arr, direction, loss, stack_pos, stack_lev)
+    ks["directional_loss"](arr.ravel(), starts, lengths, step, loss, stack_pos, stack_lev)
     return loss
 
 

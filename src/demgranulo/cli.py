@@ -206,29 +206,29 @@ def _oracle_one(args):
     ident, path, cfg = args
     try:
         dem = _load_dem(path, cfg)
+        work = dem.height * dem.width * max(dem.zmax, 1)
+        if work > cfg.max_oracle_work:
+            return ident, [(ident, "-", "-", "SKIP",
+                            f"work {work} exceeds cap {cfg.max_oracle_work}")], None
+        rows = []
+        for direction in cfg.directions:
+            rt = run_table(dem, direction)
+            se = SE_FOR_DIRECTION[direction]
+            for family in ("nse", "length"):
+                fast = pattern_spectrum(dem, se, family=family)
+                ref = spectrum_from_runs(rt, family)
+                probs = list(fast.probs)
+                if cfg.corrupt_hook and probs:
+                    probs[0] += Fraction(1, fast.volumes[0] + 1)  # test hook
+                verdict, detail = "PASS", ""
+                if probs != list(ref.probs):
+                    first = next(i for i, (a, b) in enumerate(
+                        zip(probs + [None], list(ref.probs) + [None])) if a != b)
+                    verdict, detail = "FAIL", f"first mismatch at index {first}"
+                rows.append((ident, direction, family, verdict, detail))
+        return ident, rows, None
     except (DemError, ValueError, OSError) as exc:
         return ident, [], f"{path}: {exc}"
-    work = dem.height * dem.width * max(dem.zmax, 1)
-    if work > cfg.max_oracle_work:
-        return ident, [(ident, "-", "-", "SKIP",
-                        f"work {work} exceeds cap {cfg.max_oracle_work}")], None
-    rows = []
-    for direction in cfg.directions:
-        rt = run_table(dem, direction)
-        se = SE_FOR_DIRECTION[direction]
-        for family in ("nse", "length"):
-            fast = pattern_spectrum(dem, se, family=family)
-            ref = spectrum_from_runs(rt, family)
-            probs = list(fast.probs)
-            if cfg.corrupt_hook and probs:
-                probs[0] += Fraction(1, fast.volumes[0] + 1)  # test hook
-            verdict, detail = "PASS", ""
-            if probs != list(ref.probs):
-                first = next(i for i, (a, b) in enumerate(
-                    zip(probs + [None], list(ref.probs) + [None])) if a != b)
-                verdict, detail = "FAIL", f"first mismatch at index {first}"
-            rows.append((ident, direction, family, verdict, detail))
-    return ident, rows, None
 
 
 def cmd_oracle_check(cfg: RunConfig, report_path: Path | None) -> int:

@@ -32,6 +32,7 @@ SE_FOR_DIRECTION = {
 DIRECTION_FOR_SE = {se: d for d, se in SE_FOR_DIRECTION.items()}
 
 _ESRI_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
+_I64_MAX = 2**63 - 1
 
 
 class DemError(Exception):
@@ -67,6 +68,9 @@ class Dem:
         if (values[mask] < 0).any():
             raise DemError("present elevations must be non-negative")
         values = np.where(mask, values, 0)
+        # bounds the volume, and with it every slab and loss sum
+        if int(values.max()) * int(np.count_nonzero(mask)) > _I64_MAX:
+            raise DemError("elevations too large: the volume would overflow int64")
         values.flags.writeable = False
         mask.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -291,19 +295,20 @@ def parse_esri_ascii(text: str, *, step: float = 1.0, datum: float = 0.0) -> Dem
         if not tokens:
             data_start = lineno
             continue
-        key = tokens[0].lower()
-        if key[0].isalpha() or key[0] == '_':
+        try:
+            float(tokens[0])
+        except ValueError:  # not a number (nan and inf are): a header key
             if len(tokens) != 2:
                 raise DemParseError(f"malformed header entry {tokens[0]!r}", line=lineno)
             try:
-                header[key] = float(tokens[1])
+                header[tokens[0].lower()] = float(tokens[1])
             except ValueError:
                 raise DemParseError(
                     f"non-numeric header value {tokens[1]!r}", line=lineno, column=2)
             data_start = lineno
-        else:
-            data_start = lineno - 1
-            break
+            continue
+        data_start = lineno - 1
+        break
     for key in _ESRI_HEADER_KEYS:
         if key not in header:
             raise DemParseError(f"header missing {key}", line=data_start or 1)
@@ -353,10 +358,14 @@ def parse_fixture_csv(text: str) -> Dem:
                 row.append(None)
                 continue
             try:
-                row.append(int(tok))
+                value = int(tok)
             except ValueError:
                 raise DemParseError(f"non-integer cell {tok!r}",
                                     line=lineno, column=colno)
+            if abs(value) > _I64_MAX:
+                raise DemParseError(f"cell {tok!r} outside the int64 range",
+                                    line=lineno, column=colno)
+            row.append(value)
         rows.append(row)
     if not rows:
         raise DemParseError("empty fixture", line=1)
@@ -413,6 +422,6 @@ def scale_heights(dem: Dem, k: int) -> Dem:
     """Multiply every present elevation by the integer factor ``k >= 1``."""
     if k < 1:
         raise ValueError(f"scale factor must be >= 1, got {k}")
-    if dem.zmax > (2**63 - 1) // max(k, 1):
+    if dem.zmax > _I64_MAX // k:
         raise OverflowError("scaled elevations overflow the elevation type")
     return Dem(dem.values * np.int64(k), dem.mask)

@@ -22,13 +22,6 @@ import numpy as np
 from . import _kernels
 from .dem import Dem
 
-_DIRECTION_CODE = {
-    "row": _kernels.ROW,
-    "column": _kernels.COLUMN,
-    "diag-down": _kernels.DIAG_DOWN,
-    "diag-up": _kernels.DIAG_UP,
-}
-
 # Unit offset (dx, dy) generating each named linear element; dx steps
 # columns and dy steps rows, so B4 = {(-1,0),(0,0),(1,0)} runs along a row.
 _LINE_UNITS = {
@@ -150,7 +143,8 @@ def _raw_extremum(values: np.ndarray, se: StructuringElement, minimum: bool) -> 
     line = se.as_line()
     if line is not None:
         direction, k = line
-        return _kernels.directional_extremum(values, _DIRECTION_CODE[direction], k, minimum)
+        code = _kernels.DIRECTION_CODE[direction]
+        return _kernels.directional_extremum(values, code, k, minimum)
     square = se.as_square()
     if square is not None:
         # separable and exact under the zero-pad convention
@@ -192,23 +186,27 @@ def multiscale_opening(dem: Dem, se, n: int) -> Dem:
     return opening(dem, nse(resolve_se(se), n))
 
 
-def open_square_separable(dem: Dem, n: int) -> Dem:
-    """Opening by the (2n+1)x(2n+1) square via four streaming passes.
+def open_square_raw(values: np.ndarray, k: int) -> np.ndarray:
+    """Opening of a raw array by the (2k+1)x(2k+1) square, four passes.
 
     Horizontal then vertical erosion, then vertical then horizontal
-    dilation, all on the raw array. The intermediate dilation values at
-    masked cells must be kept (not re-masked) for the factorization to
-    be exact; only the final result is restricted to the domain.
+    dilation. The intermediate dilation values at masked cells must be
+    kept (not re-masked) for the factorization to be exact; the result
+    still has to be restricted to the domain.
     """
+    arr = _kernels.directional_extremum(values, _kernels.ROW, k, True)
+    arr = _kernels.directional_extremum(arr, _kernels.COLUMN, k, True)
+    arr = _kernels.directional_extremum(arr, _kernels.COLUMN, k, False)
+    return _kernels.directional_extremum(arr, _kernels.ROW, k, False)
+
+
+def open_square_separable(dem: Dem, n: int) -> Dem:
+    """Opening by the (2n+1)x(2n+1) square via four streaming passes."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         return dem
-    arr = _kernels.directional_extremum(dem.values, _kernels.ROW, n, True)
-    arr = _kernels.directional_extremum(arr, _kernels.COLUMN, n, True)
-    arr = _kernels.directional_extremum(arr, _kernels.COLUMN, n, False)
-    arr = _kernels.directional_extremum(arr, _kernels.ROW, n, False)
-    return Dem(np.where(dem.mask, arr, 0), dem.mask)
+    return Dem(np.where(dem.mask, open_square_raw(dem.values, n), 0), dem.mask)
 
 
 def erode_line_streaming(values, window: int) -> np.ndarray:
@@ -233,19 +231,13 @@ def erode_line_streaming(values, window: int) -> np.ndarray:
 def opening_by_segment(values: np.ndarray, direction_code: int, length: int) -> np.ndarray:
     """Opening of a raw array by a directional segment of any length.
 
-    Supports even lengths (which have no centred symmetric element) by
-    pairing the erosion with the adjoint dilation: erode reads offsets
-    0..length-1 along the direction, dilate reads their negation.
+    An opening does not depend on where the element's origin sits, so
+    the segment is anchored at its first cell: the erosion reads the
+    ``length - 1`` cells after each cell and the adjoint dilation the
+    ``length - 1`` cells before it. Even lengths, which have no centred
+    symmetric element, take the same path.
     """
     if length < 1:
         raise ValueError("segment length must be >= 1")
-    if length % 2 == 1:
-        k = length // 2
-        er = _kernels.directional_extremum(values, direction_code, k, True)
-        return _kernels.directional_extremum(er, direction_code, k, False)
-    steps = {_kernels.ROW: (0, 1), _kernels.COLUMN: (1, 0),
-             _kernels.DIAG_DOWN: (1, 1), _kernels.DIAG_UP: (1, -1)}
-    dr, dc = steps[direction_code]
-    fwd = np.array([(i * dr, i * dc) for i in range(length)], dtype=np.int64)
-    er = _kernels.offset_extremum(values, fwd, True)
-    return _kernels.offset_extremum(er, -fwd, False)
+    er = _kernels.directional_extremum(values, direction_code, 0, True, after=length - 1)
+    return _kernels.directional_extremum(er, direction_code, length - 1, False, after=0)

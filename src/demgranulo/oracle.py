@@ -105,13 +105,6 @@ class RunTable:
     direction: str
     counts: dict
 
-    def marginals(self) -> dict:
-        """(t, h) -> count, summed over lines."""
-        out: dict[tuple[int, int], int] = {}
-        for (_, h, t), c in self.counts.items():
-            out[(t, h)] = out.get((t, h), 0) + c
-        return out
-
     def cells_at_level(self, line_index: int, h: int) -> int:
         return sum(t * c for (i, hh, t), c in self.counts.items()
                    if i == line_index and hh == h)

@@ -19,14 +19,8 @@ import numpy as np
 
 from . import _kernels
 from .dem import Dem, volume
-from .morphology import multiscale_opening, opening_by_segment, resolve_se
-
-_DIRECTION_CODE = {
-    "row": _kernels.ROW,
-    "column": _kernels.COLUMN,
-    "diag-down": _kernels.DIAG_DOWN,
-    "diag-up": _kernels.DIAG_UP,
-}
+from .morphology import (multiscale_opening, open_square_raw, opening_by_segment,
+                         resolve_se)
 
 DIRECTIONAL_SES = ("B1", "B2", "B3", "B4")
 ALL_SES = ("B1", "B2", "B3", "B4", "B")
@@ -85,8 +79,12 @@ class FeatureRecord:
     label: str | None = None
 
 
-def _volume_curve(loss: np.ndarray) -> np.ndarray:
-    """curve[w] = volume surviving an opening with a w-cell segment."""
+def _volume_curve(dem: Dem, direction: str) -> np.ndarray:
+    """curve[w] = volume surviving an opening with a w-cell segment.
+
+    The curve ends in zeros: no segment longer than a line survives.
+    """
+    loss = _kernels.directional_loss(dem.values, _kernels.DIRECTION_CODE[direction])
     curve = np.zeros(loss.shape[0] + 1, dtype=np.int64)
     curve[:-1] = loss[::-1].cumsum()[::-1]
     return curve
@@ -149,16 +147,14 @@ def pattern_spectrum(dem: Dem, se, *, family: str = "nse",
 
 def _length_spectrum_sweep(dem, se, line):
     direction, _ = line
-    loss = _kernels.directional_loss(dem.values, _DIRECTION_CODE[direction])
-    curve = _volume_curve(loss)
-    scales = range(1, curve.shape[0] + 1)
-    vols = [int(curve[w]) if w < curve.shape[0] else 0 for w in scales]
-    return _spectrum_from_points(se.name or direction, "length", scales, vols)
+    curve = _volume_curve(dem, direction)
+    return _spectrum_from_points(se.name or direction, "length",
+                                 range(1, curve.shape[0]), curve[1:])
 
 
 def _length_spectrum_openings(dem, se, line):
     direction, _ = line
-    code = _DIRECTION_CODE[direction]
+    code = _kernels.DIRECTION_CODE[direction]
     vols = [volume(dem)]
     w = 2
     while vols[-1] > 0:
@@ -171,30 +167,19 @@ def _length_spectrum_openings(dem, se, line):
 
 def _nse_spectrum_sweep(dem, se, line):
     direction, k0 = line
-    loss = _kernels.directional_loss(dem.values, _DIRECTION_CODE[direction])
-    curve = _volume_curve(loss)
-    vols = []
-    n = 0
-    while True:
-        w = 2 * k0 * n + 1
-        vols.append(int(curve[w]) if w < curve.shape[0] else 0)
-        if vols[-1] == 0:
-            break
-        n += 1
+    # scale n opens with a window of 2*k0*n + 1 cells; the stride may
+    # step past the curve's zeros, so a terminal 0 is appended
+    vols = list(_volume_curve(dem, direction)[1::2 * k0]) + [0]
     return _spectrum_from_points(se.name, "nse", range(len(vols)), vols)
 
 
 def _nse_spectrum_square(dem, se, k0):
-    # separable streaming openings on the raw array; only the volume
-    # needs the mask, so the per-scale raster wrapping is skipped
+    # only the volume needs the mask, so the per-scale raster wrapping
+    # is skipped
     vols = [volume(dem)]
     n = 1
     while vols[-1] > 0:
-        k = k0 * n
-        arr = _kernels.directional_extremum(dem.values, _kernels.ROW, k, True)
-        arr = _kernels.directional_extremum(arr, _kernels.COLUMN, k, True)
-        arr = _kernels.directional_extremum(arr, _kernels.COLUMN, k, False)
-        arr = _kernels.directional_extremum(arr, _kernels.ROW, k, False)
+        arr = open_square_raw(dem.values, k0 * n)
         vols.append(int(arr.sum(where=dem.mask, dtype=np.int64)))
         n += 1
     return _spectrum_from_points(se.name, "nse", range(len(vols)), vols)

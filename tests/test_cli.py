@@ -121,6 +121,18 @@ class TestFeaturesCommand:
         assert row["degenerate"] == "1"
         assert all(row[f"z{i}"] == "0" for i in range(1, 5))
 
+    def test_out_of_range_cell_fails_only_its_file(self, tmp_path, capsys):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("1,99999999999999999999\n")
+        ok = tmp_path / "ok.csv"
+        write_row_fixture(ok)
+        out = tmp_path / "out"
+        assert main(["features", str(ok), str(huge), "--out-dir", str(out)]) == 1
+        assert "line 1, column 2" in capsys.readouterr().err
+        ids = [ln.split(",")[0] for ln in
+               (out / "features.csv").read_text().splitlines()[1:]]
+        assert ids == ["ok"]
+
     def test_batch_order_stable(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
         inputs = [str(fixture_dir / n) for n in
@@ -171,16 +183,23 @@ class TestOracleCheckCommand:
         out = capsys.readouterr().out
         assert "diag-down" not in out and "row nse PASS" in out
 
-    def test_zero_volume_reported_per_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["spectrum", "oracle-check"])
+    def test_zero_volume_reported_per_file(self, tmp_path, capsys, command):
         bad = tmp_path / "zero.csv"
         bad.write_text("0,0\n")
         ok = tmp_path / "ok.csv"
         write_row_fixture(ok)
         out = tmp_path / "out"
-        code = main(["spectrum", str(bad), str(ok), "--out-dir", str(out)])
+        report = out / "report.csv"
+        extra = ["--report", str(report)] if command == "oracle-check" else []
+        code = main([command, str(bad), str(ok), "--out-dir", str(out), *extra])
         assert code == 1
         assert "zero" in capsys.readouterr().err
-        assert (out / "ok.summary.json").exists()
+        if command == "spectrum":
+            assert (out / "ok.summary.json").exists()
+        else:
+            ids = [ln.split(",")[0] for ln in report.read_text().splitlines()[1:]]
+            assert ids == ["ok"] * 8  # 4 directions x 2 families
 
 
 class TestTreeCommands:

@@ -23,6 +23,11 @@ class TestDemType:
         assert dem.values[0, 1] == 0
         assert dem.cell_count == 1
 
+    def test_volume_overflow_rejected(self):
+        # three cells at 2**62 would wrap the int64 volume negative
+        with pytest.raises(DemError, match="overflow"):
+            Dem.from_rows([[2**62, 2**62, 2**62]])
+
     def test_empty_domain_rejected(self):
         with pytest.raises(DemError):
             Dem(np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2), dtype=bool))
@@ -92,6 +97,11 @@ class TestEsriAscii:
         dem = parse_esri_ascii(text)
         assert dem.cell_count == 3
         assert not dem.mask[0, 1]
+
+    def test_nan_first_cell_masked(self):
+        # nan and inf parse as numbers, so they start the data, not a header
+        dem = parse_esri_ascii(GRID_2X2.replace("1 2\n", "nan 2\n"))
+        assert dem.mask.tolist() == [[False, True], [True, True]]
 
     def test_missing_header_key(self):
         with pytest.raises(DemParseError, match="nrows"):
