@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
-"""Benchmark the JIT kernels against the pure-Python fallback.
+"""Time the hot kernels, and the loop kernels on both builds.
 
-Times the three hot paths (streaming windowed extremum, single-pass
-spectrum sweep, full five-element feature computation) under both
-kernel builds and checks that their outputs agree exactly.
+The windowed extremum is one numpy implementation on every build, so
+its cases are timed once. The loop kernels (the single-pass spectrum
+sweep, and with it the full five-element feature computation) have a
+numba build and a plain-Python build; those cases run under both when
+numba is installed and the outputs are checked for exact agreement.
 
 Usage:
     python benchmarks/bench_kernels.py [--side N] [--levels L] [--repeats R]
 
-The pure path runs the identical source uncompiled, so it is orders of
-magnitude slower; keep --side modest (default 160) unless you enjoy
-waiting. Set DEMGRANULO_NO_NUMBA=1 to make the fallback the default
-build package-wide.
+The plain-Python sweep is a per-sample interpreter loop, so at large
+sides it dominates; keep --side modest (default 160). Set
+DEMGRANULO_NO_NUMBA=1 to make the plain-Python build the default
+package-wide.
 """
 
 import argparse
 import time
-
-import numpy as np
 
 from demgranulo import _kernels
 from demgranulo.spectrum import normalized_mdgi, pattern_spectrum
@@ -35,11 +35,13 @@ def time_call(fn, repeats):
 
 def run(side, levels, repeats):
     dem = synthetic_terrain(side, levels=levels, seed=3)
-    cases = [
+    numpy_cases = [
         ("windowed min (k=8, rows)",
          lambda: _kernels.directional_extremum(dem.values, _kernels.ROW, 8, True)),
         ("windowed max (k=8, diag)",
          lambda: _kernels.directional_extremum(dem.values, _kernels.DIAG_UP, 8, False)),
+    ]
+    build_cases = [
         ("spectrum sweep (4 dirs)",
          lambda: [_kernels.directional_loss(dem.values, d) for d in range(4)]),
         ("full features (5 elements)",
@@ -48,8 +50,13 @@ def run(side, levels, repeats):
 
     print(f"raster {side}x{side}, {levels} levels, "
           f"{dem.cell_count} cells, best of {repeats}")
+    print(f"{'case':<28s} {'numpy (ms)':>10s}")
+    for label, fn in numpy_cases:
+        t, _ = time_call(fn, repeats)
+        print(f"{label:<28s} {t * 1000:>10.2f}")
+
     print(f"{'case':<28s} {'pure (ms)':>10s} {'jit (ms)':>10s} {'speedup':>8s} {'agree':>6s}")
-    for label, fn in cases:
+    for label, fn in build_cases:
         if _kernels.HAS_NUMBA:
             _kernels.use_numba(True)
             fn()  # warm the JIT outside the timed region
@@ -62,9 +69,7 @@ def run(side, levels, repeats):
 
         agree = "-"
         if out_jit is not None:
-            if isinstance(out_pure, np.ndarray):
-                agree = "yes" if (out_pure == out_jit).all() else "NO"
-            elif isinstance(out_pure, list):
+            if isinstance(out_pure, list):
                 agree = "yes" if all((a == b).all()
                                      for a, b in zip(out_pure, out_jit)) else "NO"
             else:

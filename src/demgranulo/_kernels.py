@@ -1,17 +1,21 @@
-"""Hot numeric kernels: streaming windowed extrema and peak-slab sweeps.
-
-Every kernel exists in two interchangeable builds operating on the same
-numpy arrays: one compiled with numba's @njit and a plain-Python one.
-The active build is chosen at import time (set ``DEMGRANULO_NO_NUMBA=1``
-to force the pure path) and can be switched at runtime with
-:func:`use_numba`, which the benchmark and the backend-equivalence tests
-rely on. Both builds are generated from the same source, so they cannot
-drift apart. numba is optional (the ``jit`` extra); without it the pure
-build is the only one and the default.
+"""Hot numeric kernels: windowed extrema and peak-slab sweeps.
 
 Directional kernels see the raster as one flat row-major array and walk
-it along the scan lines that :func:`line_layout` describes, gathering
-each line with one strided slice.
+it along the scan lines that :func:`line_layout` describes.
+
+The windowed extremum along scan lines (:func:`directional_extremum`)
+has one implementation, in numpy: the van Herk / Gil-Werman block
+prefix and suffix extrema are ``ufunc.accumulate`` calls over a matrix
+of lines, which numpy runs in C. It is the same whichever build is
+active.
+
+The per-sample loop kernels (:func:`offset_extremum` and
+:func:`directional_loss`) exist in two builds generated from the same
+source, so they cannot drift apart: one compiled with numba's @njit and
+a plain-Python one. The active build is chosen at import time (set
+``DEMGRANULO_NO_NUMBA=1`` to force the pure build) and can be switched
+at runtime with :func:`use_numba`. numba is optional (the ``jit``
+extra); without it the pure build is the only one and the default.
 
 Conventions baked into every kernel:
 
@@ -51,71 +55,6 @@ def _build(jit):
     else:
         def wrap(fn):
             return fn
-
-    @wrap
-    def window_extremum(padded, n, width, minimum, out):
-        # van Herk / Gil-Werman running extremum. padded has length
-        # n + width - 1 and already contains the boundary pads; out[j]
-        # is the extremum of padded[j : j + width] for j in [0, n).
-        # Block prefix/suffix arrays give O(1) comparisons per sample
-        # independent of the width.
-        m = n + width - 1
-        pre = np.empty(m, dtype=np.int64)
-        suf = np.empty(m, dtype=np.int64)
-        b = 0
-        while b < m:
-            e = b + width
-            if e > m:
-                e = m
-            acc = padded[b]
-            pre[b] = acc
-            for i in range(b + 1, e):
-                v = padded[i]
-                if minimum:
-                    if v < acc:
-                        acc = v
-                else:
-                    if v > acc:
-                        acc = v
-                pre[i] = acc
-            acc = padded[e - 1]
-            suf[e - 1] = acc
-            for i in range(e - 2, b - 1, -1):
-                v = padded[i]
-                if minimum:
-                    if v < acc:
-                        acc = v
-                else:
-                    if v > acc:
-                        acc = v
-                suf[i] = acc
-            b += width
-        for j in range(n):
-            a = suf[j]
-            c = pre[j + width - 1]
-            if minimum:
-                out[j] = a if a < c else c
-            else:
-                out[j] = a if a > c else c
-
-    @wrap
-    def filter_lines(flat, starts, lengths, step, before, after, minimum, out):
-        # Windowed extremum over the `before` cells preceding and the
-        # `after` cells following each cell of every scan line. Each
-        # line is gathered by one strided slice into a zero-padded
-        # buffer and scattered back the same way.
-        maxlen = lengths.max() if lengths.shape[0] else 0
-        padded = np.zeros(maxlen + before + after, dtype=np.int64)
-        line = np.empty(maxlen, dtype=np.int64)
-        for j in range(starts.shape[0]):
-            s = starts[j]
-            n = lengths[j]
-            end = s + (n - 1) * step + 1
-            padded[before:before + n] = flat[s:end:step]
-            # a longer previous line leaves stale samples past this one
-            padded[before + n:] = 0
-            window_extremum(padded, n, before + after + 1, minimum, line)
-            out[s:end:step] = line[:n]
 
     @wrap
     def offset_extremum(values, off_r, off_c, minimum, out):
@@ -182,7 +121,6 @@ def _build(jit):
                     sp += 1
 
     return {
-        "filter_lines": filter_lines,
         "offset_extremum": offset_extremum,
         "directional_loss": directional_loss,
     }
@@ -255,17 +193,55 @@ def line_layout(shape, direction):
     raise ValueError(f"unknown direction code {direction}")
 
 
-def directional_extremum(values, direction, k, minimum, kernels=None, after=None):
+# Padded cells per block of scan lines in directional_extremum. The
+# working arrays are a few blocks in size, so they stay in cache and the
+# memory a pass needs beyond its output does not grow with the raster;
+# a line longer than a block makes a block of its own.
+_BLOCK_CELLS = 1 << 14
+
+
+def directional_extremum(values, direction, k, minimum, after=None):
     """Windowed min/max along one scan direction.
 
     The window covers the ``k`` cells before each cell and the ``after``
     cells following it (``k`` when not given, i.e. centred half-width k).
+
+    van Herk / Gil-Werman: every line is padded with ``k`` zeros before
+    and at least ``after`` zeros after it, and cut into chunks of one
+    window width. The window starting at padded position ``i`` is the
+    suffix extremum from ``i`` to the end of its chunk combined with the
+    prefix extremum up to ``i + width - 1`` of the chunk holding that
+    position, so each cell costs O(1) whatever the width. The lines are processed a block
+    of about ``_BLOCK_CELLS`` padded cells at a time.
     """
-    ks = _active if kernels is None else kernels
     arr = _as_int64_2d(values)
+    after = k if after is None else after
+    width = k + after + 1
+    ufunc = np.minimum if minimum else np.maximum
+    flat = arr.ravel()
     out = np.empty_like(arr)
-    ks["filter_lines"](arr.ravel(), *line_layout(arr.shape, direction),
-                       k, k if after is None else after, minimum, out.ravel())
+    out_flat = out.ravel()
+    starts, lengths, step = line_layout(arr.shape, direction)
+    chunks = -(-(int(lengths.max(initial=0)) + width - 1) // width)
+    per_block = max(1, _BLOCK_CELLS // (chunks * width))
+    for j in range(0, starts.shape[0], per_block):
+        lens = lengths[j:j + per_block]
+        n = int(lens.max())
+        chunks = -(-(n + width - 1) // width)
+        pos = np.arange(n)
+        index = starts[j:j + per_block, None] + pos * step
+        # past a line's end the index can leave the raster or land on
+        # another line: the read is clipped, then masked to the 0 pad
+        inside = pos < lens[:, None]
+        padded = np.zeros((lens.shape[0], chunks * width), dtype=np.int64)
+        np.copyto(padded[:, k:k + n], flat.take(index, mode="clip"), where=inside)
+        cut = padded.reshape(lens.shape[0], chunks, width)
+        pre = ufunc.accumulate(cut, axis=2).reshape(padded.shape)
+        suf = np.empty_like(padded)
+        ufunc.accumulate(cut[:, :, ::-1], axis=2,
+                         out=suf.reshape(cut.shape)[:, :, ::-1])
+        res = ufunc(suf[:, :n], pre[:, width - 1:width - 1 + n])
+        out_flat[index[inside]] = res[inside]
     return out
 
 
@@ -280,12 +256,12 @@ def offset_extremum(values, offsets_rc, minimum, kernels=None):
     return out
 
 
-def line_extremum(values, k, minimum, kernels=None):
+def line_extremum(values, k, minimum):
     """1-D windowed min/max with zero padding, half-width ``k``."""
     arr = np.asarray(values, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError("expected a 1-D array")
-    return directional_extremum(arr[None, :], ROW, k, minimum, kernels)[0]
+    return directional_extremum(arr[None, :], ROW, k, minimum)[0]
 
 
 def directional_loss(values, direction, kernels=None):
@@ -307,7 +283,7 @@ def directional_loss(values, direction, kernels=None):
 
 
 def warmup():
-    """Trigger JIT compilation of every kernel on a tiny input.
+    """Trigger JIT compilation of the loop kernels on a tiny input.
 
     Covers both the writable and the read-only array signatures; raster
     values are stored read-only, which numba types distinctly.
@@ -317,9 +293,6 @@ def warmup():
     frozen.flags.writeable = False
     for arr in (tiny, frozen):
         for d in (ROW, COLUMN, DIAG_DOWN, DIAG_UP):
-            directional_extremum(arr, d, 1, True)
-            directional_extremum(arr, d, 1, False)
             directional_loss(arr, d)
         offset_extremum(arr, [(0, 0), (1, 1), (-1, -1)], True)
         offset_extremum(arr, [(0, 0), (1, 1), (-1, -1)], False)
-        line_extremum(arr[0], 1, True)

@@ -97,6 +97,11 @@ def _expand_inputs(patterns) -> list[tuple[str, Path]]:
     return sorted(seen.items())
 
 
+# Failures that end one input's job and leave the rest of the batch
+# running; an oversized raster can overflow or exhaust memory.
+_FILE_ERRORS = (DemError, ValueError, OSError, OverflowError, MemoryError)
+
+
 def _load_dem(path: Path, cfg: RunConfig) -> Dem:
     text = path.read_text()
     if path.suffix.lower() == ".csv":
@@ -135,7 +140,7 @@ def _spectrum_one(args):
             n0[se] = ps.n0
         summary = {"id": ident, "gi": gi, "n0": n0, "metadata": None}
         return ident, outputs, summary, None
-    except (DemError, ValueError, OSError) as exc:
+    except _FILE_ERRORS as exc:
         return ident, {}, None, f"{path}: {exc}"
 
 
@@ -177,7 +182,7 @@ def _features_one(args):
                + [_fmt(v) for v in rec.z] + [_fmt(v) for v in rec.x]
                + ["1" if rec.degenerate else "0", hi, lo])
         return ident, row, None
-    except (DemError, ValueError, OSError) as exc:
+    except _FILE_ERRORS as exc:
         return ident, None, f"{path}: {exc}"
 
 
@@ -227,7 +232,7 @@ def _oracle_one(args):
                     verdict, detail = "FAIL", f"first mismatch at index {first}"
                 rows.append((ident, direction, family, verdict, detail))
         return ident, rows, None
-    except (DemError, ValueError, OSError) as exc:
+    except _FILE_ERRORS as exc:
         return ident, [], f"{path}: {exc}"
 
 

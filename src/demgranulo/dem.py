@@ -318,6 +318,16 @@ def parse_esri_ascii(text: str, *, step: float = 1.0, datum: float = 0.0) -> Dem
     ncols, nrows = int(ncols), int(nrows)
     nodata = header.get("nodata_value")
 
+    # every cell needs a token and a separator: a header that claims more
+    # cells than the text can hold is short before the grid is allocated
+    if nrows * ncols > (len(text) + 1) // 2:
+        data = [line.split() for line in lines[data_start:]]
+        last_line = data_start + max((i for i, tokens in enumerate(data, start=1)
+                                      if tokens), default=0)
+        raise DemParseError(
+            f"grid ended after {sum(map(len, data))} of {nrows * ncols} cells",
+            line=last_line)
+
     values = np.empty(nrows * ncols, dtype=np.float64)
     count = 0
     last_line = data_start

@@ -33,6 +33,23 @@ def naive_window_extremum(values, k, minimum):
     return windows.min(axis=1) if minimum else windows.max(axis=1)
 
 
+def naive_directional_extremum(values, unit, k, after, minimum):
+    """Windowed min/max along a unit step ``(dr, dc)``, pad-0 reads.
+
+    The window at cell ``(r, c)`` holds the cells ``(r + t*dr, c + t*dc)``
+    for ``t`` in ``-k .. after``; the raster is shifted once per ``t`` on
+    a zero-padded copy, so no scan-line geometry is involved.
+    """
+    arr = np.asarray(values, dtype=np.int64)
+    h, w = arr.shape
+    m = max(k, after)
+    padded = np.pad(arr, m)
+    shifts = [padded[m + t * unit[0]:m + t * unit[0] + h,
+                     m + t * unit[1]:m + t * unit[1] + w]
+              for t in range(-k, after + 1)]
+    return np.min(shifts, axis=0) if minimum else np.max(shifts, axis=0)
+
+
 def se_translates(se):
     """Offsets of a structuring element as (row, col) int pairs."""
     return [(dy, dx) for dx, dy in sorted(se.offsets)]

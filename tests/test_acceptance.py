@@ -199,3 +199,21 @@ def test_performance_streaming_path():
         assert elapsed[2000] < 10.0, f"{elapsed[2000]:.2f}s exceeds 10s"
         ratio = max(per_cell.values()) / min(per_cell.values())
         assert ratio < 3.0, f"per-cell time ratio {ratio:.2f} is not linear-like"
+
+
+def test_performance_square_spectrum_pure_build():
+    name = ("performance: square-element spectrum of a 1000x1000 x 256-level "
+            "raster < 15 s on the pure build")
+    with verdict(name):
+        dem = synthetic_terrain(1000, levels=256)
+        jit = _kernels.numba_active()
+        _kernels.use_numba(False)
+        try:
+            t0 = time.perf_counter()
+            ps = pattern_spectrum(dem, "B")
+            elapsed = time.perf_counter() - t0
+        finally:
+            _kernels.use_numba(jit)
+        print(f"{elapsed:.2f}s over {len(ps.scales)} scales")
+        assert ps.volumes[-1] == 0
+        assert elapsed < 15.0, f"{elapsed:.2f}s exceeds 15s"

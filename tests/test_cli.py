@@ -133,6 +133,20 @@ class TestFeaturesCommand:
                (out / "features.csv").read_text().splitlines()[1:]]
         assert ids == ["ok"]
 
+    def test_huge_esri_header_fails_only_its_file(self, tmp_path, capsys):
+        # a 10**10-cell header over three values used to allocate the
+        # whole grid first and end the batch with a MemoryError
+        big = tmp_path / "big.asc"
+        big.write_text("ncols 100000\nnrows 100000\nxllcorner 0\nyllcorner 0\n"
+                       "cellsize 1\n1 2 3\n")
+        ok = tmp_path / "ok.csv"
+        write_row_fixture(ok)
+        out = tmp_path / "o.csv"
+        assert main(["features", str(ok), str(big), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "big.asc" in err and "grid ended after 3 of 10000000000 cells" in err
+        assert [ln.split(",")[0] for ln in out.read_text().splitlines()[1:]] == ["ok"]
+
     def test_batch_order_stable(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
         inputs = [str(fixture_dir / n) for n in

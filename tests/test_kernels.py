@@ -1,15 +1,24 @@
-"""Streaming kernels against the sliding-window oracle, on both builds."""
+"""Kernels against brute-force references; loop kernels on every build."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_runs_per_line, naive_window_extremum
+from conftest import (brute_runs_per_line, naive_directional_extremum,
+                      naive_window_extremum)
 from demgranulo import _kernels
 from demgranulo.synth import random_dem
 
 BACKENDS = sorted(_kernels.backends())
+
+DIRECTIONS = [_kernels.ROW, _kernels.COLUMN, _kernels.DIAG_DOWN, _kernels.DIAG_UP]
+
+# unit step (dr, dc) from one cell of a scan line to the next
+UNIT = {_kernels.ROW: (0, 1), _kernels.COLUMN: (1, 0),
+        _kernels.DIAG_DOWN: (1, 1), _kernels.DIAG_UP: (1, -1)}
 
 
 @pytest.fixture(params=BACKENDS)
@@ -35,13 +44,11 @@ class TestWindowExtremum:
     @given(st.lists(st.integers(0, 99), min_size=1, max_size=120),
            st.integers(0, 12), st.booleans())
     def test_matches_sliding_window(self, values, k, minimum):
-        for name in BACKENDS:
-            got = _kernels.line_extremum(values, k, minimum,
-                                         kernels=_kernels.backends()[name])
-            want = naive_window_extremum(values, k, minimum)
-            assert got.tolist() == want.tolist()
+        got = _kernels.line_extremum(values, k, minimum)
+        want = naive_window_extremum(values, k, minimum)
+        assert got.tolist() == want.tolist()
 
-    def test_directional_passes_cover_every_line(self, kernels):
+    def test_directional_passes_cover_every_line(self):
         # a lone peak spreads exactly along the scanned line under max
         arr = np.zeros((7, 7), dtype=np.int64)
         arr[3, 3] = 9
@@ -49,19 +56,43 @@ class TestWindowExtremum:
                          (_kernels.COLUMN, {(2, 3), (3, 3), (4, 3)}),
                          (_kernels.DIAG_DOWN, {(2, 2), (3, 3), (4, 4)}),
                          (_kernels.DIAG_UP, {(2, 4), (3, 3), (4, 2)})):
-            out = _kernels.directional_extremum(arr, d, 1, False, kernels=kernels)
+            out = _kernels.directional_extremum(arr, d, 1, False)
             assert {tuple(rc) for rc in np.argwhere(out == 9)} == cells
 
-    @settings(max_examples=60, deadline=None)
-    @given(arrays_2d, st.integers(0, 4), st.booleans(),
-           st.sampled_from([_kernels.ROW, _kernels.COLUMN,
-                            _kernels.DIAG_DOWN, _kernels.DIAG_UP]))
-    def test_backends_agree(self, arr, k, minimum, direction):
-        outs = [_kernels.directional_extremum(arr, direction, k, minimum,
-                                              kernels=_kernels.backends()[n])
-                for n in BACKENDS]
-        for other in outs[1:]:
-            assert (outs[0] == other).all()
+    # k up to 15 reaches past every line of a 12 x 12 raster
+    @settings(max_examples=150, deadline=None)
+    @given(arrays_2d, st.integers(0, 15), st.integers(0, 15), st.booleans(),
+           st.sampled_from(DIRECTIONS))
+    def test_matches_naive_directional(self, arr, k, after, minimum, direction):
+        got = _kernels.directional_extremum(arr, direction, k, minimum, after=after)
+        want = naive_directional_extremum(arr, UNIT[direction], k, after, minimum)
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("shape", [(3, 20000), (200, 200)])
+    def test_spans_several_blocks(self, shape):
+        # 3 x 20000 has rows longer than a whole block; on 200 x 200 every
+        # direction has more lines than one block holds
+        assert shape[0] * shape[1] > 2 * _kernels._BLOCK_CELLS
+        arr = _raster(5, *shape)
+        for direction in DIRECTIONS:
+            for k in range(4):
+                for minimum in (True, False):
+                    got = _kernels.directional_extremum(arr, direction, k, minimum)
+                    want = naive_directional_extremum(arr, UNIT[direction], k, k, minimum)
+                    assert (got == want).all(), (direction, k, minimum)
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_working_memory_bounded(self, direction):
+        # the line matrices are built a block at a time, never for the
+        # whole raster: beyond its output a pass needs a fixed few MiB
+        arr = _raster(6, 1000, 1000)
+        tracemalloc.start()
+        try:
+            out = _kernels.directional_extremum(arr, direction, 6, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * 2**20
 
 
 class TestDirectionalLoss:
