@@ -84,7 +84,8 @@ class TestWindowExtremum:
     @pytest.mark.parametrize("direction", DIRECTIONS)
     def test_working_memory_bounded(self, direction):
         # the line matrices are built a block at a time, never for the
-        # whole raster: beyond its output a pass needs a fixed few MiB
+        # whole raster: beyond its output a pass needs under 2 MiB however
+        # many lines the raster has
         arr = _raster(6, 1000, 1000)
         tracemalloc.start()
         try:
