@@ -1,21 +1,28 @@
 """Hot numeric kernels: windowed extrema and peak-slab sweeps.
 
 Directional kernels see the raster as one flat row-major array and walk
-it along the scan lines that :func:`line_layout` describes.
+it along the scan lines that :func:`line_layout` describes, a block of
+lines at a time (:func:`_line_blocks`).
 
-The windowed extremum along scan lines (:func:`directional_extremum`)
-has one implementation, in numpy: the van Herk / Gil-Werman block
-prefix and suffix extrema are ``ufunc.accumulate`` calls over a matrix
-of lines, which numpy runs in C. It is the same whichever build is
-active.
+Both directional kernels are numpy code, the same whichever build is
+active:
 
-The per-sample loop kernels (:func:`offset_extremum` and
-:func:`directional_loss`) exist in two builds generated from the same
-source, so they cannot drift apart: one compiled with numba's @njit and
-a plain-Python one. The active build is chosen at import time (set
-``DEMGRANULO_NO_NUMBA=1`` to force the pure build) and can be switched
-at runtime with :func:`use_numba`. numba is optional (the ``jit``
-extra); without it the pure build is the only one and the default.
+* the windowed extremum along scan lines (:func:`directional_extremum`)
+  takes the van Herk / Gil-Werman block prefix and suffix extrema with
+  ``ufunc.accumulate`` calls over a matrix of lines;
+* the slab sweep (:func:`directional_loss`) finds, for every cell, its
+  nearest smaller neighbours on both sides by binary lifting over a
+  sparse table of range minima, which gives every maximal slab of every
+  line at once.
+
+The one per-sample loop kernel, :func:`offset_extremum` (for structuring
+elements that are neither a line nor a square), exists in two builds
+generated from the same source, so they cannot drift apart: one compiled
+with numba's @njit and a plain-Python one. The active build is chosen at
+import time (set ``DEMGRANULO_NO_NUMBA=1`` to force the pure build) and
+can be switched at runtime with :func:`use_numba`. numba is optional
+(the ``jit`` extra); without it the pure build is the only one and the
+default.
 
 Conventions baked into every kernel:
 
@@ -84,46 +91,7 @@ def _build(jit):
                             acc = v
                 out[r, c] = acc
 
-    @wrap
-    def directional_loss(flat, starts, lengths, step, loss, stack_pos, stack_lev):
-        # Single-pass volume-loss accumulation per scan line. Walks each
-        # line once maintaining a stack of (start, level) pairs, exactly
-        # like the classic largest-rectangle-in-histogram sweep. Every
-        # pop is one maximal slab: a run of `width` cells spanning the
-        # levels (base, lev]. Such a slab survives an opening with a
-        # segment of length t iff t <= width, so its whole volume
-        # width * (lev - base) is lost when the segment first exceeds
-        # the width; it is binned at loss[width].
-        line = np.empty(stack_pos.shape[0], dtype=np.int64)
-        for j in range(starts.shape[0]):
-            s = starts[j]
-            n = lengths[j]
-            line[:n] = flat[s:s + (n - 1) * step + 1:step]
-            line[n] = 0  # sentinel: lines end on masked ground
-            sp = 0
-            for idx in range(n + 1):
-                v = line[idx]
-                start = idx
-                while sp > 0 and stack_lev[sp - 1] > v:
-                    lev = stack_lev[sp - 1]
-                    st = stack_pos[sp - 1]
-                    sp -= 1
-                    if sp > 0 and stack_lev[sp - 1] > v:
-                        base = stack_lev[sp - 1]
-                    else:
-                        base = v
-                    width = idx - st
-                    loss[width] += width * (lev - base)
-                    start = st
-                if v > 0 and (sp == 0 or stack_lev[sp - 1] < v):
-                    stack_pos[sp] = start
-                    stack_lev[sp] = v
-                    sp += 1
-
-    return {
-        "offset_extremum": offset_extremum,
-        "directional_loss": directional_loss,
-    }
+    return {"offset_extremum": offset_extremum}
 
 
 _PURE = _build(False)
@@ -193,11 +161,42 @@ def line_layout(shape, direction):
     raise ValueError(f"unknown direction code {direction}")
 
 
-# Padded cells per block of scan lines in directional_extremum. The
+# Padded cells per block of scan lines in the directional kernels. The
 # working arrays are a few blocks in size, so they stay in cache and the
 # memory a pass needs beyond its output does not grow with the raster;
 # a line longer than a block makes a block of its own.
 _BLOCK_CELLS = 1 << 14
+
+
+def _line_blocks(arr, direction, before, after, chunk=1):
+    """Gather the scan lines of ``arr`` a block at a time, zero-padded.
+
+    Yields ``(padded, index, inside)`` for each block of about
+    ``_BLOCK_CELLS`` padded cells. Row ``l`` of ``padded`` holds one line
+    from column ``before`` on, with zeros before it and at least
+    ``after`` zeros after it; every row of a block has the same length,
+    a multiple of ``chunk``. Cell ``i`` of the line is read from flat
+    index ``index[l, i]`` wherever ``inside[l, i]`` holds.
+    """
+    flat = arr.ravel()
+    starts, lengths, step = line_layout(arr.shape, direction)
+
+    def row_cells(n):
+        return -(-(before + n + after) // chunk) * chunk
+
+    per_block = max(1, _BLOCK_CELLS // row_cells(int(lengths.max(initial=0))))
+    for j in range(0, starts.shape[0], per_block):
+        lens = lengths[j:j + per_block]
+        n = int(lens.max())
+        pos = np.arange(n)
+        index = starts[j:j + per_block, None] + pos * step
+        # past a line's end the index can leave the raster or land on
+        # another line: the read is clipped, then masked to the 0 pad
+        inside = pos < lens[:, None]
+        padded = np.zeros((lens.shape[0], row_cells(n)), dtype=np.int64)
+        np.copyto(padded[:, before:before + n], flat.take(index, mode="clip"),
+                  where=inside)
+        yield padded, index, inside
 
 
 def directional_extremum(values, direction, k, minimum, after=None):
@@ -211,31 +210,17 @@ def directional_extremum(values, direction, k, minimum, after=None):
     window width. The window starting at padded position ``i`` is the
     suffix extremum from ``i`` to the end of its chunk combined with the
     prefix extremum up to ``i + width - 1`` of the chunk holding that
-    position, so each cell costs O(1) whatever the width. The lines are processed a block
-    of about ``_BLOCK_CELLS`` padded cells at a time.
+    position, so each cell costs O(1) whatever the width.
     """
     arr = _as_int64_2d(values)
     after = k if after is None else after
     width = k + after + 1
     ufunc = np.minimum if minimum else np.maximum
-    flat = arr.ravel()
     out = np.empty_like(arr)
     out_flat = out.ravel()
-    starts, lengths, step = line_layout(arr.shape, direction)
-    chunks = -(-(int(lengths.max(initial=0)) + width - 1) // width)
-    per_block = max(1, _BLOCK_CELLS // (chunks * width))
-    for j in range(0, starts.shape[0], per_block):
-        lens = lengths[j:j + per_block]
-        n = int(lens.max())
-        chunks = -(-(n + width - 1) // width)
-        pos = np.arange(n)
-        index = starts[j:j + per_block, None] + pos * step
-        # past a line's end the index can leave the raster or land on
-        # another line: the read is clipped, then masked to the 0 pad
-        inside = pos < lens[:, None]
-        padded = np.zeros((lens.shape[0], chunks * width), dtype=np.int64)
-        np.copyto(padded[:, k:k + n], flat.take(index, mode="clip"), where=inside)
-        cut = padded.reshape(lens.shape[0], chunks, width)
+    for padded, index, inside in _line_blocks(arr, direction, k, after, width):
+        n = index.shape[1]
+        cut = padded.reshape(padded.shape[0], -1, width)
         pre = ufunc.accumulate(cut, axis=2).reshape(padded.shape)
         suf = np.empty_like(padded)
         ufunc.accumulate(cut[:, :, ::-1], axis=2,
@@ -264,26 +249,64 @@ def line_extremum(values, k, minimum):
     return directional_extremum(arr[None, :], ROW, k, minimum)[0]
 
 
-def directional_loss(values, direction, kernels=None):
+def directional_loss(values, direction):
     """Volume lost per run length along one direction, as ``loss[t]``.
 
     ``loss[t]`` totals ``t * (level span)`` over every maximal slab of
     width ``t``; suffix sums of ``loss`` give the volume surviving an
-    opening with a segment of any length.
+    opening with a segment of any length, because a slab survives
+    exactly the segments no longer than its width.
     """
-    ks = _active if kernels is None else kernels
     arr = _as_int64_2d(values)
-    starts, lengths, step = line_layout(arr.shape, direction)
-    maxlen = int(lengths.max(initial=0))
-    loss = np.zeros(maxlen + 2, dtype=np.int64)
-    stack_pos = np.empty(maxlen + 1, dtype=np.int64)
-    stack_lev = np.empty(maxlen + 1, dtype=np.int64)
-    ks["directional_loss"](arr.ravel(), starts, lengths, step, loss, stack_pos, stack_lev)
+    lengths = line_layout(arr.shape, direction)[1]
+    loss = np.zeros(int(lengths.max(initial=0)) + 2, dtype=np.int64)
+    for padded, _, _ in _line_blocks(arr, direction, 1, 1):
+        _add_slabs(padded.ravel(), padded.shape[1] - 2, loss)
     return loss
 
 
+def _add_slabs(p, n, loss):
+    """Add the slabs of zero-separated lines of at most ``n`` cells to ``loss``.
+
+    All nearest smaller values (Berkman, Schieber & Vishkin, J.
+    Algorithms 1993): for a cell ``i`` of level ``v``, ``L`` is the
+    nearest cell to its left below ``v`` and ``R`` the nearest to its
+    right at or below ``v``. When ``p[R] < v`` the cells ``L+1 .. R-1``
+    are one maximal slab spanning the levels (max(p[L], p[R]), v]; when
+    ``p[R] == v`` the slab is counted at ``R`` instead. Both neighbours
+    are found by binary lifting over ``mins[k][j] = min p[j : j + 2**k]``:
+    the run of cells beside ``i`` that the search steps over is shorter
+    than ``n``, so jumps of ``2**(levels - 1), ..., 2, 1`` cells measure
+    it. A zero sits before and after every line, so no run crosses a
+    line end. The loss stays int64 throughout: a float64 histogram would
+    round sums above 2**53.
+    """
+    cells = np.flatnonzero(p)
+    v = p[cells]
+    levels = max(n - 1, 0).bit_length()
+    mins = [p]
+    for k in range(1, levels):
+        half = 1 << (k - 1)
+        m = mins[-1].copy()
+        np.minimum(mins[-1][:-half], mins[-1][half:], out=m[:-half])
+        mins.append(m)
+    right = cells + 1
+    for k in reversed(range(levels)):
+        right += (mins[k].take(right) > v) * (1 << k)
+    top = p[right] < v
+    cells, v, right = cells[top], v[top], right[top]
+    left = cells
+    for k in reversed(range(levels)):
+        # a jump below index 0 reads mins[k][0], which covers the
+        # leading zero, so it is refused like any jump past a line start
+        left = left - (mins[k].take(left - (1 << k), mode="clip") >= v) * (1 << k)
+    left -= 1
+    width = right - left - 1
+    np.add.at(loss, width, width * (v - np.maximum(p[left], p[right])))
+
+
 def warmup():
-    """Trigger JIT compilation of the loop kernels on a tiny input.
+    """Trigger JIT compilation of the loop kernel on a tiny input.
 
     Covers both the writable and the read-only array signatures; raster
     values are stored read-only, which numba types distinctly.
@@ -292,7 +315,5 @@ def warmup():
     frozen = tiny.copy()
     frozen.flags.writeable = False
     for arr in (tiny, frozen):
-        for d in (ROW, COLUMN, DIAG_DOWN, DIAG_UP):
-            directional_loss(arr, d)
         offset_extremum(arr, [(0, 0), (1, 1), (-1, -1)], True)
         offset_extremum(arr, [(0, 0), (1, 1), (-1, -1)], False)

@@ -2,8 +2,9 @@
 
 The oracles here are deliberately brute force and independent of the
 package's compute paths: windowed extrema via numpy sliding windows,
-openings via explicit translate enumeration, and per-level run counting
-via direct thresholding. Expected values frozen in the test modules
+openings via explicit translate enumeration, slab losses via a stack
+sweep over lines walked cell by cell, and per-level run counting via
+direct thresholding. Expected values frozen in the test modules
 were produced with these.
 """
 
@@ -48,6 +49,52 @@ def naive_directional_extremum(values, unit, k, after, minimum):
                      m + t * unit[1]:m + t * unit[1] + w]
               for t in range(-k, after + 1)]
     return np.min(shifts, axis=0) if minimum else np.max(shifts, axis=0)
+
+
+def naive_lines(values, unit):
+    """Scan lines along a unit step ``(dr, dc)``, as lists of ints.
+
+    A line starts at every cell whose predecessor ``(r - dr, c - dc)``
+    lies outside the raster and runs until it leaves the raster.
+    """
+    rows = np.asarray(values, dtype=np.int64).tolist()
+    h, w = len(rows), len(rows[0])
+    dr, dc = unit
+    lines = []
+    for r in range(h):
+        for c in range(w):
+            if 0 <= r - dr < h and 0 <= c - dc < w:
+                continue
+            n = 0
+            while 0 <= r + n * dr < h and 0 <= c + n * dc < w:
+                n += 1
+            lines.append([rows[r + i * dr][c + i * dc] for i in range(n)])
+    return lines
+
+
+def naive_slab_loss(values, unit):
+    """``loss[t]`` along a unit step, by a stack sweep over each line.
+
+    The largest-rectangle-in-histogram walk: a line keeps a stack of
+    ``(start, level)`` pairs with rising levels, and a 0 after its end
+    empties it. Every pop is one maximal slab of ``width`` cells spanning
+    the levels (base, level], whose volume ``width * (level - base)`` is
+    binned at ``loss[width]``. Python ints, so no sum can wrap.
+    """
+    lines = naive_lines(values, unit)
+    loss = [0] * (max(len(line) for line in lines) + 2)
+    for line in lines:
+        stack = []
+        for idx, v in enumerate(line + [0]):
+            start = idx
+            while stack and stack[-1][1] > v:
+                start, level = stack.pop()
+                base = max(stack[-1][1], v) if stack else v
+                width = idx - start
+                loss[width] += width * (level - base)
+            if v > 0 and (not stack or stack[-1][1] < v):
+                stack.append((start, v))
+    return np.array(loss, dtype=np.int64)
 
 
 def se_translates(se):

@@ -217,3 +217,21 @@ def test_performance_square_spectrum_pure_build():
         print(f"{elapsed:.2f}s over {len(ps.scales)} scales")
         assert ps.volumes[-1] == 0
         assert elapsed < 15.0, f"{elapsed:.2f}s exceeds 15s"
+
+
+def test_performance_directional_spectra_pure_build():
+    name = ("performance: B1-B4 spectra of a 1000x1000 x 256-level raster "
+            "< 4 s on the pure build")
+    with verdict(name):
+        dem = synthetic_terrain(1000, levels=256)
+        jit = _kernels.numba_active()
+        _kernels.use_numba(False)
+        try:
+            t0 = time.perf_counter()
+            spectra = [pattern_spectrum(dem, se) for se in ALL_SES[:4]]
+            elapsed = time.perf_counter() - t0
+        finally:
+            _kernels.use_numba(jit)
+        print(f"{elapsed:.2f}s over {sum(len(ps.scales) for ps in spectra)} scales")
+        assert all(ps.volumes[-1] == 0 for ps in spectra)
+        assert elapsed < 4.0, f"{elapsed:.2f}s exceeds 4s"

@@ -1,5 +1,6 @@
-"""Kernels against brute-force references; loop kernels on every build."""
+"""Kernels against brute-force references."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,22 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_runs_per_line, naive_directional_extremum,
-                      naive_window_extremum)
+                      naive_lines, naive_slab_loss, naive_window_extremum)
 from demgranulo import _kernels
 from demgranulo.synth import random_dem
-
-BACKENDS = sorted(_kernels.backends())
 
 DIRECTIONS = [_kernels.ROW, _kernels.COLUMN, _kernels.DIAG_DOWN, _kernels.DIAG_UP]
 
 # unit step (dr, dc) from one cell of a scan line to the next
 UNIT = {_kernels.ROW: (0, 1), _kernels.COLUMN: (1, 0),
         _kernels.DIAG_DOWN: (1, 1), _kernels.DIAG_UP: (1, -1)}
-
-
-@pytest.fixture(params=BACKENDS)
-def kernels(request):
-    return _kernels.backends()[request.param]
 
 
 def _raster(seed, h, w):
@@ -96,50 +90,85 @@ class TestWindowExtremum:
         assert peak <= out.nbytes + 2 * 2**20
 
 
-class TestDirectionalLoss:
-    def walk(self, arr, direction):
-        h, w = arr.shape
-        if direction == _kernels.ROW:
-            return [arr[r, :].tolist() for r in range(h)]
-        if direction == _kernels.COLUMN:
-            return [arr[:, c].tolist() for c in range(w)]
-        lines = []
-        if direction == _kernels.DIAG_DOWN:
-            for d in range(-(h - 1), w):
-                r0, c0 = max(0, -d), max(0, d)
-                n = min(h - 1 - r0, w - 1 - c0) + 1
-                lines.append([int(arr[r0 + i, c0 + i]) for i in range(n)])
-        else:
-            for s in range(h + w - 1):
-                r0 = max(0, s - (w - 1))
-                n = min(s, h - 1) - r0 + 1
-                lines.append([int(arr[r0 + i, s - r0 - i]) for i in range(n)])
-        return lines
+def _adversarial_line(name, n=4000):
+    """One n-cell line that a slab sweep finds hard."""
+    up = np.arange(1, n // 2 + 1)
+    steps = np.repeat(np.arange(1, n // 8 + 1), 4)
+    line = {"ramp": np.concatenate([up, up[::-1]]),
+            "plateaus": np.concatenate([steps, steps[::-1]]),
+            "alternating": np.tile([1, 9], n // 2),
+            "constant": np.full(n, 5)}[name]
+    return line.astype(np.int64)[None, :]
 
+
+class TestDirectionalLoss:
     @settings(max_examples=80, deadline=None)
-    @given(arrays_2d,
-           st.sampled_from([_kernels.ROW, _kernels.COLUMN,
-                            _kernels.DIAG_DOWN, _kernels.DIAG_UP]))
+    @given(arrays_2d, st.sampled_from(DIRECTIONS))
     def test_matches_per_level_run_counting(self, arr, direction):
         # loss[t] must equal t * (number of maximal >=h runs of length t,
         # over all levels h and lines), zeros acting as gaps
-        lines = self.walk(arr, direction)
+        lines = naive_lines(arr, UNIT[direction])
         want = np.zeros(max(len(line) for line in lines) + 2, dtype=np.int64)
         top = int(arr.max())
         for line in lines:
             for h in range(1, top + 1):
                 for t in brute_runs_per_line(line, h):
                     want[t] += t
-        for name in BACKENDS:
-            got = _kernels.directional_loss(arr, direction,
-                                            kernels=_kernels.backends()[name])
-            assert got.tolist() == want.tolist()
+        got = _kernels.directional_loss(arr, direction)
+        assert got.tolist() == want.tolist()
 
-    def test_total_is_volume(self, kernels):
+    @settings(max_examples=300, deadline=None)
+    @given(arrays_2d, st.sampled_from(DIRECTIONS))
+    def test_matches_naive_slab_loss(self, arr, direction):
+        got = _kernels.directional_loss(arr, direction)
+        assert got.tolist() == naive_slab_loss(arr, UNIT[direction]).tolist()
+
+    def test_total_is_volume(self):
         arr = random_dem(99, 12, 12, 8).values
-        for d in range(4):
-            loss = _kernels.directional_loss(arr, d, kernels=kernels)
-            assert loss.sum() == arr.sum()
+        for d in DIRECTIONS:
+            assert _kernels.directional_loss(arr, d).sum() == arr.sum()
+
+    @pytest.mark.parametrize("shape", [(3, 20000), (200, 200)])
+    def test_spans_several_blocks(self, shape):
+        assert shape[0] * shape[1] > 2 * _kernels._BLOCK_CELLS
+        arr = _raster(7, *shape)
+        for direction in DIRECTIONS:
+            got = _kernels.directional_loss(arr, direction)
+            want = naive_slab_loss(arr, UNIT[direction])
+            assert got.tolist() == want.tolist(), direction
+
+    @pytest.mark.parametrize("name", ["ramp", "plateaus", "alternating", "constant"])
+    def test_adversarial_line(self, name):
+        # a hill of 2000 levels nests 2000 slabs; neighbour searches that
+        # step one run at a time take as many rounds as the line is long
+        arr = _adversarial_line(name)
+        t0 = time.perf_counter()
+        got = _kernels.directional_loss(arr, _kernels.ROW)
+        elapsed = time.perf_counter() - t0
+        assert got.tolist() == naive_slab_loss(arr, UNIT[_kernels.ROW]).tolist()
+        assert got.sum() == arr.sum()
+        assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+    def test_exact_near_int64(self):
+        # loss[3] = 3 * (2**61 - 1) has more significant bits than a
+        # float64 holds: the sums must stay integer
+        arr = np.array([[2**61, 2**61 - 1, 2**61]], dtype=np.int64)
+        loss = _kernels.directional_loss(arr, _kernels.ROW)
+        assert loss.tolist() == [0, 2, 0, 3 * (2**61 - 1), 0]
+        assert int(loss.sum()) == sum(int(x) for x in arr.ravel())
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_loss_working_memory_bounded(self, direction):
+        # the range-minimum tables are built a block at a time, never for
+        # the whole raster
+        arr = _raster(6, 1000, 1000)
+        tracemalloc.start()
+        try:
+            loss = _kernels.directional_loss(arr, direction)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= loss.nbytes + 3 * 2**20
 
 
 class TestBackendSwitch:
