@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
 """Time the hot kernels and the full five-element feature computation.
 
-The windowed extremum and the spectrum sweep are numpy code, the same
-on every build, and so is everything the five spectra run on: each case
-is timed once. (The one loop kernel with a numba build,
-``offset_extremum``, serves only irregular structuring elements, which
-the features never use.)
+Every kernel is numpy code. The offset extremum serves only irregular
+structuring elements, which the features never use; a 5-cell cross
+times it.
 
 Usage:
     python benchmarks/bench_kernels.py [--side N] [--levels L] [--repeats R]
@@ -28,6 +26,9 @@ def time_call(fn, repeats):
     return best
 
 
+CROSS = [(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)]
+
+
 def run(side, levels, repeats):
     dem = synthetic_terrain(side, levels=levels, seed=3)
     cases = [
@@ -35,6 +36,8 @@ def run(side, levels, repeats):
          lambda: _kernels.directional_extremum(dem.values, _kernels.ROW, 8, True)),
         ("windowed max (k=8, diag)",
          lambda: _kernels.directional_extremum(dem.values, _kernels.DIAG_UP, 8, False)),
+        ("offset min (5-cell cross)",
+         lambda: _kernels.offset_extremum(dem.values, CROSS, True)),
         ("spectrum sweep (4 dirs)",
          lambda: [_kernels.directional_loss(dem.values, d) for d in range(4)]),
         ("full features (5 elements)",

@@ -10,7 +10,6 @@ exact cross-validation.
 
 __version__ = "0.1.0"
 
-from ._kernels import HAS_NUMBA, numba_active, use_numba
 from .classify import (DecisionTree, predict, render_tree, train_cart,
                        training_accuracy, tree_from_json, tree_to_json)
 from .dem import (DIRECTIONS, SE_FOR_DIRECTION, Dem, DemError, DemParseError,
@@ -19,16 +18,14 @@ from .dem import (DIRECTIONS, SE_FOR_DIRECTION, Dem, DemError, DemParseError,
 from .morphology import (SE_NAMES, StructuringElement, dilate, erode,
                          erode_line_streaming, multiscale_opening, named_se,
                          nse, open_square_separable, opening)
-from .oracle import (RunTable, ScanGraph, chain_graphs, is_unipeak,
-                     reflection_family, run_profile_equal, run_table,
-                     spectrum_from_runs, unipeak_entropy_equivalence,
-                     upper_threshold)
+from .oracle import (RunTable, is_unipeak, reflection_family, run_profile_equal,
+                     run_table, spectrum_from_runs, unipeak_entropy_equivalence)
 from .spectrum import (FeatureRecord, PatternSpectrum, discrete_volume_derivative,
                        granulometric_index, high_low_direction, normalized_mdgi,
                        order_stat_features, pattern_spectrum, volume_above)
 
 __all__ = [
-    "HAS_NUMBA", "numba_active", "use_numba",
+    "numba_active",
     "DecisionTree", "predict", "render_tree", "train_cart",
     "training_accuracy", "tree_from_json", "tree_to_json",
     "DIRECTIONS", "SE_FOR_DIRECTION", "Dem", "DemError", "DemParseError",
@@ -37,10 +34,18 @@ __all__ = [
     "SE_NAMES", "StructuringElement", "dilate", "erode",
     "erode_line_streaming", "multiscale_opening", "named_se", "nse",
     "open_square_separable", "opening",
-    "RunTable", "ScanGraph", "chain_graphs", "is_unipeak",
-    "reflection_family", "run_profile_equal", "run_table",
-    "spectrum_from_runs", "unipeak_entropy_equivalence", "upper_threshold",
+    "RunTable", "is_unipeak", "reflection_family", "run_profile_equal",
+    "run_table", "spectrum_from_runs", "unipeak_entropy_equivalence",
     "FeatureRecord", "PatternSpectrum", "discrete_volume_derivative",
     "granulometric_index", "high_low_direction", "normalized_mdgi",
     "order_stat_features", "pattern_spectrum", "volume_above",
 ]
+
+
+def numba_active():
+    """Always ``False``: every kernel is numpy code and there is no numba build.
+
+    Kept for callers that label their runs by kernel build, such as the
+    benchmark in ``perfbench/``.
+    """
+    return False

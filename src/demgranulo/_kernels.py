@@ -1,11 +1,9 @@
 """Hot numeric kernels: windowed extrema and peak-slab sweeps.
 
-Directional kernels see the raster as one flat row-major array and walk
-it along the scan lines that :func:`line_layout` describes, a block of
-lines at a time (:func:`_line_blocks`).
-
-Both directional kernels are numpy code, the same whichever build is
-active:
+Every kernel is numpy code. Directional kernels see the raster as one
+flat row-major array and walk it along the scan lines that
+:func:`line_layout` describes, a block of lines at a time
+(:func:`_line_blocks`):
 
 * the windowed extremum along scan lines (:func:`directional_extremum`)
   takes the van Herk / Gil-Werman block prefix and suffix extrema with
@@ -15,14 +13,9 @@ active:
   sparse table of range minima, which gives every maximal slab of every
   line at once.
 
-The one per-sample loop kernel, :func:`offset_extremum` (for structuring
-elements that are neither a line nor a square), exists in two builds
-generated from the same source, so they cannot drift apart: one compiled
-with numba's @njit and a plain-Python one. The active build is chosen at
-import time (set ``DEMGRANULO_NO_NUMBA=1`` to force the pure build) and
-can be switched at runtime with :func:`use_numba`. numba is optional
-(the ``jit`` extra); without it the pure build is the only one and the
-default.
+Structuring elements that are neither a line nor a square go through
+:func:`offset_extremum`, which folds one shifted view of a zero-padded
+raster per offset.
 
 Conventions baked into every kernel:
 
@@ -32,16 +25,7 @@ Conventions baked into every kernel:
   a windowed maximum is unaffected (values are non-negative).
 """
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # numba is optional; the pure build runs without it
-    HAS_NUMBA = False
 
 # Direction codes shared with the rest of the package.
 ROW = 0
@@ -50,82 +34,6 @@ DIAG_DOWN = 2
 DIAG_UP = 3
 DIRECTION_CODE = {"row": ROW, "column": COLUMN, "diag-down": DIAG_DOWN,
                   "diag-up": DIAG_UP}
-
-_I64_MAX = np.int64(np.iinfo(np.int64).max)
-
-
-def _build(jit):
-    """Build the kernel set, numba-compiled when ``jit`` is true."""
-
-    if jit:
-        wrap = njit(cache=False)
-    else:
-        def wrap(fn):
-            return fn
-
-    @wrap
-    def offset_extremum(values, off_r, off_c, minimum, out):
-        # Direct windowed extremum over an arbitrary offset set, with
-        # out-of-raster reads as 0. Used for structuring elements that
-        # are neither a line nor a square.
-        h, w = values.shape
-        m = off_r.shape[0]
-        for r in range(h):
-            for c in range(w):
-                if minimum:
-                    acc = _I64_MAX
-                else:
-                    acc = np.int64(-1)
-                for t in range(m):
-                    rr = r + off_r[t]
-                    cc = c + off_c[t]
-                    if rr >= 0 and rr < h and cc >= 0 and cc < w:
-                        v = values[rr, cc]
-                    else:
-                        v = np.int64(0)
-                    if minimum:
-                        if v < acc:
-                            acc = v
-                    else:
-                        if v > acc:
-                            acc = v
-                out[r, c] = acc
-
-    return {"offset_extremum": offset_extremum}
-
-
-_PURE = _build(False)
-_JITTED = _build(True) if HAS_NUMBA else None
-
-_env_off = os.environ.get("DEMGRANULO_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-_active = _JITTED if (_JITTED is not None and not _env_off) else _PURE
-
-
-def use_numba(enabled):
-    """Select the kernel build at runtime; returns the build in effect."""
-    global _active
-    if enabled and _JITTED is not None:
-        _active = _JITTED
-    else:
-        _active = _PURE
-    return _active is _JITTED
-
-
-def numba_active():
-    return _active is _JITTED
-
-
-def backends():
-    """All available builds, keyed ``pure`` / ``jit`` (``jit`` may be absent)."""
-    out = {"pure": _PURE}
-    if _JITTED is not None:
-        out["jit"] = _JITTED
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Array-level wrappers (allocation, dtype and dispatch)
-# ---------------------------------------------------------------------------
 
 
 def _as_int64_2d(values):
@@ -230,23 +138,28 @@ def directional_extremum(values, direction, k, minimum, after=None):
     return out
 
 
-def offset_extremum(values, offsets_rc, minimum, kernels=None):
-    """Windowed min/max over an explicit (row, col) offset list."""
-    ks = _active if kernels is None else kernels
+def offset_extremum(values, offsets_rc, minimum):
+    """Windowed min/max over an explicit (row, col) offset list.
+
+    The raster is zero-padded once and one shifted view of the pad is
+    folded in per offset. An offset is clipped to the raster's own
+    height and width before it sizes the pad: one that leaves the raster
+    reads only zeros either way, and the pad stays at most three times
+    the raster's height and width however large the offset.
+    """
     arr = _as_int64_2d(values)
     off = np.asarray(offsets_rc, dtype=np.int64).reshape(-1, 2)
-    out = np.empty_like(arr)
-    ks["offset_extremum"](arr, np.ascontiguousarray(off[:, 0]),
-                          np.ascontiguousarray(off[:, 1]), minimum, out)
+    h, w = arr.shape
+    dr = np.clip(off[:, 0], -h, h)
+    dc = np.clip(off[:, 1], -w, w)
+    top, left = max(0, -int(dr.min())), max(0, -int(dc.min()))
+    padded = np.pad(arr, ((top, max(0, int(dr.max()))), (left, max(0, int(dc.max())))))
+    views = [padded[top + r:top + r + h, left + c:left + c + w] for r, c in zip(dr, dc)]
+    ufunc = np.minimum if minimum else np.maximum
+    out = views[0].copy()
+    for view in views[1:]:
+        ufunc(out, view, out=out)
     return out
-
-
-def line_extremum(values, k, minimum):
-    """1-D windowed min/max with zero padding, half-width ``k``."""
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-D array")
-    return directional_extremum(arr[None, :], ROW, k, minimum)[0]
 
 
 def directional_loss(values, direction):
@@ -303,17 +216,3 @@ def _add_slabs(p, n, loss):
     left -= 1
     width = right - left - 1
     np.add.at(loss, width, width * (v - np.maximum(p[left], p[right])))
-
-
-def warmup():
-    """Trigger JIT compilation of the loop kernel on a tiny input.
-
-    Covers both the writable and the read-only array signatures; raster
-    values are stored read-only, which numba types distinctly.
-    """
-    tiny = np.arange(9, dtype=np.int64).reshape(3, 3) % 4
-    frozen = tiny.copy()
-    frozen.flags.writeable = False
-    for arr in (tiny, frozen):
-        offset_extremum(arr, [(0, 0), (1, 1), (-1, -1)], True)
-        offset_extremum(arr, [(0, 0), (1, 1), (-1, -1)], False)

@@ -8,9 +8,9 @@ entirely inside the domain (0 where none fits), structures touching the
 mask boundary are genuinely removed, and opening volumes decay to zero.
 Operators never create or destroy domain cells.
 
-Line and square elements run through streaming van Herk / Gil-Werman
-kernels (O(1) comparisons per cell regardless of size); anything else
-falls back to a direct offset loop.
+Line and square elements run through the van Herk / Gil-Werman scan-line
+kernel (O(1) comparisons per cell regardless of size); any other element
+folds in one shifted view of the zero-padded raster per offset.
 """
 
 from __future__ import annotations
@@ -225,7 +225,10 @@ def erode_line_streaming(values, window: int) -> np.ndarray:
     """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 1, got {window}")
-    return _kernels.line_extremum(np.asarray(values, dtype=np.int64), window // 2, True)
+    arr = np.asarray(values, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError("expected a 1-D array")
+    return _kernels.directional_extremum(arr[None, :], _kernels.ROW, window // 2, True)[0]
 
 
 def opening_by_segment(values: np.ndarray, direction_code: int, length: int) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Independent verification path built on threshold-run counting.
 
-Each scan line of the raster becomes a node-weighted chain graph; its
-upper-threshold subgraphs decompose into maximal runs, and counting
-those runs per length and level determines every directional spectrum
-without a single morphological operation. The agreement between this
-route and the streaming operators in :mod:`spectrum` is the central
-cross-validation of the package, so nothing here is shared with the
-fast path: runs are enumerated level by level, the slow obvious way.
+Thresholding each scan line of the raster at every level splits it into
+maximal runs, and counting those runs per length and level determines
+every directional spectrum without a single morphological operation.
+The agreement between this route and the streaming operators in
+:mod:`spectrum` is the central cross-validation of the package, so
+nothing here is shared with the fast path: runs are enumerated level by
+level, the slow obvious way.
 """
 
 from __future__ import annotations
@@ -15,82 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dem import (DIRECTION_STEPS, SE_FOR_DIRECTION, Dem, reflect_rows,
-                  row_interval, scan_lines, volume)
+from .dem import SE_FOR_DIRECTION, Dem, reflect_rows, row_interval, scan_lines, volume
 from .morphology import resolve_se
 from .spectrum import PatternSpectrum, discrete_volume_derivative, granulometric_index
-
-
-@dataclass(frozen=True)
-class ScanGraph:
-    """Node-weighted chain graph of one scan line.
-
-    Nodes are (row, col) cells; edges join lattice-consecutive cells of
-    the same segment (4-adjacency along the scan direction), so a mask
-    gap breaks connectivity.
-    """
-
-    direction: str
-    index: int
-    nodes: tuple[tuple[int, int], ...]
-    weights: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    def components(self) -> list[list[int]]:
-        """Maximal connected node groups, as lists of node positions."""
-        adjacent = {i: set() for i in range(len(self.nodes))}
-        for a, b in self.edges:
-            adjacent[a].add(b)
-            adjacent[b].add(a)
-        seen: set[int] = set()
-        comps = []
-        for i in range(len(self.nodes)):
-            if i in seen:
-                continue
-            stack, comp = [i], []
-            seen.add(i)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u in adjacent[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-            comps.append(sorted(comp))
-        return comps
-
-
-def chain_graphs(dem: Dem, direction: str) -> list[ScanGraph]:
-    """One chain graph per scan line of the raster."""
-    graphs = []
-    dr, dc = DIRECTION_STEPS[direction]
-    for line in scan_lines(dem, direction):
-        nodes: list[tuple[int, int]] = []
-        weights: list[int] = []
-        edges: list[tuple[int, int]] = []
-        for seg in line.segments:
-            base = len(nodes)
-            for i, v in enumerate(seg.values):
-                nodes.append((seg.row0 + i * dr, seg.col0 + i * dc))
-                weights.append(v)
-                if i > 0:
-                    edges.append((base + i - 1, base + i))
-        graphs.append(ScanGraph(direction, line.index, tuple(nodes),
-                                tuple(weights), tuple(edges)))
-    return graphs
-
-
-def upper_threshold(graph: ScanGraph, h: int) -> ScanGraph:
-    """Subgraph induced by the nodes of weight >= h."""
-    if h < 1:
-        raise ValueError("threshold must be >= 1")
-    keep = [i for i, w in enumerate(graph.weights) if w >= h]
-    renumber = {old: new for new, old in enumerate(keep)}
-    edges = tuple((renumber[a], renumber[b]) for a, b in graph.edges
-                  if a in renumber and b in renumber)
-    return ScanGraph(graph.direction, graph.index,
-                     tuple(graph.nodes[i] for i in keep),
-                     tuple(graph.weights[i] for i in keep), edges)
 
 
 @dataclass(frozen=True)

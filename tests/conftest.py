@@ -2,22 +2,15 @@
 
 The oracles here are deliberately brute force and independent of the
 package's compute paths: windowed extrema via numpy sliding windows,
-openings via explicit translate enumeration, slab losses via a stack
-sweep over lines walked cell by cell, and per-level run counting via
-direct thresholding. Expected values frozen in the test modules
-were produced with these.
+offset extrema via a per-cell loop, openings via explicit translate
+enumeration, slab losses via a stack sweep over lines walked cell by
+cell, and per-level run counting via direct thresholding. Expected
+values frozen in the test modules were produced with these.
 """
 
 import numpy as np
-import pytest
 
-from demgranulo import _kernels
 from demgranulo.dem import Dem
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    _kernels.warmup()
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +42,26 @@ def naive_directional_extremum(values, unit, k, after, minimum):
                      m + t * unit[1]:m + t * unit[1] + w]
               for t in range(-k, after + 1)]
     return np.min(shifts, axis=0) if minimum else np.max(shifts, axis=0)
+
+
+def naive_offset_extremum(values, offsets_rc, minimum):
+    """Windowed min/max over (row, col) offsets, one cell at a time.
+
+    Every cell reads each offset directly, with 0 outside the raster.
+    """
+    arr = np.asarray(values, dtype=np.int64)
+    h, w = arr.shape
+    out = np.empty_like(arr)
+    for r in range(h):
+        for c in range(w):
+            acc = None
+            for dr, dc in offsets_rc:
+                rr, cc = r + dr, c + dc
+                v = int(arr[rr, cc]) if 0 <= rr < h and 0 <= cc < w else 0
+                if acc is None or (v < acc if minimum else v > acc):
+                    acc = v
+            out[r, c] = acc
+    return out
 
 
 def naive_lines(values, unit):

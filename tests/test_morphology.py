@@ -260,19 +260,3 @@ class TestSquareSeparable:
     def test_matches_translate_fit(self, dem, n):
         se = nse(named_se("B"), n)
         assert open_square_separable(dem, n) == translate_fit_opening(dem, se)
-
-
-class TestKernelBackends:
-    @settings(max_examples=40, deadline=None)
-    @given(dems(9), st.sampled_from(ALL_NAMES), st.integers(1, 3))
-    def test_pure_and_jit_agree(self, dem, name, n):
-        from demgranulo import _kernels
-        if not _kernels.HAS_NUMBA:
-            pytest.skip("numba unavailable")
-        se = nse(named_se(name), n)
-        try:
-            _kernels.use_numba(False)
-            pure = opening(dem, se)
-        finally:
-            _kernels.use_numba(True)
-        assert opening(dem, se) == pure

@@ -1,5 +1,5 @@
-"""Run tables, graph thresholds, and the run-path spectra, cross-checked
-against the morphological route and the brute-force run counter."""
+"""Run tables and the run-path spectra, cross-checked against the
+morphological route and the brute-force run counter."""
 
 from fractions import Fraction
 
@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import brute_runs_per_line
 from demgranulo.dem import Dem, reflect_rows, scan_lines, volume
-from demgranulo.oracle import (chain_graphs, is_unipeak, reflection_family,
-                               run_profile_equal, run_table, spectrum_from_runs,
-                               unipeak_entropy_equivalence, upper_threshold)
+from demgranulo.oracle import (is_unipeak, reflection_family, run_profile_equal,
+                               run_table, spectrum_from_runs,
+                               unipeak_entropy_equivalence)
 from demgranulo.spectrum import (discrete_volume_derivative, pattern_spectrum)
 from demgranulo.synth import (random_dem, random_interval_dem,
                               random_unipeak_dem, run_profile_pair)
@@ -21,32 +21,6 @@ DIRECTIONS = ("row", "column", "diag-down", "diag-up")
 
 def dems(max_side=8, levels=6):
     return st.integers(0, 10**6).map(lambda s: random_dem(s, max_side, max_side, levels))
-
-
-class TestUpperThreshold:
-    def test_keeps_whole_graph_at_one(self):
-        g = chain_graphs(Dem.from_rows([[1, 2, 1]]), "row")[0]
-        gt = upper_threshold(g, 1)
-        assert len(gt.nodes) == 3 and len(gt.edges) == 2
-
-    def test_empty_above_max(self):
-        g = chain_graphs(Dem.from_rows([[1, 2, 1]]), "row")[0]
-        gt = upper_threshold(g, 3)
-        assert gt.nodes == () and gt.edges == ()
-
-    def test_isolated_peak(self):
-        g = chain_graphs(Dem.from_rows([[1, 2, 1]]), "row")[0]
-        gt = upper_threshold(g, 2)
-        assert len(gt.nodes) == 1 and gt.edges == ()
-
-    def test_components_split_on_gap(self):
-        g = chain_graphs(Dem.from_rows([[2, 1, 2, 2]]), "row")[0]
-        comps = upper_threshold(g, 2).components()
-        assert sorted(len(c) for c in comps) == [1, 2]
-
-    def test_mask_breaks_edges(self):
-        g = chain_graphs(Dem.from_rows([[3, None, 3]]), "row")[0]
-        assert len(g.nodes) == 2 and g.edges == ()
 
 
 class TestRunTable:
