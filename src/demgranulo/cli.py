@@ -20,7 +20,6 @@ import argparse
 import glob
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -365,6 +364,8 @@ def _run_jobs(fn, jobs, parallel):
     """Run per-input jobs, serially or in processes; order is preserved."""
     if parallel <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
+    # imported here, so serial runs never load the process pool machinery
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=parallel) as pool:
         return list(pool.map(fn, jobs))
 

@@ -29,7 +29,6 @@ SE_FOR_DIRECTION = {
     "diag-down": "B3",
     "diag-up": "B1",
 }
-DIRECTION_FOR_SE = {se: d for d, se in SE_FOR_DIRECTION.items()}
 
 _ESRI_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 _I64_MAX = 2**63 - 1

@@ -8,14 +8,18 @@ entirely inside the domain (0 where none fits), structures touching the
 mask boundary are genuinely removed, and opening volumes decay to zero.
 Operators never create or destroy domain cells.
 
-Line and square elements run through the van Herk / Gil-Werman scan-line
-kernel (O(1) comparisons per cell regardless of size); any other element
-folds in one shifted view of the zero-padded raster per offset.
+Every operator and the per-scale spectrum loop go through one raw
+extremum and the one raw opening built on it. Line and square elements
+run through the van Herk / Gil-Werman scan-line kernel (O(1)
+comparisons per cell regardless of size) at the scaled half-width, so
+no scaled element is ever built for them; any other element folds in
+one shifted view of the zero-padded raster per offset of its n-fold sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +77,22 @@ class StructuringElement:
         if len(self.offsets) == (2 * k + 1) ** 2:
             return k
         return None
+
+    @cached_property
+    def _line_passes(self) -> tuple[tuple[int, ...], int]:
+        """Kernel direction codes and half-width of the line passes that
+        make up the element: one for a line, row then column for a square
+        (separable and exact under the zero-pad convention), none for any
+        other element. Cached, so a spectrum detects the shape once.
+        """
+        line = self.as_line()
+        if line is not None:
+            direction, k = line
+            return (_kernels.DIRECTION_CODE[direction],), k
+        square = self.as_square()
+        if square is not None:
+            return (_kernels.ROW, _kernels.COLUMN), square
+        return (), 0
 
     def offset_rc(self) -> np.ndarray:
         """Offsets as an (m, 2) array of (row, col) steps."""
@@ -138,33 +158,46 @@ def nse(se: StructuringElement, n: int) -> StructuringElement:
 # ---------------------------------------------------------------------------
 
 
-def _raw_extremum(values: np.ndarray, se: StructuringElement, minimum: bool) -> np.ndarray:
-    """Erosion/dilation on the raw value array (0 at masked cells)."""
-    line = se.as_line()
-    if line is not None:
-        direction, k = line
-        code = _kernels.DIRECTION_CODE[direction]
-        return _kernels.directional_extremum(values, code, k, minimum)
-    square = se.as_square()
-    if square is not None:
-        # separable and exact under the zero-pad convention
-        tmp = _kernels.directional_extremum(values, _kernels.ROW, square, minimum)
-        return _kernels.directional_extremum(tmp, _kernels.COLUMN, square, minimum)
-    return _kernels.offset_extremum(values, se.offset_rc(), minimum)
+def _raw_extremum(values: np.ndarray, se: StructuringElement, n: int,
+                  minimum: bool) -> np.ndarray:
+    """Erosion/dilation of the raw value array (0 at masked cells) by n·se.
+
+    The only place an element becomes kernel calls. A line or square of
+    half-width k runs at half-width k*n, so no scaled element is built;
+    any other element folds the offsets of ``nse(se, n)``.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    passes, k = se._line_passes
+    if not passes:
+        return _kernels.offset_extremum(values, nse(se, n).offset_rc(), minimum)
+    for direction in passes:
+        values = _kernels.directional_extremum(values, direction, k * n, minimum)
+    return values
+
+
+def opening_raw(values: np.ndarray, se: StructuringElement, n: int) -> np.ndarray:
+    """Opening of a raw array by n·se, not yet restricted to the domain.
+
+    The erosion is 0 at every masked cell (the element holds the origin
+    and masked cells store 0), so it feeds the dilation unmasked; the
+    dilation can spill onto masked cells, which the caller discards.
+    """
+    return _raw_extremum(_raw_extremum(values, se, n, True), se, n, False)
+
+
+def _on_domain(dem: Dem, values: np.ndarray) -> Dem:
+    return Dem(np.where(dem.mask, values, 0), dem.mask)
 
 
 def erode(dem: Dem, se) -> Dem:
     """Windowed minimum over the element; out-of-domain reads as 0."""
-    se = resolve_se(se)
-    out = _raw_extremum(dem.values, se, True)
-    return Dem(np.where(dem.mask, out, 0), dem.mask)
+    return _on_domain(dem, _raw_extremum(dem.values, resolve_se(se), 1, True))
 
 
 def dilate(dem: Dem, se) -> Dem:
     """Windowed maximum over the element; the 0 pad is neutral here."""
-    se = resolve_se(se)
-    out = _raw_extremum(dem.values, se, False)
-    return Dem(np.where(dem.mask, out, 0), dem.mask)
+    return _on_domain(dem, _raw_extremum(dem.values, resolve_se(se), 1, False))
 
 
 def opening(dem: Dem, se) -> Dem:
@@ -175,38 +208,17 @@ def opening(dem: Dem, se) -> Dem:
     and covering the cell of the minimum elevation over the translate,
     and 0 where no translate fits.
     """
-    se = resolve_se(se)
-    return dilate(erode(dem, se), se)
+    return _on_domain(dem, opening_raw(dem.values, resolve_se(se), 1))
 
 
 def multiscale_opening(dem: Dem, se, n: int) -> Dem:
     """Opening by the n-fold Minkowski sum of the element; n = 0 is identity."""
-    if n == 0:
-        return dem
-    return opening(dem, nse(resolve_se(se), n))
-
-
-def open_square_raw(values: np.ndarray, k: int) -> np.ndarray:
-    """Opening of a raw array by the (2k+1)x(2k+1) square, four passes.
-
-    Horizontal then vertical erosion, then vertical then horizontal
-    dilation. The intermediate dilation values at masked cells must be
-    kept (not re-masked) for the factorization to be exact; the result
-    still has to be restricted to the domain.
-    """
-    arr = _kernels.directional_extremum(values, _kernels.ROW, k, True)
-    arr = _kernels.directional_extremum(arr, _kernels.COLUMN, k, True)
-    arr = _kernels.directional_extremum(arr, _kernels.COLUMN, k, False)
-    return _kernels.directional_extremum(arr, _kernels.ROW, k, False)
+    return _on_domain(dem, opening_raw(dem.values, resolve_se(se), n))
 
 
 def open_square_separable(dem: Dem, n: int) -> Dem:
     """Opening by the (2n+1)x(2n+1) square via four streaming passes."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return dem
-    return Dem(np.where(dem.mask, open_square_raw(dem.values, n), 0), dem.mask)
+    return _on_domain(dem, opening_raw(dem.values, named_se("B"), n))
 
 
 def erode_line_streaming(values, window: int) -> np.ndarray:

@@ -7,6 +7,11 @@ vector. Probabilities stay rational end to end, so the invariance laws
 the final entropy is evaluated in floating point, with the natural
 logarithm (a base change rescales every index by the same constant and
 cancels in the normalized features).
+
+Each spectrum has one code path. A linear element takes the slab sweep,
+which yields the volume of every scale from one pass over the scan
+lines; every other element opens the raster once per scale through
+``morphology.opening_raw`` until the volume reaches 0.
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .dem import Dem, volume
-from .morphology import (multiscale_opening, open_square_raw, opening_by_segment,
-                         resolve_se)
+from .morphology import opening_raw, resolve_se
 
 DIRECTIONAL_SES = ("B1", "B2", "B3", "B4")
 ALL_SES = ("B1", "B2", "B3", "B4", "B")
@@ -103,9 +107,12 @@ def _spectrum_from_points(se_name, family, scales, vols) -> PatternSpectrum:
     return PatternSpectrum(se_name, family, scales, vols, probs)
 
 
-def pattern_spectrum(dem: Dem, se, *, family: str = "nse",
-                     method: str = "auto") -> PatternSpectrum:
+def pattern_spectrum(dem: Dem, se, *, family: str = "nse") -> PatternSpectrum:
     """Spectrum of a raster under one structuring element family.
+
+    Linear elements take the single-pass slab sweep, which yields every
+    scale at once; any other element (the square B included) opens the
+    raster once per scale until the volume reaches 0.
 
     Args:
         dem: the raster; its volume must be positive.
@@ -113,9 +120,6 @@ def pattern_spectrum(dem: Dem, se, *, family: str = "nse",
         family: "nse" for the element-sum scales n = 0, 1, ...;
             "length" for segments of every length k = 1, 2, ...
             (linear elements only).
-        method: "auto" picks the streaming single-pass sweep for linear
-            elements and a per-scale openings loop otherwise; "sweep"
-            and "openings" force one path (used for cross-checks).
 
     Returns:
         The exact PatternSpectrum.
@@ -130,19 +134,12 @@ def pattern_spectrum(dem: Dem, se, *, family: str = "nse",
     if family == "length":
         if line is None:
             raise ValueError("length family requires a linear element")
-        if method == "openings":
-            return _length_spectrum_openings(dem, se, line)
         return _length_spectrum_sweep(dem, se, line)
     if family != "nse":
         raise ValueError(f"unknown family {family!r}")
-    if method == "sweep" and line is None:
-        raise ValueError("sweep method requires a linear element")
-    if line is not None and method in ("auto", "sweep"):
+    if line is not None:
         return _nse_spectrum_sweep(dem, se, line)
-    square = se.as_square()
-    if square is not None and method == "auto":
-        return _nse_spectrum_square(dem, se, square)
-    return _nse_spectrum_openings(dem, se)
+    return _nse_spectrum_square(dem, se)
 
 
 def _length_spectrum_sweep(dem, se, line):
@@ -150,19 +147,6 @@ def _length_spectrum_sweep(dem, se, line):
     curve = _volume_curve(dem, direction)
     return _spectrum_from_points(se.name or direction, "length",
                                  range(1, curve.shape[0]), curve[1:])
-
-
-def _length_spectrum_openings(dem, se, line):
-    direction, _ = line
-    code = _kernels.DIRECTION_CODE[direction]
-    vols = [volume(dem)]
-    w = 2
-    while vols[-1] > 0:
-        opened = opening_by_segment(dem.values, code, w)
-        vols.append(int(np.where(dem.mask, opened, 0).sum(dtype=np.int64)))
-        w += 1
-    return _spectrum_from_points(se.name or direction, "length",
-                                 range(1, len(vols) + 1), vols)
 
 
 def _nse_spectrum_sweep(dem, se, line):
@@ -173,24 +157,16 @@ def _nse_spectrum_sweep(dem, se, line):
     return _spectrum_from_points(se.name, "nse", range(len(vols)), vols)
 
 
-def _nse_spectrum_square(dem, se, k0):
-    # only the volume needs the mask, so the per-scale raster wrapping
-    # is skipped
-    vols = [volume(dem)]
-    n = 1
-    while vols[-1] > 0:
-        arr = open_square_raw(dem.values, k0 * n)
-        vols.append(int(arr.sum(where=dem.mask, dtype=np.int64)))
-        n += 1
-    return _spectrum_from_points(se.name, "nse", range(len(vols)), vols)
-
-
-def _nse_spectrum_openings(dem, se):
+def _nse_spectrum_square(dem, se):
+    # per-scale openings of any non-linear element, the square B included
+    # (perfbench/tracer.py times it under this name); only the volume
+    # needs the mask, so the per-scale raster wrapping is skipped
     vols = [volume(dem)]
     n = 1
     limit = dem.height + dem.width + 2
     while vols[-1] > 0:
-        vols.append(volume(multiscale_opening(dem, se, n)))
+        arr = opening_raw(dem.values, se, n)
+        vols.append(int(arr.sum(where=dem.mask, dtype=np.int64)))
         n += 1
         if n > limit:  # cannot happen for a growing element; guards a stall
             raise RuntimeError("opening volumes failed to reach zero")

@@ -5,12 +5,18 @@ package's compute paths: windowed extrema via numpy sliding windows,
 offset extrema via a per-cell loop, openings via explicit translate
 enumeration, slab losses via a stack sweep over lines walked cell by
 cell, and per-level run counting via direct thresholding. Expected
-values frozen in the test modules were produced with these.
+values frozen in the test modules were produced with these. The one
+exception is the length-family spectrum reference, which loops the
+package's own ``opening_by_segment`` over every length; its two
+one-sided extremum passes are the ones test_kernels.py checks against
+``naive_directional_extremum``.
 """
 
 import numpy as np
 
-from demgranulo.dem import Dem
+from demgranulo._kernels import DIRECTION_CODE
+from demgranulo.dem import Dem, volume
+from demgranulo.morphology import nse, opening_by_segment
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +160,28 @@ def translate_fit_opening(dem, se):
                 if m > out[r, c]:
                     out[r, c] = m
     return Dem(np.where(dem.mask, out, 0), dem.mask)
+
+
+def opening_spectrum_volumes(dem, se, family="nse"):
+    """Volumes of a spectrum's openings, one scale at a time, to the first 0.
+
+    ``"nse"``: scales n = 0, 1, ... opened by explicit translate
+    enumeration with ``nse(se, n)``, independent of every fast path.
+    ``"length"``: segment lengths 1, 2, ... along the linear element's
+    direction, opened by ``opening_by_segment``.
+    """
+    if family == "length":
+        code = DIRECTION_CODE[se.as_line()[0]]
+
+        def opened(i):  # a segment of i + 1 cells
+            return np.where(dem.mask, opening_by_segment(dem.values, code, i + 1), 0)
+    else:
+        def opened(i):
+            return translate_fit_opening(dem, nse(se, i)).values
+    vols = [volume(dem)]
+    while vols[-1] > 0:
+        vols.append(int(opened(len(vols)).sum(dtype=np.int64)))
+    return tuple(vols)
 
 
 def binary_open_set(cells, se):

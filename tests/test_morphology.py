@@ -16,6 +16,7 @@ from demgranulo.morphology import (StructuringElement, dilate, erode,
 from demgranulo.synth import random_dem
 
 ALL_NAMES = ("B1", "B2", "B3", "B4", "B")
+CROSS = StructuringElement(frozenset({(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}))
 
 
 def dems(max_side=8, levels=6):
@@ -106,16 +107,12 @@ class TestErodeDilate:
     @given(dems(), st.booleans())
     def test_cross_element_generic_path(self, dem, minimum):
         # 5-cell cross is neither a line nor a square
-        cross = StructuringElement(
-            frozenset({(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}))
-        assert cross.as_line() is None and cross.as_square() is None
-        fast = erode(dem, cross) if minimum else dilate(dem, cross)
-        assert fast == naive_erode(dem, cross, minimum)
+        assert CROSS.as_line() is None and CROSS.as_square() is None
+        fast = erode(dem, CROSS) if minimum else dilate(dem, CROSS)
+        assert fast == naive_erode(dem, CROSS, minimum)
 
     def test_cross_minkowski_growth(self):
-        cross = StructuringElement(
-            frozenset({(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}))
-        diamond = nse(cross, 2)
+        diamond = nse(CROSS, 2)
         assert diamond.offsets == {
             (dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)
             if abs(dx) + abs(dy) <= 2}
@@ -144,9 +141,7 @@ class TestOpening:
     @settings(max_examples=30, deadline=None)
     @given(dems(7))
     def test_cross_opening_translate_fit(self, dem):
-        cross = StructuringElement(
-            frozenset({(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}))
-        assert opening(dem, cross) == translate_fit_opening(dem, cross)
+        assert opening(dem, CROSS) == translate_fit_opening(dem, CROSS)
 
     @settings(max_examples=60, deadline=None)
     @given(dems(), st.sampled_from(ALL_NAMES))
@@ -207,6 +202,12 @@ class TestMultiscale:
         dem = Dem.from_rows([[3, 3, 3]])
         assert multiscale_opening(dem, "B4", 2).values.sum() == 0
 
+    @pytest.mark.parametrize("se", ALL_NAMES + (CROSS,), ids=ALL_NAMES + ("cross",))
+    def test_negative_scale_rejected(self, se):
+        dem = Dem.from_rows([[1, 3, 2], [2, 2, 2]])
+        with pytest.raises(ValueError):
+            multiscale_opening(dem, se, -1)
+
 
 class TestStreamingLine:
     def test_window_one_identity(self):
@@ -237,6 +238,10 @@ class TestSquareSeparable:
     def test_scale_zero_identity(self):
         dem = Dem.from_rows([[1, 2], [3, 4]])
         assert open_square_separable(dem, 0) == dem
+
+    def test_negative_scale_rejected(self):
+        with pytest.raises(ValueError):
+            open_square_separable(Dem.from_rows([[1, 2], [3, 4]]), -1)
 
     def test_constant_grid_fit(self):
         dem = Dem.from_rows([[4] * 5] * 5)

@@ -2,12 +2,14 @@
 morphological route and the brute-force run counter."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_runs_per_line
+from demgranulo import oracle
 from demgranulo.dem import Dem, reflect_rows, scan_lines, volume
 from demgranulo.oracle import (is_unipeak, reflection_family, run_profile_equal,
                                run_table, spectrum_from_runs,
@@ -229,3 +231,13 @@ class TestUniPeak:
         assert deriv == sorted(p for p in qs.probs if p > 0)
         h_deriv, h_gi = unipeak_entropy_equivalence(dem)
         assert abs(h_deriv - h_gi) < 1e-12
+
+
+class TestIndependence:
+    def test_oracle_names_no_fast_path(self):
+        # the oracle cross-checks the fast spectra only while it shares
+        # none of their code
+        source = Path(oracle.__file__).read_text()
+        for name in ("_kernels", "line_layout", "directional_extremum",
+                     "directional_loss", "_volume_curve", "opening_raw"):
+            assert name not in source, name

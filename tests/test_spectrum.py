@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import opening_spectrum_volumes
 from demgranulo.dem import Dem, scale_heights, volume
+from demgranulo.morphology import StructuringElement, named_se
 from demgranulo.spectrum import (discrete_volume_derivative, granulometric_index,
                                  high_low_direction, normalized_mdgi,
                                  order_stat_features, pattern_spectrum,
@@ -15,6 +17,7 @@ from demgranulo.spectrum import (discrete_volume_derivative, granulometric_index
 from demgranulo.synth import random_dem, random_interval_dem
 
 ALL_NAMES = ("B1", "B2", "B3", "B4", "B")
+CROSS = StructuringElement(frozenset({(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}))
 
 
 def dems(max_side=8, levels=6):
@@ -52,16 +55,24 @@ class TestPatternSpectrum:
     @settings(max_examples=50, deadline=None)
     @given(dems(7, 5), st.sampled_from(ALL_NAMES))
     def test_sweep_equals_openings_loop(self, dem, name):
-        fast = pattern_spectrum(dem, name)
-        slow = pattern_spectrum(dem, name, method="openings")
-        assert fast == slow
+        ps = pattern_spectrum(dem, name)
+        assert ps.volumes == opening_spectrum_volumes(dem, named_se(name))
+        assert ps.scales == tuple(range(len(ps.volumes)))
 
     @settings(max_examples=40, deadline=None)
     @given(dems(7, 5), st.sampled_from(("B1", "B2", "B3", "B4")))
     def test_length_family_sweep_equals_openings(self, dem, name):
-        fast = pattern_spectrum(dem, name, family="length")
-        slow = pattern_spectrum(dem, name, family="length", method="openings")
-        assert fast == slow
+        ps = pattern_spectrum(dem, name, family="length")
+        assert ps.volumes == opening_spectrum_volumes(dem, named_se(name), "length")
+        assert ps.scales == tuple(range(1, len(ps.volumes) + 1))
+
+    @settings(max_examples=30, deadline=None)
+    @given(dems(7, 5))
+    def test_cross_element_openings_loop(self, dem):
+        # neither a line nor a square: the generic offset path
+        ps = pattern_spectrum(dem, CROSS)
+        assert ps.volumes == opening_spectrum_volumes(dem, CROSS)
+        assert ps.scales == tuple(range(len(ps.volumes)))
 
     def test_length_family_requires_linear(self):
         with pytest.raises(ValueError):
