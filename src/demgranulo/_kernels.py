@@ -92,7 +92,8 @@ def _line_blocks(arr, direction, before, after, chunk=1):
     def row_cells(n):
         return -(-(before + n + after) // chunk) * chunk
 
-    per_block = max(1, _BLOCK_CELLS // row_cells(int(lengths.max(initial=0))))
+    # zero-length lines with no padding make rows of 0 cells
+    per_block = max(1, _BLOCK_CELLS // max(1, row_cells(int(lengths.max(initial=0)))))
     for j in range(0, starts.shape[0], per_block):
         lens = lengths[j:j + per_block]
         n = int(lens.max())

@@ -117,11 +117,11 @@ def _spectrum_csv(ps) -> str:
     # probabilities written unreduced over the total volume so the file
     # states exactly (loss / V0); zero losses print as a bare 0
     lines = ["n,volume,p"]
-    v0 = ps.volumes[0]
-    for i in range(len(ps.probs)):
+    v0, scales = ps.volumes[0], ps.scales
+    for i in range(ps.n0):
         lossv = ps.volumes[i] - ps.volumes[i + 1]
         p = f"{lossv}/{v0}" if lossv else "0"
-        lines.append(f"{ps.scales[i]},{ps.volumes[i]},{p}")
+        lines.append(f"{scales[i]},{ps.volumes[i]},{p}")
     return "\n".join(lines) + "\n"
 
 
@@ -388,6 +388,8 @@ def _build_config(args) -> RunConfig:
     file_cfg = {}
     if getattr(args, "config", None) is not None:
         file_cfg = json.loads(args.config.read_text())
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
 
     def pick(name, default):
         val = getattr(args, name, None)
@@ -398,6 +400,8 @@ def _build_config(args) -> RunConfig:
     directions = pick("directions", None)
     if isinstance(directions, str):
         directions = tuple(d.strip() for d in directions.split(",") if d.strip())
+    elif directions is not None and not isinstance(directions, list):
+        raise ValueError("directions must be a string or a list of names")
     for d in directions or ():
         if d not in DIRECTIONS:
             raise ValueError(f"unknown direction {d!r}")

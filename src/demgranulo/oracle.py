@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .dem import SE_FOR_DIRECTION, Dem, reflect_rows, row_interval, scan_lines, volume
 from .morphology import resolve_se
@@ -107,23 +106,19 @@ def spectrum_from_runs(rt: RunTable, family: str = "nse",
         raise ValueError("run table carries no volume")
     tmax = max(loss)
     if family == "length":
-        scales = list(range(1, tmax + 2))
-        vols = [sum(v for t, v in loss.items() if t >= k) for k in scales]
+        vols = [sum(v for t, v in loss.items() if t >= k) for k in range(1, tmax + 2)]
     elif family == "nse":
-        scales = []
         vols = []
         n = 0
         while True:
-            scales.append(n)
             vols.append(sum(v for t, v in loss.items() if t >= 2 * n + 1))
             if vols[-1] == 0:
                 break
             n += 1
     else:
         raise ValueError(f"unknown family {family!r}")
-    probs = tuple(Fraction(vols[i] - vols[i + 1], v0) for i in range(len(vols) - 1))
     name = se_name if family == "nse" else f"L:{rt.direction}"
-    return PatternSpectrum(name, family, tuple(scales), tuple(vols), probs)
+    return PatternSpectrum(name, family, tuple(vols))
 
 
 def run_profile_equal(dem1: Dem, dem2: Dem, direction: str) -> bool:

@@ -32,43 +32,46 @@ ALL_SES = ("B1", "B2", "B3", "B4", "B")
 
 @dataclass(frozen=True)
 class PatternSpectrum:
-    """Volume sequence of a granulometry and its probability vector.
+    """Volume sequence of a granulometry; scales and probs derive from it.
 
-    ``volumes[i]`` is the volume surviving the opening at ``scales[i]``;
-    the list runs until the volume first reaches 0 (always, under the
-    zero-pad convention) plus that terminal zero. ``probs[i]`` is the
-    normalized loss between scales i and i+1; the probabilities are
-    exact rationals summing to 1.
+    ``volumes[i]`` is the volume surviving the opening at ``scales[i]``,
+    up to and including the first 0. ``probs[i]`` is the exact
+    ``Fraction`` (volumes[i] - volumes[i+1]) / volumes[0].
 
-    ``family`` is ``"nse"`` (scale n opens with the n-fold element sum;
-    linear windows have length 2n+1) or ``"length"`` (scale k opens with
-    a segment of exactly k cells).
+    ``family`` is ``"nse"`` (scale n = 0, 1, ... opens with the n-fold
+    element sum; linear windows have length 2n+1) or ``"length"`` (scale
+    k = 1, 2, ... opens with a segment of exactly k cells).
     """
 
     se_name: str
     family: str
-    scales: tuple[int, ...]
     volumes: tuple[int, ...]
-    probs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if len(self.volumes) != len(self.probs) + 1 or len(self.scales) != len(self.volumes):
-            raise ValueError("inconsistent spectrum lengths")
-        if self.volumes[-1] != 0:
+        if self.family not in ("nse", "length"):
+            raise ValueError(f"unknown family {self.family!r}")
+        vols = self.volumes
+        if len(vols) < 2 or vols[0] <= 0:
+            raise ValueError("a spectrum needs a positive volume and a terminal 0")
+        if vols[-1] != 0:
             raise ValueError("terminal volume must be 0")
-        if any(a < b for a, b in zip(self.volumes, self.volumes[1:])):
+        if any(a < b for a, b in zip(vols, vols[1:])):
             raise ValueError("volumes must be non-increasing")
-        v0 = self.volumes[0]
-        for i, p in enumerate(self.probs):
-            if p != Fraction(self.volumes[i] - self.volumes[i + 1], v0):
-                raise ValueError("probabilities do not match volume losses")
-        if sum(self.probs, Fraction(0)) != 1:
-            raise ValueError("probabilities must sum to 1 exactly")
 
     @property
     def n0(self) -> int:
         """First scale index whose volume equals the terminal value."""
         return len(self.volumes) - 1
+
+    @property
+    def scales(self) -> tuple[int, ...]:
+        first = 0 if self.family == "nse" else 1
+        return tuple(range(first, first + len(self.volumes)))
+
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        v0 = self.volumes[0]
+        return tuple(Fraction(a - b, v0) for a, b in zip(self.volumes, self.volumes[1:]))
 
 
 @dataclass(frozen=True)
@@ -94,17 +97,9 @@ def _volume_curve(dem: Dem, direction: str) -> np.ndarray:
     return curve
 
 
-def _spectrum_from_points(se_name, family, scales, vols) -> PatternSpectrum:
-    v0 = int(vols[0])
-    keep = 1
-    for v in vols[1:]:
-        keep += 1
-        if v == 0:
-            break
-    scales = tuple(int(s) for s in scales[:keep])
-    vols = tuple(int(v) for v in vols[:keep])
-    probs = tuple(Fraction(vols[i] - vols[i + 1], v0) for i in range(len(vols) - 1))
-    return PatternSpectrum(se_name, family, scales, vols, probs)
+def _spectrum_from_points(se_name, family, vols) -> PatternSpectrum:
+    vols = [int(v) for v in vols]  # cut after the first 0 past the start
+    return PatternSpectrum(se_name, family, tuple(vols[:vols.index(0, 1) + 1]))
 
 
 def pattern_spectrum(dem: Dem, se, *, family: str = "nse") -> PatternSpectrum:
@@ -145,8 +140,7 @@ def pattern_spectrum(dem: Dem, se, *, family: str = "nse") -> PatternSpectrum:
 def _length_spectrum_sweep(dem, se, line):
     direction, _ = line
     curve = _volume_curve(dem, direction)
-    return _spectrum_from_points(se.name or direction, "length",
-                                 range(1, curve.shape[0]), curve[1:])
+    return _spectrum_from_points(se.name or direction, "length", curve[1:])
 
 
 def _nse_spectrum_sweep(dem, se, line):
@@ -154,7 +148,7 @@ def _nse_spectrum_sweep(dem, se, line):
     # scale n opens with a window of 2*k0*n + 1 cells; the stride may
     # step past the curve's zeros, so a terminal 0 is appended
     vols = list(_volume_curve(dem, direction)[1::2 * k0]) + [0]
-    return _spectrum_from_points(se.name, "nse", range(len(vols)), vols)
+    return _spectrum_from_points(se.name, "nse", vols)
 
 
 def _nse_spectrum_square(dem, se):
@@ -170,7 +164,7 @@ def _nse_spectrum_square(dem, se):
         n += 1
         if n > limit:  # cannot happen for a growing element; guards a stall
             raise RuntimeError("opening volumes failed to reach zero")
-    return _spectrum_from_points(se.name, "nse", range(len(vols)), vols)
+    return _spectrum_from_points(se.name, "nse", vols)
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +175,15 @@ def _nse_spectrum_square(dem, se):
 def granulometric_index(spectrum: PatternSpectrum) -> float:
     """Shannon entropy (natural log) of the probability vector.
 
-    Zero probabilities contribute nothing; a point-mass spectrum has
-    index 0.
+    Each term divides an integer loss by the first volume, which rounds
+    the exact rational once, as ``float(Fraction)`` does. Zero losses
+    contribute nothing; a point-mass spectrum has index 0.
     """
+    vols = spectrum.volumes
     acc = 0.0
-    for p in spectrum.probs:
-        if p > 0:
-            pf = float(p)
+    for a, b in zip(vols, vols[1:]):
+        if a > b:
+            pf = (a - b) / vols[0]
             acc -= pf * math.log(pf)
     return acc
 

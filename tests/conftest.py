@@ -4,13 +4,17 @@ The oracles here are deliberately brute force and independent of the
 package's compute paths: windowed extrema via numpy sliding windows,
 offset extrema via a per-cell loop, openings via explicit translate
 enumeration, slab losses via a stack sweep over lines walked cell by
-cell, and per-level run counting via direct thresholding. Expected
-values frozen in the test modules were produced with these. The one
-exception is the length-family spectrum reference, which loops the
-package's own ``opening_by_segment`` over every length; its two
-one-sided extremum passes are the ones test_kernels.py checks against
+cell, per-level run counting via direct thresholding, and the entropy
+via exact ``Fraction`` probabilities. Expected values frozen in the
+test modules were produced with these. The one exception is the
+length-family spectrum reference, which loops the package's own
+``opening_by_segment`` over every length; its two one-sided extremum
+passes are the ones test_kernels.py checks against
 ``naive_directional_extremum``.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -114,6 +118,23 @@ def naive_slab_loss(values, unit):
             if v > 0 and (not stack or stack[-1][1] < v):
                 stack.append((start, v))
     return np.array(loss, dtype=np.int64)
+
+
+def fraction_entropy(volumes):
+    """Shannon entropy (natural log) of a volume list, via exact Fractions.
+
+    Each positive loss becomes ``Fraction(loss, v0)``, reduced, and is
+    rounded to a float only then; ``granulometric_index`` must match this
+    bit for bit.
+    """
+    v0 = volumes[0]
+    acc = 0.0
+    for a, b in zip(volumes, volumes[1:]):
+        p = Fraction(a - b, v0)
+        if p > 0:
+            pf = float(p)
+            acc -= pf * math.log(pf)
+    return acc
 
 
 def se_translates(se):

@@ -93,6 +93,18 @@ class TestSpectrumCommand:
         doc2 = json.loads((tmp_path / "o2" / "grid.summary.json").read_text())
         assert doc2["metadata"]["quantize_datum"] == 0.0
 
+    @pytest.mark.parametrize("command", ["spectrum", "oracle-check"])
+    @pytest.mark.parametrize("text", ['[1]', '"x"', 'null', '{"directions": 5}',
+                                      '{"directions": [5]}', '{"directions": {"row": 1}}'])
+    def test_bad_config_is_an_error(self, tmp_path, capsys, command, text):
+        src = tmp_path / "demo.csv"
+        write_row_fixture(src)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main([command, str(src), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestFeaturesCommand:
     def test_feature_row_layout(self, tmp_path):

@@ -79,6 +79,16 @@ class TestWindowExtremum:
                     want = naive_directional_extremum(arr, UNIT[direction], k, k, minimum)
                     assert (got == want).all(), (direction, k, minimum)
 
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (1, 0)])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_zero_length_lines(self, shape, k):
+        # with k=0 a row of an empty line has no cells at all
+        arr = np.zeros(shape, dtype=np.int64)
+        for direction in DIRECTIONS:
+            for minimum in (True, False):
+                out = _kernels.directional_extremum(arr, direction, k, minimum)
+                assert out.shape == shape and out.dtype == np.int64
+
     @pytest.mark.parametrize("direction", DIRECTIONS)
     def test_working_memory_bounded(self, direction):
         # the line matrices are built a block at a time, never for the

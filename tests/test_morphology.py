@@ -216,6 +216,10 @@ class TestStreamingLine:
     def test_row_example(self):
         assert erode_line_streaming([2, 5, 5, 2, 2], 3).tolist() == [0, 2, 2, 2, 0]
 
+    def test_empty_line(self):
+        assert erode_line_streaming([], 1).tolist() == []
+        assert erode_line_streaming([], 5).tolist() == []
+
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
             erode_line_streaming([1, 2], 2)

@@ -1,19 +1,23 @@
 """Pattern spectra, indices, normalization and features."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import opening_spectrum_volumes
+from conftest import fraction_entropy, opening_spectrum_volumes
+from demgranulo import spectrum
 from demgranulo.dem import Dem, scale_heights, volume
 from demgranulo.morphology import StructuringElement, named_se
-from demgranulo.spectrum import (discrete_volume_derivative, granulometric_index,
-                                 high_low_direction, normalized_mdgi,
-                                 order_stat_features, pattern_spectrum,
-                                 volume_above)
+from demgranulo.oracle import RunTable, run_table, spectrum_from_runs
+from demgranulo.spectrum import (PatternSpectrum, discrete_volume_derivative,
+                                 granulometric_index, high_low_direction,
+                                 normalized_mdgi, order_stat_features,
+                                 pattern_spectrum, volume_above)
 from demgranulo.synth import random_dem, random_interval_dem
 
 ALL_NAMES = ("B1", "B2", "B3", "B4", "B")
@@ -94,6 +98,41 @@ class TestPatternSpectrum:
             assert pattern_spectrum(member, "B4").probs == reference
 
 
+class TestSpectrumValidation:
+    def test_fields_are_the_volume_list(self):
+        assert [f.name for f in dataclasses.fields(PatternSpectrum)] == [
+            "se_name", "family", "volumes"]
+
+    def test_derived_scales_and_probs(self):
+        ps = PatternSpectrum("B4", "nse", (16, 10, 10, 0))
+        assert ps.scales == (0, 1, 2, 3)
+        assert ps.n0 == 3
+        assert ps.probs == (Fraction(6, 16), 0, Fraction(10, 16))
+        assert PatternSpectrum("L:row", "length", (4, 0)).scales == (1, 2)
+
+    @pytest.mark.parametrize("family, volumes", [
+        ("nse", (4, 5, 0)),        # increasing
+        ("nse", (4, 2, 1)),        # nonzero last volume
+        ("square", (4, 0)),        # unknown family
+        ("nse", (0,)),             # single volume
+        ("length", (0, 0)),        # zero first volume
+    ])
+    def test_invalid_rejected(self, family, volumes):
+        with pytest.raises(ValueError):
+            PatternSpectrum("B4", family, volumes)
+
+
+@st.composite
+def big_dems(draw):
+    # few cells at heights whose volumes reach about 2**62, the int64 range
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = draw(st.lists(st.integers(0, 2**62 // (h * w)),
+                          min_size=h * w, max_size=h * w))
+    values = np.array(cells, dtype=np.int64).reshape(h, w)
+    assume(values.any())
+    return Dem(values, np.ones((h, w), dtype=bool))
+
+
 class TestGranulometricIndex:
     def test_point_mass_zero(self):
         ps = pattern_spectrum(Dem.from_rows([[3] * 5]), "B4")
@@ -111,6 +150,42 @@ class TestGranulometricIndex:
         positive = [p for p in ps.probs if p > 0]
         assert positive == [Fraction(1, 4)] * 4
         assert granulometric_index(ps) == pytest.approx(math.log(4), abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(dems(), big_dems()), st.sampled_from(ALL_NAMES))
+    def test_bit_identical_to_fractions(self, dem, name):
+        for family in ("nse", "length") if name != "B" else ("nse",):
+            ps = pattern_spectrum(dem, name, family=family)
+            assert granulometric_index(ps) == fraction_entropy(ps.volumes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dems(), st.sampled_from(("row", "column", "diag-down", "diag-up")))
+    def test_oracle_bit_identical_to_fractions(self, dem, direction):
+        rt = run_table(dem, direction)
+        for family in ("nse", "length"):
+            ps = spectrum_from_runs(rt, family)
+            assert granulometric_index(ps) == fraction_entropy(ps.volumes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.integers(1, 8), st.integers(2**52, 2**56),
+                           min_size=1, max_size=8))
+    def test_volumes_near_int64_bit_identical(self, runs):
+        # total volumes between about 2**52 and 2**61, beyond float precision
+        rt = RunTable("row", {(0, 1, t): c for t, c in runs.items()})
+        for family in ("nse", "length"):
+            ps = spectrum_from_runs(rt, family)
+            assert granulometric_index(ps) == fraction_entropy(ps.volumes)
+
+    def test_features_build_no_fraction(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Fraction built")
+        monkeypatch.setattr(spectrum, "Fraction", refuse)
+        dem = random_dem(0, 10, 10, 6, hole_fraction=0.1)
+        for name in ALL_NAMES:
+            granulometric_index(pattern_spectrum(dem, name))
+        assert not normalized_mdgi(dem).degenerate
+        with pytest.raises(AssertionError):
+            pattern_spectrum(dem, "B").probs
 
 
 class TestNormalizedFeatures:
