@@ -397,6 +397,13 @@ def _build_config(args) -> RunConfig:
             return val
         return file_cfg.get(name, default)
 
+    def number(name, kind, default):
+        val = pick(name, default)
+        try:
+            return kind(val)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} must be a number, got {val!r}") from None
+
     directions = pick("directions", None)
     if isinstance(directions, str):
         directions = tuple(d.strip() for d in directions.split(",") if d.strip())
@@ -408,11 +415,11 @@ def _build_config(args) -> RunConfig:
     return RunConfig(
         inputs=list(args.inputs),
         out_dir=Path(pick("out_dir", "out")),
-        step=float(pick("step", 1.0)),
-        datum=float(pick("datum", 0.0)),
-        parallel=int(pick("parallel", 1)),
+        step=number("step", float, 1.0),
+        datum=number("datum", float, 0.0),
+        parallel=number("parallel", int, 1),
         directions=tuple(directions) if directions else DIRECTIONS,
-        max_oracle_work=int(pick("max_oracle_work", 2_000_000)),
+        max_oracle_work=number("max_oracle_work", int, 2_000_000),
         corrupt_hook=bool(getattr(args, "self_test_corrupt", False)),
     )
 

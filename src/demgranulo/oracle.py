@@ -5,70 +5,182 @@ maximal runs, and counting those runs per length and level determines
 every directional spectrum without a single morphological operation.
 The agreement between this route and the streaming operators in
 :mod:`spectrum` is the central cross-validation of the package, so
-nothing here is shared with the fast path: runs are enumerated level by
-level, the slow obvious way.
+nothing here is shared with the fast path: the lattice lines come from
+``dem._line_starts`` and runs are counted level by level, one numpy
+threshold-and-edge pass over all lines of a direction per level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
 
-from .dem import SE_FOR_DIRECTION, Dem, reflect_rows, row_interval, scan_lines, volume
+import numpy as np
+
+from .dem import (_I64_MAX, DIRECTION_STEPS, SE_FOR_DIRECTION, Dem, _line_starts,
+                  reflect_rows, row_interval, scan_lines, volume)
 from .morphology import resolve_se
 from .spectrum import PatternSpectrum, discrete_volume_derivative, granulometric_index
 
 
-@dataclass(frozen=True)
 class RunTable:
     """Counts of maximal runs per (line, level, length) for one direction.
 
-    ``counts[(i, h, t)]`` is the number of maximal runs exactly t cells
-    long at threshold h on line i. For every line and level the counted
-    lengths add back up to the number of cells at or above the level.
+    The table is four int64 columns of equal size, sorted by
+    (line, level, length): ``runs[j]`` maximal runs exactly ``length[j]``
+    cells long lie at threshold ``level[j]`` on line ``line[j]``.
+    ``counts`` reads the columns as a mapping
+    ``(line, level, length) -> runs``.
+
+    ``RunTable(direction, mapping)`` builds a table from such a mapping.
+    Every entry must be a non-negative int64 and the volume, the sum of
+    length times runs, must fit int64, so no sum over the table wraps.
+    A table counted from a raster has that raster's volume: for every
+    line and level the counted lengths add back up to the number of
+    cells at or above the level.
     """
 
-    direction: str
-    counts: dict
+    def __init__(self, direction: str, counts: Mapping):
+        keys = sorted(counts)
+        try:
+            cols = np.array(keys, dtype=np.int64).reshape(len(keys), 3)
+            runs = np.array([counts[k] for k in keys], dtype=np.int64)
+        except OverflowError:
+            raise ValueError("run table entries must fit int64") from None
+        if (cols < 0).any() or (runs < 0).any():
+            raise ValueError("run table entries must be non-negative")
+        if sum(t * c for (_, _, t), c in counts.items()) > _I64_MAX:
+            raise ValueError("run table volume overflows int64")
+        self._set(direction, *cols.T, runs)
+
+    @classmethod
+    def _from_columns(cls, direction, line, level, length, runs) -> "RunTable":
+        table = cls.__new__(cls)
+        table._set(direction, line, level, length, runs)
+        return table
+
+    def _set(self, direction, line, level, length, runs):
+        self.direction = direction
+        columns = []
+        for col in (line, level, length, runs):
+            col = np.ascontiguousarray(col, dtype=np.int64)
+            col.flags.writeable = False
+            columns.append(col)
+        self.line, self.level, self.length, self.runs = columns
+        self.counts = RunCounts(*columns)
+
+    def __eq__(self, other):
+        if not isinstance(other, RunTable):
+            return NotImplemented
+        return self.direction == other.direction and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("line", "level", "length", "runs"))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"RunTable({self.direction!r}, {self.runs.size} entries)"
 
     def cells_at_level(self, line_index: int, h: int) -> int:
-        return sum(t * c for (i, hh, t), c in self.counts.items()
-                   if i == line_index and hh == h)
+        at = (self.line == line_index) & (self.level == h)
+        return int(self.length[at] @ self.runs[at])
 
     def total_volume(self) -> int:
-        return sum(t * c for (_, _, t), c in self.counts.items())
+        return int(self.length @ self.runs)
 
     def to_csv(self) -> str:
+        d = self.direction
         lines = ["direction,line,h,t,count"]
-        for (i, h, t) in sorted(self.counts):
-            lines.append(f"{self.direction},{i},{h},{t},{self.counts[(i, h, t)]}")
+        lines.extend(f"{d},{i},{h},{t},{c}" for i, h, t, c in zip(
+            self.line.tolist(), self.level.tolist(), self.length.tolist(),
+            self.runs.tolist()))
         return "\n".join(lines) + "\n"
+
+
+class RunCounts(Mapping):
+    """Read-only mapping (line, level, length) -> runs over a table's columns.
+
+    Iteration, ``values()`` and ``items()`` read the columns in table
+    order; the first lookup by key builds a dict index.
+    """
+
+    def __init__(self, line, level, length, runs):
+        self._keys = (line, level, length)
+        self._runs = runs
+        self._index = None
+
+    def __len__(self):
+        return self._runs.size
+
+    def __iter__(self):
+        return zip(*(col.tolist() for col in self._keys))
+
+    def __getitem__(self, key):
+        if self._index is None:
+            self._index = dict(self.items())
+        return self._index[key]
+
+    def values(self) -> list[int]:
+        return self._runs.tolist()
+
+    def items(self) -> list[tuple[tuple[int, int, int], int]]:
+        return list(zip(self, self.values()))
+
+
+def _padded_lines(dem: Dem, direction: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every lattice line of ``direction`` as one row of a zero-filled matrix.
+
+    Returns the line indices and the matrix: row j holds the cells of
+    line ``index[j]`` in scan order behind one leading 0, and 0 past the
+    line's end. Masked cells already hold 0 in ``dem.values``, so a
+    masked cell and a present 0 both break every run at levels >= 1.
+    """
+    dr, dc = DIRECTION_STEPS[direction]
+    index, r0, c0, length = np.array(
+        list(_line_starts(dem.height, dem.width, direction)), dtype=np.int64).T
+    step = np.arange(int(length.max()))
+    inside = step < length[:, None]
+    padded = np.zeros((index.size, step.size + 1), dtype=np.int64)
+    padded[:, 1:][inside] = dem.values[(r0[:, None] + step * dr)[inside],
+                                       (c0[:, None] + step * dc)[inside]]
+    return index, padded
 
 
 def run_table(dem: Dem, direction: str) -> RunTable:
     """Count maximal runs at every threshold on every scan line.
 
     Runs live inside segments (mask gaps break them). Levels sweep the
-    full 1..max range of the raster; segments whose peak lies below a
-    level simply stop contributing.
+    full 1..max range of the raster; lines whose peak lies below a level
+    simply stop contributing. Each level is one pass over all lines at
+    once: threshold at ``>= h``, find where the thresholded cells change,
+    pair each run's start with its end, and count the runs per
+    (line, length).
     """
-    counts: dict[tuple[int, int, int], int] = {}
-    for line in scan_lines(dem, direction):
-        for seg in line.segments:
-            top = max(seg.values)
-            for h in range(1, top + 1):
-                t = 0
-                for v in seg.values:
-                    if v >= h:
-                        t += 1
-                    elif t:
-                        key = (line.index, h, t)
-                        counts[key] = counts.get(key, 0) + 1
-                        t = 0
-                if t:
-                    key = (line.index, h, t)
-                    counts[key] = counts.get(key, 0) + 1
-    return RunTable(direction, counts)
+    index, padded = _padded_lines(dem, direction)
+    width = padded.shape[1]
+    flat = np.append(padded.ravel(), 0)  # the 0 ends the last line's last run
+    # level 0 holds no runs; it keeps the joins below defined when every
+    # cell is 0
+    found, runs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for h in range(1, dem.zmax + 1):
+        above = flat >= h
+        # changes alternate: the cell before a run, then the run's last cell;
+        # every row leads with a 0, so both lie on the run's own row
+        change = np.flatnonzero(above[1:] != above[:-1])
+        before, last = change[0::2], change[1::2]
+        key, count = np.unique(before - before % width + (last - before),
+                               return_counts=True)  # key: row * width + length
+        found.append(key)
+        runs.append(count)
+    sizes = [key.size for key in found]
+    key = np.concatenate(found)
+    row, length = np.divmod(key, width)
+    level = np.repeat(np.arange(len(sizes)), sizes)
+    # levels were appended in order, so a stable sort on the row alone
+    # leaves every line's entries sorted by (level, length)
+    order = np.argsort(row, kind="stable")
+    return RunTable._from_columns(direction, index[row[order]], level[order],
+                                  length[order], np.concatenate(runs)[order])
 
 
 def spectrum_from_runs(rt: RunTable, family: str = "nse",
@@ -79,7 +191,8 @@ def spectrum_from_runs(rt: RunTable, family: str = "nse",
     outgrows it, so the volume loss at segment length k is
     k * (number of runs of length k, over all lines and levels); for the
     element-sum family the length bin (2n+1, 2n+2) collapses onto scale
-    n, the last scale whose 2n+1 window still fits.
+    n, the last scale whose 2n+1 window still fits. Only the table's
+    length and runs columns are read.
 
     Args:
         rt: run table for the direction of interest.
@@ -98,27 +211,22 @@ def spectrum_from_runs(rt: RunTable, family: str = "nse",
         if line is None or line[0] != expected[0] or line[1] != 1:
             raise ValueError(
                 f"element {given.name or given.offsets} does not scan {rt.direction}")
-    loss: dict[int, int] = {}
-    for (_, _, t), c in rt.counts.items():
-        loss[t] = loss.get(t, 0) + t * c
-    v0 = sum(loss.values())
-    if v0 <= 0:
+    if rt.total_volume() <= 0:
         raise ValueError("run table carries no volume")
-    tmax = max(loss)
+    tmax = int(rt.length.max())
+    # the table's volume fits int64, so no partial sum below can wrap
+    loss = np.zeros(tmax + 3, dtype=np.int64)
+    np.add.at(loss, rt.length, rt.length * rt.runs)
+    at_least = np.cumsum(loss[::-1])[::-1]  # volume of the runs >= k cells long
     if family == "length":
-        vols = [sum(v for t, v in loss.items() if t >= k) for k in range(1, tmax + 2)]
+        vols = at_least[1:tmax + 2]
     elif family == "nse":
-        vols = []
-        n = 0
-        while True:
-            vols.append(sum(v for t, v in loss.items() if t >= 2 * n + 1))
-            if vols[-1] == 0:
-                break
-            n += 1
+        vols = at_least[1::2]
+        vols = vols[:np.flatnonzero(vols == 0)[0] + 1]
     else:
         raise ValueError(f"unknown family {family!r}")
     name = se_name if family == "nse" else f"L:{rt.direction}"
-    return PatternSpectrum(name, family, tuple(vols))
+    return PatternSpectrum(name, family, tuple(vols.tolist()))
 
 
 def run_profile_equal(dem1: Dem, dem2: Dem, direction: str) -> bool:
@@ -127,7 +235,7 @@ def run_profile_equal(dem1: Dem, dem2: Dem, direction: str) -> bool:
     This is a sufficient condition (not a necessary one) for their
     directional spectra to coincide.
     """
-    return run_table(dem1, direction).counts == run_table(dem2, direction).counts
+    return run_table(dem1, direction) == run_table(dem2, direction)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The oracles here are deliberately brute force and independent of the
 package's compute paths: windowed extrema via numpy sliding windows,
 offset extrema via a per-cell loop, openings via explicit translate
 enumeration, slab losses via a stack sweep over lines walked cell by
-cell, per-level run counting via direct thresholding, and the entropy
+cell, per-level run counting via direct thresholding (per sequence, and
+per segment of every scan line for whole run tables), and the entropy
 via exact ``Fraction`` probabilities. Expected values frozen in the
 test modules were produced with these. The one exception is the
 length-family spectrum reference, which loops the package's own
@@ -19,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from demgranulo._kernels import DIRECTION_CODE
-from demgranulo.dem import Dem, volume
+from demgranulo.dem import Dem, scan_lines, volume
 from demgranulo.morphology import nse, opening_by_segment
 
 
@@ -240,6 +241,38 @@ def brute_runs_per_line(seq, h):
     if run:
         lengths.append(run)
     return lengths
+
+
+def naive_run_table(dem, direction):
+    """``{(line, level, length): runs}`` by thresholding one segment at a time.
+
+    Every segment of every scan line is walked cell by cell at each level
+    1..its peak, and each maximal run of cells >= the level is counted.
+    """
+    counts = {}
+    for line in scan_lines(dem, direction):
+        for seg in line.segments:
+            for h in range(1, max(seg.values) + 1):
+                t = 0
+                for v in seg.values:
+                    if v >= h:
+                        t += 1
+                    elif t:
+                        key = (line.index, h, t)
+                        counts[key] = counts.get(key, 0) + 1
+                        t = 0
+                if t:
+                    key = (line.index, h, t)
+                    counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def naive_run_csv(direction, counts):
+    """A run-count dict as the run-table CSV, rows in sorted key order."""
+    lines = ["direction,line,h,t,count"]
+    for (i, h, t) in sorted(counts):
+        lines.append(f"{direction},{i},{h},{t},{counts[(i, h, t)]}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

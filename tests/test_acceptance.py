@@ -60,6 +60,26 @@ def test_oracle_equivalence_1000_rasters():
         assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"
 
 
+def test_oracle_equivalence_large_rasters():
+    name = ("oracle equivalence: 20 masked 128x128 terrains at 64 levels, "
+            "4 directions x 2 families, exact")
+    with verdict(name):
+        start = time.perf_counter()
+        for seed in range(20):
+            dem = synthetic_terrain(128, levels=64, hole_fraction=0.15, seed=seed)
+            assert not dem.mask.all()
+            for direction in DIRECTIONS:
+                rt = run_table(dem, direction)
+                se = SE_FOR_DIRECTION[direction]
+                for family in ("nse", "length"):
+                    fast = pattern_spectrum(dem, se, family=family)
+                    ref = spectrum_from_runs(rt, family)
+                    assert fast.probs == ref.probs
+                    assert fast.volumes == ref.volumes
+        elapsed = time.perf_counter() - start
+        assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"
+
+
 def test_height_scaling_invariance():
     name = "height scaling: 200 rasters x k in {2,3,7} x 5 elements, exact"
     with verdict(name):

@@ -105,6 +105,17 @@ class TestSpectrumCommand:
                      "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("key", ["step", "datum", "parallel", "max_oracle_work"])
+    @pytest.mark.parametrize("value", [[1], None, "x", {"a": 1}])
+    def test_non_numeric_config_value_is_an_error(self, tmp_path, capsys, key, value):
+        src = tmp_path / "demo.csv"
+        write_row_fixture(src)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["oracle-check", str(src), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
 
 class TestFeaturesCommand:
     def test_feature_row_layout(self, tmp_path):

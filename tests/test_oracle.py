@@ -8,21 +8,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_runs_per_line
+import tracemalloc
+
+import numpy as np
+
+from conftest import brute_runs_per_line, naive_run_csv, naive_run_table
 from demgranulo import oracle
 from demgranulo.dem import Dem, reflect_rows, scan_lines, volume
-from demgranulo.oracle import (is_unipeak, reflection_family, run_profile_equal,
-                               run_table, spectrum_from_runs,
+from demgranulo.oracle import (RunTable, is_unipeak, reflection_family,
+                               run_profile_equal, run_table, spectrum_from_runs,
                                unipeak_entropy_equivalence)
 from demgranulo.spectrum import (discrete_volume_derivative, pattern_spectrum)
 from demgranulo.synth import (random_dem, random_interval_dem,
-                              random_unipeak_dem, run_profile_pair)
+                              random_unipeak_dem, run_profile_pair,
+                              synthetic_terrain)
 
 DIRECTIONS = ("row", "column", "diag-down", "diag-up")
 
 
 def dems(max_side=8, levels=6):
     return st.integers(0, 10**6).map(lambda s: random_dem(s, max_side, max_side, levels))
+
+
+@st.composite
+def masked_rasters(draw):
+    """Rasters up to 12x12, 1xn and nx1 included, with present 0 cells."""
+    h, w = draw(st.one_of(st.tuples(st.just(1), st.integers(1, 12)),
+                          st.tuples(st.integers(1, 12), st.just(1)),
+                          st.tuples(st.integers(1, 12), st.integers(1, 12))))
+    values = draw(st.lists(st.integers(0, 6), min_size=h * w, max_size=h * w))
+    mask = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    mask[draw(st.integers(0, h * w - 1))] = True
+    return Dem(np.reshape(values, (h, w)), np.reshape(mask, (h, w)))
 
 
 class TestRunTable:
@@ -75,6 +92,58 @@ class TestRunTable:
         assert text.splitlines()[0] == "direction,line,h,t,count"
         assert "row,0,2,1,1" in text
 
+    @settings(max_examples=200, deadline=None)
+    @given(masked_rasters(), st.sampled_from(DIRECTIONS))
+    def test_equals_loop_reference(self, dem, direction):
+        rt = run_table(dem, direction)
+        want = naive_run_table(dem, direction)
+        assert rt.counts == want and want == rt.counts
+        assert sum(rt.counts.values()) == sum(want.values())
+        assert RunTable(direction, want) == rt
+        assert rt.to_csv() == naive_run_csv(direction, want)
+        assert rt.total_volume() == sum(t * c for (_, _, t), c in want.items())
+        for line in scan_lines(dem, direction):
+            for h in range(1, dem.zmax + 1):
+                assert rt.cells_at_level(line.index, h) == sum(
+                    t * c for (i, hh, t), c in want.items()
+                    if i == line.index and hh == h)
+
+    def test_counts_is_a_read_only_mapping(self):
+        rt = run_table(Dem.from_rows([[2, 5, 5, 2, 2]]), "row")
+        assert rt.counts[(0, 3, 2)] == 1 and (0, 9, 1) not in rt.counts
+        assert len(rt.counts) == 5 and dict(rt.counts) == rt.counts
+        with pytest.raises(TypeError):
+            rt.counts[(0, 3, 2)] = 2
+        with pytest.raises(ValueError):
+            rt.runs[0] = 2
+
+    def test_volume_beyond_int64_rejected(self):
+        # 4 runs of 2**62 cells: a volume of 2**64 must not wrap to 0
+        with pytest.raises(ValueError, match="volume"):
+            RunTable("row", {(0, 1, 2**62): 4})
+        assert RunTable("row", {(0, 1, 2**62): 1}).total_volume() == 2**62
+
+    @pytest.mark.parametrize("counts", [{(0, 1, 1): 2**63}, {(0, 2**63, 1): 1},
+                                        {(0, 1, 1): -1}, {(-1, 1, 1): 1}])
+    def test_entries_outside_int64_or_negative_rejected(self, counts):
+        with pytest.raises(ValueError):
+            RunTable("row", counts)
+
+    def test_memory_on_a_large_terrain(self):
+        # 32 bytes per entry in the columns: about 1.9 MiB for the 61k
+        # entries of a diagonal direction
+        dem = synthetic_terrain(128, levels=64, hole_fraction=0.15, seed=3)
+        for direction in DIRECTIONS:
+            tracemalloc.start()
+            try:
+                rt = run_table(dem, direction)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(rt.counts) > 40_000
+            assert retained <= 2 * 2**20, direction
+            assert peak <= 8 * 2**20, direction
+
 
 class TestSpectrumFromRuns:
     def test_length_family_fixture(self):
@@ -87,6 +156,12 @@ class TestSpectrumFromRuns:
         rt = run_table(Dem.from_rows([[1, 2, 1]]), "row")
         qs = spectrum_from_runs(rt, "length")
         assert qs.probs == (Fraction(1, 4), Fraction(0), Fraction(3, 4))
+
+    def test_zero_count_entries(self):
+        # a listed length without runs still sets the length family's span
+        rt = RunTable("row", {(0, 1, 1): 5, (0, 1, 4): 0})
+        assert spectrum_from_runs(rt, "nse").volumes == (5, 0)
+        assert spectrum_from_runs(rt, "length").volumes == (5, 0, 0, 0, 0)
 
     def test_direction_mismatch_rejected(self):
         rt = run_table(Dem.from_rows([[1, 2, 1]]), "row")
@@ -236,8 +311,10 @@ class TestUniPeak:
 class TestIndependence:
     def test_oracle_names_no_fast_path(self):
         # the oracle cross-checks the fast spectra only while it shares
-        # none of their code
+        # none of their code; nor does it take the benchmark gate's numpy
+        # run counter, which checks the oracle's results in turn
         source = Path(oracle.__file__).read_text()
         for name in ("_kernels", "line_layout", "directional_extremum",
-                     "directional_loss", "_volume_curve", "opening_raw"):
+                     "directional_loss", "_volume_curve", "opening_raw",
+                     "perfbench", "gate", "run_length_counts", "line_matrix"):
             assert name not in source, name
