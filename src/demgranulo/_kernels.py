@@ -1,13 +1,12 @@
 """Hot numeric kernels: windowed extrema and peak-slab sweeps.
 
-Every kernel is numpy code. Directional kernels see the raster as one
-flat row-major array and walk it along the scan lines that
-:func:`line_layout` describes, a block of lines at a time
-(:func:`_line_blocks`):
+Every kernel is numpy code. Directional kernels take the scan lines a
+block at a time as a zero-padded matrix (:func:`_line_blocks`): rows and
+columns are slices, diagonals follow :func:`line_layout`.
 
 * the windowed extremum along scan lines (:func:`directional_extremum`)
-  takes the van Herk / Gil-Werman block prefix and suffix extrema with
-  ``ufunc.accumulate`` calls over a matrix of lines;
+  builds windows of 1, 2, 4, ... cells by doubling, so a window of any
+  width costs ceil(log2 width) binary ufunc calls per block;
 * the slab sweep (:func:`directional_loss`) finds, for every cell, its
   nearest smaller neighbours on both sides by binary lifting over a
   sparse table of range minima, which gives every maximal slab of every
@@ -76,36 +75,38 @@ def line_layout(shape, direction):
 _BLOCK_CELLS = 1 << 14
 
 
-def _line_blocks(arr, direction, before, after, chunk=1):
-    """Gather the scan lines of ``arr`` a block at a time, zero-padded.
+def _line_blocks(arr, direction, before, after):
+    """The scan lines of ``arr`` a block at a time, zero-padded.
 
-    Yields ``(padded, index, inside)`` for each block of about
-    ``_BLOCK_CELLS`` padded cells. Row ``l`` of ``padded`` holds one line
-    from column ``before`` on, with zeros before it and at least
-    ``after`` zeros after it; every row of a block has the same length,
-    a multiple of ``chunk``. Cell ``i`` of the line is read from flat
-    index ``index[l, i]`` wherever ``inside[l, i]`` holds.
+    Yields ``(padded, put)`` per block of about ``_BLOCK_CELLS`` padded
+    cells. Row ``l`` of ``padded`` holds one line from column ``before``
+    on, with zeros before it and at least ``after`` zeros after it;
+    ``put(out, res)`` writes ``res[l, i]`` to cell ``i`` of line ``l`` of
+    ``out``. Rows and columns are slices of ``arr`` and of ``arr.T``, read
+    and written back by slice; diagonals are gathered by flat index.
     """
-    flat = arr.ravel()
     starts, lengths, step = line_layout(arr.shape, direction)
-
-    def row_cells(n):
-        return -(-(before + n + after) // chunk) * chunk
-
-    # zero-length lines with no padding make rows of 0 cells
-    per_block = max(1, _BLOCK_CELLS // max(1, row_cells(int(lengths.max(initial=0)))))
+    per_block = max(1, _BLOCK_CELLS // max(1, before + int(lengths.max(initial=0)) + after))
+    lines = arr if direction == ROW else arr.T
     for j in range(0, starts.shape[0], per_block):
         lens = lengths[j:j + per_block]
         n = int(lens.max())
-        pos = np.arange(n)
-        index = starts[j:j + per_block, None] + pos * step
-        # past a line's end the index can leave the raster or land on
-        # another line: the read is clipped, then masked to the 0 pad
-        inside = pos < lens[:, None]
-        padded = np.zeros((lens.shape[0], row_cells(n)), dtype=np.int64)
-        np.copyto(padded[:, before:before + n], flat.take(index, mode="clip"),
-                  where=inside)
-        yield padded, index, inside
+        padded = np.zeros((lens.shape[0], before + n + after), dtype=np.int64)
+        if direction in (ROW, COLUMN):
+            padded[:, before:before + n] = lines[j:j + per_block]
+            def put(out, res, rows=slice(j, j + per_block)):
+                (out if direction == ROW else out.T)[rows] = res
+        else:
+            pos = np.arange(n)
+            index = starts[j:j + per_block, None] + pos * step
+            # past a line's end the index can leave the raster or land on
+            # another line: the read is clipped, then masked to the 0 pad
+            inside = pos < lens[:, None]
+            np.copyto(padded[:, before:before + n],
+                      arr.ravel().take(index, mode="clip"), where=inside)
+            def put(out, res, index=index, inside=inside):
+                out.ravel()[index[inside]] = res[inside]
+        yield padded, put
 
 
 def directional_extremum(values, direction, k, minimum, after=None):
@@ -114,28 +115,25 @@ def directional_extremum(values, direction, k, minimum, after=None):
     The window covers the ``k`` cells before each cell and the ``after``
     cells following it (``k`` when not given, i.e. centred half-width k).
 
-    van Herk / Gil-Werman: every line is padded with ``k`` zeros before
-    and at least ``after`` zeros after it, and cut into chunks of one
-    window width. The window starting at padded position ``i`` is the
-    suffix extremum from ``i`` to the end of its chunk combined with the
-    prefix extremum up to ``i + width - 1`` of the chunk holding that
-    position, so each cell costs O(1) whatever the width.
+    Lines are padded with ``k`` zeros before them, so a window starts at
+    its cell's index. Doubling builds windows of 1, 2, 4, ... cells up to
+    the largest power of two ``s`` within the width; two of them, one at
+    each end, cover a full window (min and max are idempotent).
     """
     arr = _as_int64_2d(values)
     after = k if after is None else after
     width = k + after + 1
     ufunc = np.minimum if minimum else np.maximum
     out = np.empty_like(arr)
-    out_flat = out.ravel()
-    for padded, index, inside in _line_blocks(arr, direction, k, after, width):
-        n = index.shape[1]
-        cut = padded.reshape(padded.shape[0], -1, width)
-        pre = ufunc.accumulate(cut, axis=2).reshape(padded.shape)
-        suf = np.empty_like(padded)
-        ufunc.accumulate(cut[:, :, ::-1], axis=2,
-                         out=suf.reshape(cut.shape)[:, :, ::-1])
-        res = ufunc(suf[:, :n], pre[:, width - 1:width - 1 + n])
-        out_flat[index[inside]] = res[inside]
+    for padded, put in _line_blocks(arr, direction, k, after):
+        n = padded.shape[1] - width + 1
+        m, s = padded, 1
+        while 2 * s <= width:
+            m = ufunc(m[:, :-s], m[:, s:])
+            s *= 2
+        if s < width:
+            m = ufunc(m[:, :n], m[:, width - s:width - s + n])
+        put(out, m[:, :n])
     return out
 
 
@@ -174,7 +172,7 @@ def directional_loss(values, direction):
     arr = _as_int64_2d(values)
     lengths = line_layout(arr.shape, direction)[1]
     loss = np.zeros(int(lengths.max(initial=0)) + 2, dtype=np.int64)
-    for padded, _, _ in _line_blocks(arr, direction, 1, 1):
+    for padded, _ in _line_blocks(arr, direction, 1, 1):
         _add_slabs(padded.ravel(), padded.shape[1] - 2, loss)
     return loss
 

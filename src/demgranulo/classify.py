@@ -12,6 +12,7 @@ protocol this feeds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -190,17 +191,47 @@ def tree_to_json(tree: DecisionTree) -> str:
 
 
 def tree_from_json(text: str) -> DecisionTree:
+    """Read a tree written by :func:`tree_to_json`.
+
+    Raises ``ValueError`` for a document of any other shape. A split
+    needs a feature in 0..15, a finite numeric threshold, and child
+    indices greater than its own inside the node list, which is how
+    ``tree_to_json`` numbers nodes (pre-order). That rules out cycles,
+    so the nodes are built from the last to the first, without recursion.
+    """
     doc = json.loads(text)
+    if not (isinstance(doc, dict) and isinstance(doc.get("nodes"), list) and doc["nodes"]
+            and type(doc.get("max_depth")) is int and isinstance(doc.get("classes"), list)):
+        raise ValueError("a tree file is an object with max_depth, classes "
+                         "and a non-empty nodes list")
     nodes = doc["nodes"]
+    built = [None] * len(nodes)
+    for idx in reversed(range(len(nodes))):
+        built[idx] = _node_from_json(nodes[idx], idx, built)
+    return DecisionTree(built[0], doc["max_depth"], tuple(doc["classes"]))
 
-    def build(idx):
-        raw = nodes[idx]
-        if "leaf" in raw:
-            return TreeNode(label=raw["leaf"], counts=dict(raw["counts"]))
-        return TreeNode(feature=raw["feature"], threshold=raw["threshold"],
-                        left=build(raw["left"]), right=build(raw["right"]))
 
-    return DecisionTree(build(0), doc["max_depth"], tuple(doc["classes"]))
+def _node_from_json(raw, idx: int, built: list) -> TreeNode:
+    """Node ``idx`` of a tree file; ``built`` holds every later node."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"tree node {idx}: not an object")
+    if "leaf" in raw:
+        if not (isinstance(raw["leaf"], str) and isinstance(raw.get("counts"), dict)):
+            raise ValueError(f"tree node {idx}: a leaf needs a label and a counts object")
+        return TreeNode(label=raw["leaf"], counts=dict(raw["counts"]))
+    feature, threshold = raw.get("feature"), raw.get("threshold")
+    if type(feature) is not int or not 0 <= feature < 16:
+        raise ValueError(f"tree node {idx}: feature must be in 0..15, got {feature!r}")
+    if type(threshold) not in (int, float) or not math.isfinite(threshold):
+        raise ValueError(f"tree node {idx}: threshold must be a finite number, "
+                         f"got {threshold!r}")
+    children = [raw.get("left"), raw.get("right")]
+    for child in children:
+        if type(child) is not int or not idx < child < len(built):
+            raise ValueError(f"tree node {idx}: child index must be in "
+                             f"{idx + 1}..{len(built) - 1}, got {child!r}")
+    return TreeNode(feature=feature, threshold=threshold,
+                    left=built[children[0]], right=built[children[1]])
 
 
 def render_tree(tree: DecisionTree) -> str:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,8 +67,10 @@ class RunConfig:
     corrupt_hook: bool = False
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
+        if not (self.step > 0 and math.isfinite(self.step)):
+            raise ValueError(f"step must be positive and finite, got {self.step}")
+        if not math.isfinite(self.datum):
+            raise ValueError(f"datum must be finite, got {self.datum}")
         if self.parallel < 1:
             raise ValueError("parallelism degree must be >= 1")
         if not self.inputs:

@@ -9,6 +9,7 @@ which is why the type itself only requires non-negative values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -254,14 +255,17 @@ def quantize(raw, mask=None, *, step: float = 1.0, datum: float = 0.0) -> Dem:
     Args:
         raw: 2-D array of elevations; non-finite entries are masked.
         mask: optional boolean array, True where the cell is present.
-        step: level width, must be positive.
-        datum: elevation mapped to the bottom of level 1.
+        step: level width, must be positive and finite.
+        datum: elevation mapped to the bottom of level 1, must be finite.
 
     Returns:
         The quantized Dem.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    # a NaN or infinite step or datum would map every cell to level 1
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if not math.isfinite(datum):
+        raise ValueError(f"datum must be finite, got {datum}")
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim != 2:
         raise DemError("expected a 2-D grid")

@@ -10,10 +10,10 @@ Operators never create or destroy domain cells.
 
 Every operator and the per-scale spectrum loop go through one raw
 extremum and the one raw opening built on it. Line and square elements
-run through the van Herk / Gil-Werman scan-line kernel (O(1)
-comparisons per cell regardless of size) at the scaled half-width, so
-no scaled element is ever built for them; any other element folds in
-one shifted view of the zero-padded raster per offset of its n-fold sum.
+run through the doubling scan-line window kernel (O(log width) per
+cell) at the scaled half-width, so no scaled element is ever built for
+them; any other element folds in one shifted view of the zero-padded
+raster per offset of its n-fold sum.
 """
 
 from __future__ import annotations
@@ -164,10 +164,13 @@ def _raw_extremum(values: np.ndarray, se: StructuringElement, n: int,
 
     The only place an element becomes kernel calls. A line or square of
     half-width k runs at half-width k*n, so no scaled element is built;
-    any other element folds the offsets of ``nse(se, n)``.
+    any other element folds the offsets of ``nse(se, n)``. An all-zero
+    array dilates to itself, with no kernel call.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    if not (minimum or values.any()):
+        return values
     passes, k = se._line_passes
     if not passes:
         return _kernels.offset_extremum(values, nse(se, n).offset_rc(), minimum)
@@ -225,8 +228,7 @@ def erode_line_streaming(values, window: int) -> np.ndarray:
     """Streaming 1-D windowed minimum with zero padding.
 
     Output is identical to the naive windowed minimum that reads 0
-    outside the sequence, at O(1) comparisons per sample regardless of
-    the window length.
+    outside the sequence, at O(log window) comparisons per sample.
 
     Args:
         values: 1-D integer sequence.

@@ -217,6 +217,19 @@ def test_performance_streaming_path():
         assert ratio < 3.0, f"per-cell time ratio {ratio:.2f} is not linear-like"
 
 
+def test_performance_normalized_mdgi_2000():
+    name = ("performance: normalized MDGI (five spectra) of a 2000x2000 x "
+            "256-level raster < 10 s single-threaded on the numpy build")
+    with verdict(name):
+        dem = synthetic_terrain(2000, levels=256)
+        t0 = time.perf_counter()
+        record = normalized_mdgi(dem)
+        elapsed = time.perf_counter() - t0
+        print(f"{elapsed:.2f}s")
+        assert not record.degenerate
+        assert elapsed < 10.0, f"{elapsed:.2f}s exceeds 10s"
+
+
 def test_performance_square_spectrum_pure_build():
     name = ("performance: square-element spectrum of a 1000x1000 x 256-level "
             "raster < 15 s on the pure build")

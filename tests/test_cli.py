@@ -116,6 +116,25 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
+    @pytest.mark.parametrize("key", ["step", "datum"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_step_or_datum_is_an_error(self, fixture_dir, tmp_path, capsys,
+                                                   key, value, source):
+        # a NaN or infinite step or datum used to flatten every raster to level 1
+        argv = ["features", str(fixture_dir / "fictitious.asc"),
+                "--out-dir", str(tmp_path / "out")]
+        if source == "flag":
+            argv += [f"--{key}", value]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: float(value)}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "out" / "features.csv").exists()
+
 
 class TestFeaturesCommand:
     def test_feature_row_layout(self, tmp_path):
@@ -239,6 +258,13 @@ class TestOracleCheckCommand:
             assert ids == ["ok"] * 8  # 4 directions x 2 families
 
 
+def _with_node(doc, i, **fields):
+    """A tree document whose node ``i`` has ``fields`` replaced."""
+    nodes = list(doc["nodes"])
+    nodes[i] = {**nodes[i], **fields}
+    return {**doc, "nodes": nodes}
+
+
 class TestTreeCommands:
     def test_train_and_classify(self, fixture_dir, tmp_path, capsys):
         tree_dir = tmp_path / "tree"
@@ -273,6 +299,30 @@ class TestTreeCommands:
         code = main(["train-tree", str(bad), "--out-dir", str(tmp_path / "t")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: {},
+        lambda doc: [1],
+        lambda doc: _with_node(doc, 0, left=0),
+        lambda doc: _with_node(doc, 0, right=len(doc["nodes"])),
+        lambda doc: _with_node(doc, 0, feature=99),
+        lambda doc: _with_node(doc, 0, threshold="0.5"),
+        lambda doc: _with_node(doc, 0, threshold=float("nan")),
+        lambda doc: _with_node(doc, -1, counts=5),
+    ], ids=["empty-object", "list", "child-is-its-node", "child-past-list",
+            "feature-99", "string-threshold", "nan-threshold", "leaf-counts-not-object"])
+    def test_malformed_tree_is_an_error(self, fixture_dir, tmp_path, capsys, mutate):
+        tree_dir = tmp_path / "tree"
+        assert main(["train-tree", str(fixture_dir / "features_demo.csv"),
+                     "--max-depth", "2", "--out-dir", str(tree_dir)]) == 0
+        doc = json.loads((tree_dir / "tree.json").read_text())
+        assert "feature" in doc["nodes"][0] and "leaf" in doc["nodes"][-1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(mutate(doc)))
+        capsys.readouterr()
+        assert main(["classify", str(fixture_dir / "features_demo.csv"),
+                     "--tree", str(bad), "--output", str(tmp_path / "p.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestGenFixtures:

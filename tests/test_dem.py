@@ -63,6 +63,14 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize(np.array([[1.0]]), step=0.0)
 
+    @pytest.mark.parametrize("step, datum", [(float("nan"), 0.0), (float("inf"), 0.0),
+                                             (1.0, float("nan")), (1.0, float("inf")),
+                                             (1.0, float("-inf"))])
+    def test_non_finite_step_or_datum_rejected(self, step, datum):
+        # either would map every present cell to level 1
+        with pytest.raises(ValueError):
+            quantize(np.array([[1.0, 5.0]]), step=step, datum=datum)
+
     def test_non_finite_masked(self):
         dem = quantize(np.array([[1.0, np.nan, np.inf]]))
         assert dem.mask.tolist() == [[True, False, False]]

@@ -103,6 +103,22 @@ class TestWindowExtremum:
             tracemalloc.stop()
         assert peak <= out.nbytes + 2 * 2**20
 
+    @pytest.mark.parametrize("shape", [(1, 100000), (100000, 1)])
+    @pytest.mark.parametrize("direction", [_kernels.ROW, _kernels.COLUMN])
+    def test_long_line_working_memory_bounded(self, shape, direction):
+        # rows and columns are sliced, not gathered by a flat index
+        # matrix: one 100000-cell line costs a few line copies beyond the
+        # output
+        arr = _raster(9, *shape)
+        tracemalloc.start()
+        try:
+            out = _kernels.directional_extremum(arr, direction, 6, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (out == naive_directional_extremum(arr, UNIT[direction], 6, 6, True)).all()
+        assert peak <= out.nbytes + 4 * 2**20
+
 
 def _adversarial_line(name, n=4000):
     """One n-cell line that a slab sweep finds hard."""

@@ -1,6 +1,8 @@
 """Structuring elements and the flat operators, checked against the
 brute-force oracles from conftest."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import (binary_open_set, naive_erode, naive_window_extremum,
                       threshold_cells, translate_fit_opening)
+from demgranulo import _kernels
 from demgranulo.dem import Dem
 from demgranulo.morphology import (StructuringElement, dilate, erode,
                                    erode_line_streaming, multiscale_opening,
                                    named_se, nse, open_square_separable,
-                                   opening)
-from demgranulo.synth import random_dem
+                                   opening, opening_raw)
+from demgranulo.synth import random_dem, synthetic_terrain
 
 ALL_NAMES = ("B1", "B2", "B3", "B4", "B")
 CROSS = StructuringElement(frozenset({(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}))
@@ -269,3 +272,33 @@ class TestSquareSeparable:
     def test_matches_translate_fit(self, dem, n):
         se = nse(named_se("B"), n)
         assert open_square_separable(dem, n) == translate_fit_opening(dem, se)
+
+    def test_zero_erosion_is_not_dilated(self, monkeypatch):
+        # the dilation of 0 is 0: the last scale of a square spectrum
+        # erodes to 0 and runs only the erosion's two passes
+        calls = []
+        extremum = _kernels.directional_extremum
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return extremum(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "directional_extremum", counted)
+        values = np.full((3, 3), 5, dtype=np.int64)
+        assert opening_raw(values, named_se("B"), 2).tolist() == [[0] * 3] * 3
+        assert calls == [True, True]
+        calls.clear()
+        assert opening_raw(values, named_se("B"), 1).tolist() == values.tolist()
+        assert calls == [True, True, False, False]
+
+    def test_opening_memory_two_rasters(self):
+        # the erosion is dropped as soon as the dilation's first pass has
+        # read it, so the opening never holds three rasters at once
+        values = synthetic_terrain(1000, levels=256).values
+        tracemalloc.start()
+        try:
+            opening_raw(values, named_se("B"), 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * values.nbytes + 2 * 2**20

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from demgranulo.spectrum import (PatternSpectrum, discrete_volume_derivative,
                                  granulometric_index, high_low_direction,
                                  normalized_mdgi, order_stat_features,
                                  pattern_spectrum, volume_above)
-from demgranulo.synth import random_dem, random_interval_dem
+from demgranulo.synth import random_dem, random_interval_dem, synthetic_terrain
 
 ALL_NAMES = ("B1", "B2", "B3", "B4", "B")
 CROSS = StructuringElement(frozenset({(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}))
@@ -26,6 +27,15 @@ CROSS = StructuringElement(frozenset({(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)})
 
 def dems(max_side=8, levels=6):
     return st.integers(0, 10**6).map(lambda s: random_dem(s, max_side, max_side, levels))
+
+
+def _masked_raster(seed, shape, holes, levels=6):
+    """Raster of the given shape and levels 1..levels with about a
+    ``holes`` share of masked cells, and at least one present cell."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random(shape) >= holes
+    mask.flat[rng.integers(0, mask.size)] = True
+    return Dem(np.where(mask, rng.integers(1, levels + 1, shape), 0), mask)
 
 
 class TestPatternSpectrum:
@@ -63,6 +73,19 @@ class TestPatternSpectrum:
         assert ps.volumes == opening_spectrum_volumes(dem, named_se(name))
         assert ps.scales == tuple(range(len(ps.volumes)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6),
+           st.one_of(st.tuples(st.just(1), st.integers(1, 40)),
+                     st.tuples(st.integers(1, 40), st.just(1)),
+                     st.tuples(st.integers(1, 16), st.integers(1, 16))),
+           st.sampled_from((0.0, 0.02, 0.2)))
+    def test_square_equals_openings_loop_on_strips_and_masks(self, seed, shape, holes):
+        # one-wide strips and masked rasters up to 16 x 16; with few holes
+        # the square grows to half-widths past the raster's lines
+        dem = _masked_raster(seed, shape, holes)
+        ps = pattern_spectrum(dem, "B")
+        assert ps.volumes == opening_spectrum_volumes(dem, named_se("B"))
+
     @settings(max_examples=40, deadline=None)
     @given(dems(7, 5), st.sampled_from(("B1", "B2", "B3", "B4")))
     def test_length_family_sweep_equals_openings(self, dem, name):
@@ -77,6 +100,19 @@ class TestPatternSpectrum:
         ps = pattern_spectrum(dem, CROSS)
         assert ps.volumes == opening_spectrum_volumes(dem, CROSS)
         assert ps.scales == tuple(range(len(ps.volumes)))
+
+    def test_square_spectrum_memory(self):
+        # the last scale's opening, the two rasters of the next one and
+        # the kernel blocks; an opening that kept its erosion would need
+        # a fourth raster
+        dem = synthetic_terrain(1000, levels=256)
+        tracemalloc.start()
+        try:
+            pattern_spectrum(dem, "B")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * dem.values.nbytes + 2 * 2**20
 
     def test_length_family_requires_linear(self):
         with pytest.raises(ValueError):
