@@ -1,0 +1,52 @@
+"""Numpy-free names shared by the numeric modules and the CLI.
+
+The raster errors, the scan directions, the structuring-element names and
+the feature record live here rather than in ``dem``, ``morphology`` and
+``spectrum``, which re-export them. ``classify`` and the CLI's
+``train-tree``, ``classify`` and ``--version`` paths import only this
+module, so they start without loading numpy.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+# Scan directions, and the directional structuring element whose scans
+# run along each one.
+DIRECTIONS = ("row", "column", "diag-down", "diag-up")
+SE_FOR_DIRECTION = {
+    "row": "B4",
+    "column": "B2",
+    "diag-down": "B3",
+    "diag-up": "B1",
+}
+# The four directional elements and the 3x3 square, in feature order.
+SE_NAMES = ("B1", "B2", "B3", "B4", "B")
+
+
+class DemError(Exception):
+    """Base error for DEM construction and ingestion."""
+
+
+class DemParseError(DemError):
+    """Malformed input file; carries the 1-based line/column of the fault."""
+
+    def __init__(self, message, line=None, column=None):
+        loc = ""
+        if line is not None:
+            loc = f" (line {line}" + (f", column {column})" if column is not None else ")")
+        super().__init__(message + loc)
+        self.line = line
+        self.column = column
+
+
+@dataclass(frozen=True)
+class FeatureRecord:
+    """Per-watershed feature bundle derived from the five spectra."""
+
+    watershed_id: str
+    x: tuple[float, ...]
+    gi: dict = field(default_factory=dict)
+    z: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0)
+    degenerate: bool = False
+    label: str | None = None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .spectrum import FeatureRecord
+from ._base import FeatureRecord
 
 
 @dataclass

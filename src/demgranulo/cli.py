@@ -12,6 +12,11 @@ Subcommands:
 Outputs are byte-identical across runs for the same configuration:
 inputs are processed in sorted order, rationals are written as "a/b"
 with the raw volume denominator, and reals carry 6 significant digits.
+
+Only ``spectrum``, ``features``, ``oracle-check`` and ``gen-fixtures``
+load numpy: :func:`main` binds the numeric names they call (parsers,
+spectra, oracle, fixtures) into this module when one of them runs.
+``train-tree``, ``classify`` and ``--version`` start without numpy.
 """
 
 from __future__ import annotations
@@ -23,19 +28,47 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 
 from . import __version__
+from ._base import DIRECTIONS, SE_FOR_DIRECTION, SE_NAMES, DemError, FeatureRecord
 from .classify import (predict, render_tree, train_cart, training_accuracy,
                        tree_from_json, tree_to_json)
-from .dem import (DIRECTIONS, SE_FOR_DIRECTION, Dem, DemError, parse_esri_ascii,
-                  parse_fixture_csv)
-from .morphology import SE_NAMES
-from .oracle import reflection_family, run_table, spectrum_from_runs
-from .spectrum import (FeatureRecord, granulometric_index, high_low_direction,
-                       normalized_mdgi, pattern_spectrum)
-from .synth import (fictitious_dem, reflection_demo_dem, run_profile_pair,
-                    synthetic_watershed_features, unipeak_demo_dem)
+
+# Names from the numpy modules, bound into this module's globals by
+# _load_numeric() when a numeric command first runs.
+_NUMERIC = {
+    "dem": ("Dem", "parse_esri_ascii", "parse_fixture_csv"),
+    "oracle": ("reflection_family", "run_table", "spectrum_from_runs"),
+    "spectrum": ("granulometric_index", "high_low_direction", "normalized_mdgi",
+                 "pattern_spectrum"),
+    "synth": ("fictitious_dem", "reflection_demo_dem", "run_profile_pair",
+              "synthetic_watershed_features", "unipeak_demo_dem"),
+}
+
+
+def _load_numeric() -> None:
+    """Bind every name of ``_NUMERIC`` that is not bound yet.
+
+    The commands call these names through this module's globals, and
+    ``perfbench/tracer.py`` swaps some of them for timing wrappers;
+    ``setdefault`` keeps a wrapper that is already installed.
+    """
+    bound = globals()
+    for module, names in _NUMERIC.items():
+        mod = import_module(f".{module}", __package__)
+        for name in names:
+            bound.setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name):
+    # module attribute access (cli.parse_esri_ascii) binds like a command does
+    if any(name in names for names in _NUMERIC.values()):
+        _load_numeric()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 PAD_CONVENTION = "zero-outside-domain"
 ENTROPY_LOG = "natural"
@@ -290,6 +323,9 @@ def _read_feature_csv(path: Path, label_column: str | None):
             x = tuple(float(cells[c]) for c in xcols)
         except ValueError:
             raise ValueError(f"{path}: line {lineno} has a non-numeric feature")
+        # float() accepts nan and inf, which no split threshold can order
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"{path}: line {lineno} has a non-finite feature")
         label = cells[label_col] if label_col is not None else None
         records.append(FeatureRecord(watershed_id=cells[id_col], x=x, label=label))
     return records
@@ -367,9 +403,10 @@ def _run_jobs(fn, jobs, parallel):
     """Run per-input jobs, serially or in processes; order is preserved."""
     if parallel <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
-    # imported here, so serial runs never load the process pool machinery
+    # imported here, so serial runs never load the process pool machinery;
+    # a worker that starts from a fresh import binds the numeric names too
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
+    with ProcessPoolExecutor(max_workers=parallel, initializer=_load_numeric) as pool:
         return list(pool.map(fn, jobs))
 
 
@@ -468,6 +505,8 @@ def main(argv=None) -> int:
     gf.add_argument("--out-dir", type=Path, default=Path("fixtures"))
 
     args = parser.parse_args(argv)
+    if args.command not in ("train-tree", "classify"):
+        _load_numeric()
     try:
         if args.command == "spectrum":
             return cmd_spectrum(_build_config(args))

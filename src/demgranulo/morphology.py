@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
+from ._base import SE_NAMES  # noqa: F401  (part of this module's interface)
 from .dem import Dem
 
 # Unit offset (dx, dy) generating each named linear element; dx steps
@@ -106,8 +107,6 @@ _NAMED = {
     "B4": frozenset({(-1, 0), (0, 0), (1, 0)}),
     "B": frozenset((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)),
 }
-
-SE_NAMES = ("B1", "B2", "B3", "B4", "B")
 
 
 def named_se(name: str) -> StructuringElement:

@@ -17,12 +17,13 @@ lines; every other element opens the raster once per scale through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _kernels
+from ._base import FeatureRecord
 from .dem import Dem, volume
 from .morphology import opening_raw, resolve_se
 
@@ -72,18 +73,6 @@ class PatternSpectrum:
     def probs(self) -> tuple[Fraction, ...]:
         v0 = self.volumes[0]
         return tuple(Fraction(a - b, v0) for a, b in zip(self.volumes, self.volumes[1:]))
-
-
-@dataclass(frozen=True)
-class FeatureRecord:
-    """Per-watershed feature bundle derived from the five spectra."""
-
-    watershed_id: str
-    x: tuple[float, ...]
-    gi: dict = field(default_factory=dict)
-    z: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0)
-    degenerate: bool = False
-    label: str | None = None
 
 
 def _volume_curve(dem: Dem, direction: str) -> np.ndarray:
@@ -161,6 +150,7 @@ def _nse_spectrum_square(dem, se):
     while vols[-1] > 0:
         arr = opening_raw(dem.values, se, n)
         vols.append(int(arr.sum(where=dem.mask, dtype=np.int64)))
+        del arr  # not held while the next opening runs: peak stays 2 rasters
         n += 1
         if n > limit:  # cannot happen for a growing element; guards a stall
             raise RuntimeError("opening volumes failed to reach zero")

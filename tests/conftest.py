@@ -6,7 +6,8 @@ offset extrema via a per-cell loop, openings via explicit translate
 enumeration, slab losses via a stack sweep over lines walked cell by
 cell, per-level run counting via direct thresholding (per sequence, and
 per segment of every scan line for whole run tables), and the entropy
-via exact ``Fraction`` probabilities. Expected values frozen in the
+via exact ``Fraction`` probabilities, and the ESRI and fixture-CSV
+parsers as per-token loops. Expected values frozen in the
 test modules were produced with these. The one exception is the
 length-family spectrum reference, which loops the package's own
 ``opening_by_segment`` over every length; its two one-sided extremum
@@ -20,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from demgranulo._kernels import DIRECTION_CODE
-from demgranulo.dem import Dem, scan_lines, volume
+from demgranulo.dem import (_ESRI_HEADER_KEYS, _I64_MAX, Dem, DemError, DemParseError,
+                            quantize, scan_lines, volume)
 from demgranulo.morphology import nse, opening_by_segment
 
 
@@ -273,6 +275,114 @@ def naive_run_csv(direction, counts):
     for (i, h, t) in sorted(counts):
         lines.append(f"{direction},{i},{h},{t},{counts[(i, h, t)]}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Reference parsers: one token at a time, as the package parsed before its
+# bulk paths
+# ---------------------------------------------------------------------------
+
+
+def reference_parse_esri_ascii(text, *, step=1.0, datum=0.0):
+    """``dem.parse_esri_ascii`` with every data token read by ``float``."""
+    header = {}
+    lines = text.splitlines()
+    data_start = 0
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens:
+            data_start = lineno
+            continue
+        try:
+            float(tokens[0])
+        except ValueError:
+            if len(tokens) != 2:
+                raise DemParseError(f"malformed header entry {tokens[0]!r}", line=lineno)
+            try:
+                header[tokens[0].lower()] = float(tokens[1])
+            except ValueError:
+                raise DemParseError(
+                    f"non-numeric header value {tokens[1]!r}", line=lineno, column=2)
+            data_start = lineno
+            continue
+        data_start = lineno - 1
+        break
+    for key in _ESRI_HEADER_KEYS:
+        if key not in header:
+            raise DemParseError(f"header missing {key}", line=data_start or 1)
+    ncols, nrows = header["ncols"], header["nrows"]
+    if ncols != int(ncols) or nrows != int(nrows) or ncols < 1 or nrows < 1:
+        raise DemParseError("ncols/nrows must be positive integers", line=1)
+    ncols, nrows = int(ncols), int(nrows)
+    nodata = header.get("nodata_value")
+
+    if nrows * ncols > (len(text) + 1) // 2:
+        data = [line.split() for line in lines[data_start:]]
+        last_line = data_start + max((i for i, tokens in enumerate(data, start=1)
+                                      if tokens), default=0)
+        raise DemParseError(
+            f"grid ended after {sum(map(len, data))} of {nrows * ncols} cells",
+            line=last_line)
+
+    values = np.empty(nrows * ncols, dtype=np.float64)
+    count = 0
+    last_line = data_start
+    for lineno in range(data_start + 1, len(lines) + 1):
+        for colno, tok in enumerate(lines[lineno - 1].split(), start=1):
+            if count >= nrows * ncols:
+                raise DemParseError("grid has more cells than nrows*ncols",
+                                    line=lineno, column=colno)
+            try:
+                values[count] = float(tok)
+            except ValueError:
+                raise DemParseError(f"non-numeric token {tok!r}",
+                                    line=lineno, column=colno)
+            count += 1
+        if lines[lineno - 1].split():
+            last_line = lineno
+    if count < nrows * ncols:
+        raise DemParseError(
+            f"grid ended after {count} of {nrows * ncols} cells", line=last_line)
+
+    grid = values.reshape(nrows, ncols)
+    present = np.isfinite(grid)
+    if nodata is not None:
+        present &= grid != nodata
+    if not present.any():
+        raise DemParseError("grid contains no data cells", line=last_line)
+    return quantize(grid, present, step=step, datum=datum)
+
+
+def reference_parse_fixture_csv(text):
+    """``dem.parse_fixture_csv`` with every cell read by ``int`` and stored
+    through ``Dem.from_rows``."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        row = []
+        for colno, tok in enumerate(line.split(","), start=1):
+            tok = tok.strip()
+            if not tok:
+                row.append(None)
+                continue
+            try:
+                value = int(tok)
+            except ValueError:
+                raise DemParseError(f"non-integer cell {tok!r}",
+                                    line=lineno, column=colno)
+            if abs(value) > _I64_MAX:
+                raise DemParseError(f"cell {tok!r} outside the int64 range",
+                                    line=lineno, column=colno)
+            row.append(value)
+        rows.append(row)
+    if not rows:
+        raise DemParseError("empty fixture", line=1)
+    width = max(len(r) for r in rows)
+    for r in rows:
+        r.extend([None] * (width - len(r)))
+    try:
+        return Dem.from_rows(rows)
+    except DemError as exc:
+        raise DemParseError(str(exc), line=1)
 
 
 # ---------------------------------------------------------------------------

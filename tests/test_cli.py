@@ -1,10 +1,13 @@
 """End-to-end subcommand behavior on temp directories."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import demgranulo
 from demgranulo.cli import main
 from demgranulo.dem import Dem
 
@@ -300,6 +303,26 @@ class TestTreeCommands:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train-tree", "classify"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_is_an_error(self, fixture_dir, tmp_path, capsys,
+                                            command, cell):
+        features = fixture_dir / "features_demo.csv"
+        tree_dir = tmp_path / "tree"
+        assert main(["train-tree", str(features), "--out-dir", str(tree_dir)]) == 0
+        lines = features.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index("x5")] = cell
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+        capsys.readouterr()
+        argv = (["train-tree", str(bad), "--out-dir", str(tmp_path / "t")]
+                if command == "train-tree" else
+                ["classify", str(bad), "--tree", str(tree_dir / "tree.json"),
+                 "--output", str(tmp_path / "p.csv")])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 3 has a non-finite feature\n"
+
     @pytest.mark.parametrize("mutate", [
         lambda doc: {},
         lambda doc: [1],
@@ -338,3 +361,53 @@ class TestGenFixtures:
         dem = parse_fixture_csv((fixture_dir / "fictitious.csv").read_text())
         assert dem.cell_count > 0
         assert dem.mask.any() and not dem.mask.all()
+
+
+# Runs the CLI as ``python -m demgranulo.cli`` does, then reports whether
+# numpy was imported.
+_NUMPY_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("demgranulo.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(f"numpy-loaded={'numpy' in sys.modules} exit={code}")
+"""
+
+
+def _run_probe(argv):
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+class TestStartup:
+    def test_tree_commands_and_version_load_no_numpy(self, fixture_dir, tmp_path):
+        features = str(fixture_dir / "features_demo.csv")
+        tree = str(tmp_path / "tree" / "tree.json")
+        runs = [["--version"],
+                ["train-tree", features, "--out-dir", str(tmp_path / "tree")],
+                ["classify", features, "--tree", tree,
+                 "--output", str(tmp_path / "p.csv")]]
+        for argv in runs:
+            assert _run_probe(argv) == "numpy-loaded=False exit=0", argv
+        assert (tmp_path / "p.csv").read_text().count("\n") == 139
+
+    @pytest.mark.parametrize("command", ["spectrum", "features", "oracle-check",
+                                         "gen-fixtures"])
+    def test_numeric_commands_run_from_a_cold_start(self, fixture_dir, tmp_path,
+                                                    command):
+        # each binds what it calls; the probe sees the numpy they load
+        inputs = [] if command == "gen-fixtures" else [str(fixture_dir / "fictitious.csv")]
+        argv = [command, *inputs, "--out-dir", str(tmp_path / "out")]
+        assert _run_probe(argv) == "numpy-loaded=True exit=0"
+
+    def test_public_names_resolve_and_are_listed(self):
+        listed = dir(demgranulo)
+        for name in demgranulo.__all__:
+            assert name in listed
+            getattr(demgranulo, name)
+        assert demgranulo.Dem is demgranulo.dem.Dem
+        with pytest.raises(AttributeError):
+            demgranulo.no_such_name

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_parse_esri_ascii, reference_parse_fixture_csv
 from demgranulo.dem import (Dem, DemError, DemParseError, parse_esri_ascii,
                             parse_fixture_csv, quantize, reflect_rows,
                             scale_heights, scan_lines, volume)
@@ -155,6 +156,104 @@ class TestFixtureCsv:
     @given(small_dem_strategy())
     def test_round_trip(self, dem):
         assert parse_fixture_csv(dem.to_fixture_csv()) == dem
+
+
+# Tokens a grid is mostly made of, and odd ones swapped in: forms float()
+# or int() accept that np.loadtxt does not (1_0, Arabic-Indic digits),
+# non-finite and overflowing values, and tokens no parser accepts.
+ESRI_PLAIN = ("7", "12", "0", "2.5", "-9999")
+ESRI_ODD = ("+5", "1_0", "nan", "-inf", "1e400", "1e300", "#", "0x10", "\u0661",
+            "\u0663\u0662", "1e5_0", "-nan", "3,")
+CSV_PLAIN = ("1", "7", "12", "")
+CSV_ODD = ("+5", "1_0", " 4 ", " ", "\u0661", "0x10", "#", "nan", "-3", "2.0",
+           str(2**63 - 1), str(2**63), str(-2**63), str(-2**63 + 1))
+
+
+def _with_odd_tokens(draw, tokens, odd):
+    tokens = list(tokens)
+    for _ in range(draw(st.integers(0, 2)) if tokens else 0):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(odd))
+    return tokens
+
+
+@st.composite
+def esri_texts(draw):
+    """A header and nrows*ncols tokens (or one too few or too many),
+    wrapped at ncols or at random widths, with blank lines between."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    count = max(0, nrows * ncols + draw(st.sampled_from((0, 0, 0, -1, 1))))
+    tokens = draw(st.lists(st.sampled_from(ESRI_PLAIN), min_size=count, max_size=count))
+    tokens = _with_odd_tokens(draw, tokens, ESRI_ODD)
+    regular = draw(st.booleans())
+    sep = draw(st.sampled_from((" ", "\t", "  ")))
+    lines, i = [], 0
+    while i < len(tokens):
+        width = ncols if regular else draw(st.integers(1, 7))
+        lines.append(sep.join(tokens[i:i + width]))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(("", " "))))
+        i += width
+    header = [f"ncols {ncols}", f"nrows {nrows}", "xllcorner 0.0",
+              "yllcorner 0.0", "cellsize 1.0"]
+    if draw(st.booleans()):
+        header.append("NODATA_value -9999")
+    return "\n".join(header + lines) + draw(st.sampled_from(("", "\n")))
+
+
+@st.composite
+def csv_texts(draw):
+    """Ragged rows of cells, empty fields included."""
+    rows = draw(st.lists(st.lists(st.sampled_from(CSV_PLAIN), max_size=6), max_size=5))
+    cells = _with_odd_tokens(draw, [c for row in rows for c in row], CSV_ODD)
+    lines = []
+    for row in rows:
+        lines.append(",".join(cells[:len(row)]))
+        cells = cells[len(row):]
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+def _outcome(parse, text):
+    """The parsed Dem, or the type and message of the error raised."""
+    try:
+        return parse(text)
+    except (DemError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# np.loadtxt warns on input without data lines; the parser must not call it there
+@pytest.mark.filterwarnings("error")
+class TestBulkParsersMatchTokenLoops:
+    @settings(max_examples=400, deadline=None)
+    @given(esri_texts())
+    def test_esri(self, text):
+        assert _outcome(parse_esri_ascii, text) == _outcome(reference_parse_esri_ascii, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(csv_texts())
+    def test_fixture_csv(self, text):
+        assert (_outcome(parse_fixture_csv, text)
+                == _outcome(reference_parse_fixture_csv, text))
+
+    @pytest.mark.parametrize("text", [
+        GRID_2X2.replace("3 4", "3 1_0"),
+        GRID_2X2.replace("1 2\n3 4", "1\n2 3\n4"),
+        GRID_2X2.replace("1 2\n3 4", "1 2 3 4"),
+        GRID_2X2.replace("3 4\n", "3 4\n\n\n"),
+        GRID_2X2.replace("3 4\n", ""),
+        GRID_2X2.replace("3 4\n", "3 4 5\n"),
+        GRID_2X2.replace("1 2\n3 4\n", "\n \n"),
+    ], ids=["underscore", "ragged-rows", "one-line", "trailing-blanks",
+            "too-few", "too-many", "no-data"])
+    def test_esri_cases(self, text):
+        assert _outcome(parse_esri_ascii, text) == _outcome(reference_parse_esri_ascii, text)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "1,,3\n,2\n4", "1_0, 2 ,\u0661\n", "5,x\n", f"{-2**63},1\n",
+        f"1,{2**63}\n", f"{2**63 - 1},{2**63 - 1}\n", "1,-2\n",
+    ])
+    def test_fixture_csv_cases(self, text):
+        assert (_outcome(parse_fixture_csv, text)
+                == _outcome(reference_parse_fixture_csv, text))
 
 
 class TestVolume:

@@ -102,9 +102,9 @@ class TestPatternSpectrum:
         assert ps.scales == tuple(range(len(ps.volumes)))
 
     def test_square_spectrum_memory(self):
-        # the last scale's opening, the two rasters of the next one and
-        # the kernel blocks; an opening that kept its erosion would need
-        # a fourth raster
+        # the two rasters of one opening and the kernel blocks; a loop
+        # that kept the last scale's opening while the next one runs
+        # would need a third raster
         dem = synthetic_terrain(1000, levels=256)
         tracemalloc.start()
         try:
@@ -112,7 +112,7 @@ class TestPatternSpectrum:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * dem.values.nbytes + 2 * 2**20
+        assert peak <= 2 * dem.values.nbytes + 2 * 2**20
 
     def test_length_family_requires_linear(self):
         with pytest.raises(ValueError):
