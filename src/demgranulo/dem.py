@@ -6,15 +6,15 @@ over a possibly non-rectangular domain. Cells outside the domain are
 ``>= 1``; morphological operators may lower present cells to ``0``,
 which is why the type itself only requires non-negative values.
 
-Both parsers read their cells in bulk: ``parse_esri_ascii`` hands the
-data lines to ``np.loadtxt``, and ``parse_fixture_csv`` fills flat
-lists of presence flags and values line by line and converts each to an
-array once.
-When the bulk read fails, or finds a cell count other than the grid's,
-the text is read again one token at a time. Only that pass raises for
-a bad cell, so every :class:`DemParseError` names the line and column
-it always did, and tokens Python's ``float``/``int`` accept but
-``np.loadtxt`` refuses (``1_0``, Arabic-Indic digits) still parse.
+Both parsers read their cells in bulk. ``parse_esri_ascii`` hands the
+data lines to ``np.loadtxt``; when that fails, or finds a cell count
+other than the grid's, the data are read again one token at a time.
+Only that pass raises for a bad cell, so every :class:`DemParseError`
+names the line and column it always did, and tokens Python's ``float``
+accepts but ``np.loadtxt`` refuses (``1_0``, Arabic-Indic digits) still
+parse. ``parse_fixture_csv`` makes one pass: it converts each line's
+cells with ``int`` into flat lists of presence flags and values, each
+turned into an array once, and on a bad line names its first bad cell.
 """
 
 from __future__ import annotations
@@ -379,9 +379,9 @@ def parse_fixture_csv(text: str) -> Dem:
     Rows shorter than the longest are padded with masked cells. Each
     line's cells go into two flat lists the size of the raster, presence
     flags and values, which become the mask and values arrays in one
-    conversion each; no line's strings outlive it. On any fault the text
-    is parsed again one token at a time, which reports the line and
-    column of the first bad cell.
+    conversion each; no line's strings outlive it. A line holding a cell
+    that is not an integer, or lies outside the int64 range, raises a
+    :class:`DemParseError` naming the line and the first bad column.
     """
     lines = text.splitlines()
     if not lines:
@@ -394,51 +394,38 @@ def parse_fixture_csv(text: str) -> Dem:
     # and fragment it (about 1.5 MB more peak RSS for five 128x128 rasters
     # through oracle-check)
     present, cells = [False] * size, [0] * size
-    try:
-        for start, line in zip(range(0, size, width), lines):
-            row = list(map(str.strip, line.split(",")))
-            present[start:start + len(row)] = map(bool, row)
-            cells[start:start + len(row)] = [int(tok) if tok else 0 for tok in row]
-        values = np.array(cells, dtype=np.int64)
-    except (ValueError, OverflowError):
-        return _parse_fixture_csv_by_token(text)
-    mask = np.array(present, dtype=bool)
-    if values.min() < -_I64_MAX:  # fits int64, but the token pass rejects it
-        return _parse_fixture_csv_by_token(text)
+    for lineno, (start, line) in enumerate(zip(range(0, size, width), lines), start=1):
+        row = list(map(str.strip, line.split(",")))
+        try:
+            ints = [int(tok) if tok else 0 for tok in row]
+        except ValueError:
+            ints = None
+        if ints is None or max(ints) > _I64_MAX or min(ints) < -_I64_MAX:
+            raise _bad_fixture_cell(row, lineno)
+        present[start:start + len(row)] = map(bool, row)
+        cells[start:start + len(row)] = ints
     shape = (len(lines), width)
+    values = np.array(cells, dtype=np.int64).reshape(shape)
+    mask = np.array(present, dtype=bool).reshape(shape)
     try:
-        return Dem(values.reshape(shape), mask.reshape(shape))
+        return Dem(values, mask)
     except DemError as exc:
         raise DemParseError(str(exc), line=1)
 
 
-def _parse_fixture_csv_by_token(text: str) -> Dem:
-    """The fixture CSV one cell at a time; raises at the first bad cell."""
-    rows: list[list[int | None]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        row: list[int | None] = []
-        for colno, tok in enumerate(line.split(","), start=1):
-            tok = tok.strip()
-            if not tok:
-                row.append(None)
-                continue
-            try:
-                value = int(tok)
-            except ValueError:
-                raise DemParseError(f"non-integer cell {tok!r}",
-                                    line=lineno, column=colno)
-            if abs(value) > _I64_MAX:
-                raise DemParseError(f"cell {tok!r} outside the int64 range",
-                                    line=lineno, column=colno)
-            row.append(value)
-        rows.append(row)
-    width = max(len(r) for r in rows)
-    for r in rows:
-        r.extend([None] * (width - len(r)))
-    try:
-        return Dem.from_rows(rows)
-    except DemError as exc:
-        raise DemParseError(str(exc), line=1)
+def _bad_fixture_cell(row: list[str], lineno: int) -> DemParseError:
+    """The error for the first cell of a fixture line that is not an int64."""
+    for colno, tok in enumerate(row, start=1):
+        if not tok:
+            continue
+        try:
+            value = int(tok)
+        except ValueError:
+            return DemParseError(f"non-integer cell {tok!r}", line=lineno, column=colno)
+        if abs(value) > _I64_MAX:
+            return DemParseError(f"cell {tok!r} outside the int64 range",
+                                 line=lineno, column=colno)
+    raise AssertionError(f"line {lineno} holds no bad cell")
 
 
 # ---------------------------------------------------------------------------
