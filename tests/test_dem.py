@@ -250,6 +250,7 @@ class TestBulkParsersMatchTokenLoops:
     @pytest.mark.parametrize("text", [
         "", "\n", "1,,3\n,2\n4", "1_0, 2 ,\u0661\n", "5,x\n", f"{-2**63},1\n",
         f"1,{2**63}\n", f"{2**63 - 1},{2**63 - 1}\n", "1,-2\n",
+        f",x,{2**63}\n", f"{-2**63},x\n", f"1,2\n3,{2**63}\n4,x\n",
     ])
     def test_fixture_csv_cases(self, text):
         assert (_outcome(parse_fixture_csv, text)
