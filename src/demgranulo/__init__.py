@@ -29,8 +29,9 @@ _EXPORTS = {
     "morphology": ("StructuringElement", "dilate", "erode", "erode_line_streaming",
                    "multiscale_opening", "named_se", "nse", "open_square_separable",
                    "opening"),
-    "oracle": ("RunTable", "is_unipeak", "reflection_family", "run_profile_equal",
-               "run_table", "spectrum_from_runs", "unipeak_entropy_equivalence"),
+    "oracle": ("RunLengths", "RunTable", "is_unipeak", "reflection_family",
+               "run_lengths", "run_profile_equal", "run_table", "spectrum_from_runs",
+               "unipeak_entropy_equivalence"),
     "spectrum": ("PatternSpectrum", "discrete_volume_derivative",
                  "granulometric_index", "high_low_direction", "normalized_mdgi",
                  "order_stat_features", "pattern_spectrum", "volume_above"),

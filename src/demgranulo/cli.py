@@ -40,7 +40,7 @@ from .classify import (predict, render_tree, train_cart, training_accuracy,
 # _load_numeric() when a numeric command first runs.
 _NUMERIC = {
     "dem": ("Dem", "parse_esri_ascii", "parse_fixture_csv"),
-    "oracle": ("reflection_family", "run_table", "spectrum_from_runs"),
+    "oracle": ("reflection_family", "run_lengths", "run_table", "spectrum_from_runs"),
     "spectrum": ("granulometric_index", "high_low_direction", "normalized_mdgi",
                  "pattern_spectrum"),
     "synth": ("fictitious_dem", "reflection_demo_dem", "run_profile_pair",
@@ -106,6 +106,9 @@ class RunConfig:
             raise ValueError(f"datum must be finite, got {self.datum}")
         if self.parallel < 1:
             raise ValueError("parallelism degree must be >= 1")
+        if self.max_oracle_work < 0:
+            raise ValueError(
+                f"max_oracle_work must be non-negative, got {self.max_oracle_work}")
         if not self.inputs:
             raise ValueError("at least one input is required")
 
@@ -252,11 +255,12 @@ def _oracle_one(args):
                             f"work {work} exceeds cap {cfg.max_oracle_work}")], None
         rows = []
         for direction in cfg.directions:
-            rt = run_table(dem, direction)
+            counted = run_lengths(dem, direction)
             se = SE_FOR_DIRECTION[direction]
             for family in ("nse", "length"):
+                # both families read the one volume curve the raster keeps
                 fast = pattern_spectrum(dem, se, family=family)
-                ref = spectrum_from_runs(rt, family)
+                ref = spectrum_from_runs(counted, family)
                 probs = list(fast.probs)
                 if cfg.corrupt_hook and probs:
                     probs[0] += Fraction(1, fast.volumes[0] + 1)  # test hook

@@ -20,7 +20,7 @@ turned into an array once, and on a bad line names its first bad cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,6 +46,10 @@ class Dem:
 
     values: np.ndarray
     mask: np.ndarray
+    # direction -> volume curve, filled by spectrum._volume_curve and kept
+    # as long as the raster lives; the raster is immutable, so no curve
+    # goes stale
+    _volume_curves: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.int64)
@@ -263,12 +267,19 @@ def quantize(raw, mask=None, *, step: float = 1.0, datum: float = 0.0) -> Dem:
         present &= np.asarray(mask, dtype=bool)
     if not present.any():
         raise DemError("no unmasked finite values to quantize")
-    levels = np.floor((arr - datum) / step) + 1.0
-    levels = np.where(present, levels, 0.0)
+    # floor((z - datum) / step) + 1 in one float buffer, step by step in
+    # place, then one int64 conversion: two grids beside the input
+    levels = np.subtract(arr, datum)
+    np.divide(levels, step, out=levels)
+    np.floor(levels, out=levels)
+    levels += 1.0
+    levels[~present] = 0.0
     if np.nanmax(levels) >= 2**62:
         raise DemError("quantized levels overflow the elevation type")
-    values = np.maximum(levels.astype(np.int64), 1)
-    return Dem(np.where(present, values, 0), present)
+    values = levels.astype(np.int64)
+    del levels
+    np.maximum(values, 1, out=values)
+    return Dem(values, present)  # Dem stores 0 at the absent cells
 
 
 def parse_esri_ascii(text: str, *, step: float = 1.0, datum: float = 0.0) -> Dem:
@@ -341,6 +352,7 @@ def parse_esri_ascii(text: str, *, step: float = 1.0, datum: float = 0.0) -> Dem
     if not present.any():
         raise DemParseError("grid contains no data cells",
                             line=_last_data_line(lines, data_start))
+    del lines, data  # the text's lines are not held while the levels are built
     return quantize(grid, present, step=step, datum=datum)
 
 

@@ -6,8 +6,11 @@ every directional spectrum without a single morphological operation.
 The agreement between this route and the streaming operators in
 :mod:`spectrum` is the central cross-validation of the package, so
 nothing here is shared with the fast path: the lattice lines come from
-``dem._line_starts`` and runs are counted level by level, one numpy
-threshold-and-edge pass over all lines of a direction per level.
+``dem._line_starts`` and are laid end to end in one flat array, each
+behind one 0, and one level walk finds the runs, thresholding that array
+at a block of levels at once. :func:`run_lengths` keeps only how many
+runs have each length, which is all a spectrum needs; :func:`run_table`
+keeps each run's line and level too.
 """
 
 from __future__ import annotations
@@ -127,23 +130,86 @@ class RunCounts(Mapping):
         return list(zip(self, self.values()))
 
 
-def _padded_lines(dem: Dem, direction: str) -> tuple[np.ndarray, np.ndarray]:
-    """Every lattice line of ``direction`` as one row of a zero-filled matrix.
+class RunLengths:
+    """Counts of maximal runs per length, over every line and level of one
+    direction.
 
-    Returns the line indices and the matrix: row j holds the cells of
-    line ``index[j]`` in scan order behind one leading 0, and 0 past the
-    line's end. Masked cells already hold 0 in ``dem.values``, so a
-    masked cell and a present 0 both break every run at levels >= 1.
+    ``runs[j]`` maximal runs are exactly ``length[j]`` cells long. Only
+    lengths that occur are listed, in increasing order, as two read-only
+    int64 arrays. These are the two columns of a :class:`RunTable` that
+    :func:`spectrum_from_runs` reads, summed over the other two.
+    """
+
+    def __init__(self, direction: str, counts: np.ndarray):
+        self.direction = direction
+        length = np.flatnonzero(counts).astype(np.int64, copy=False)
+        runs = counts[length]
+        length.flags.writeable = runs.flags.writeable = False
+        self.length, self.runs = length, runs
+
+    def __repr__(self):
+        return f"RunLengths({self.direction!r}, {self.length.size} lengths)"
+
+    def total_volume(self) -> int:
+        return int(self.length @ self.runs)
+
+
+# cells thresholded at once by one block of the level walk
+_BLOCK_CELLS = 2**16
+
+
+def _flat_lines(dem: Dem, direction: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every lattice line of ``direction`` in one flat array, each behind a 0.
+
+    Returns the line indices, the position in the array of each line's
+    leading 0, and the array itself, which ends in one more 0. Masked
+    cells already hold 0 in ``dem.values``, so a masked cell, a present
+    0 and the 0 between two lines all break every run at levels >= 1.
     """
     dr, dc = DIRECTION_STEPS[direction]
     index, r0, c0, length = np.array(
         list(_line_starts(dem.height, dem.width, direction)), dtype=np.int64).T
-    step = np.arange(int(length.max()))
-    inside = step < length[:, None]
-    padded = np.zeros((index.size, step.size + 1), dtype=np.int64)
-    padded[:, 1:][inside] = dem.values[(r0[:, None] + step * dr)[inside],
-                                       (c0[:, None] + step * dc)[inside]]
-    return index, padded
+    first = np.cumsum(length) - length  # cells on the lines before each line
+    step = np.arange(int(length.sum())) - np.repeat(first, length)
+    cell = np.repeat(r0 * dem.width + c0, length) + step * (dr * dem.width + dc)
+    starts = first + np.arange(index.size)  # one leading 0 per earlier line
+    flat = np.zeros(step.size + index.size + 1, dtype=np.int64)
+    flat[np.repeat(starts + 1, length) + step] = dem.values.ravel()[cell]
+    return index, starts, flat
+
+
+def _level_runs(flat: np.ndarray):
+    """Every maximal run at levels 1..max of ``flat``, a block of levels at once.
+
+    A block thresholds the whole array at ``>= h`` for each of its levels,
+    as one ``(levels, cells)`` boolean matrix. Every row starts and ends
+    with a 0, so the places where a row changes pair up within the row:
+    the cell before a run, then the run's last cell. Yields, block by
+    block in level order, the block's first level, the position of the
+    cell before each run in the row-major ``(levels, flat.size - 1)``
+    matrix of changes, and each run's length.
+    """
+    top = int(flat.max())
+    per = max(1, _BLOCK_CELLS // flat.size)
+    for h0 in range(1, top + 1, per):
+        above = flat >= np.arange(h0, min(h0 + per, top + 1))[:, None]
+        change = np.flatnonzero(above[:, 1:] != above[:, :-1])
+        before = change[0::2]
+        yield h0, before, change[1::2] - before
+
+
+def run_lengths(dem: Dem, direction: str) -> RunLengths:
+    """Count maximal runs per length over every scan line and threshold.
+
+    The count behind every directional spectrum: the same runs as
+    :func:`run_table`, found by the same level walk, with the line and
+    level of each run dropped as soon as it is found.
+    """
+    _, _, flat = _flat_lines(dem, direction)
+    counts = np.zeros(max(dem.height, dem.width) + 1, dtype=np.int64)
+    for _, _, length in _level_runs(flat):
+        counts += np.bincount(length, minlength=counts.size)
+    return RunLengths(direction, counts)
 
 
 def run_table(dem: Dem, direction: str) -> RunTable:
@@ -151,39 +217,38 @@ def run_table(dem: Dem, direction: str) -> RunTable:
 
     Runs live inside segments (mask gaps break them). Levels sweep the
     full 1..max range of the raster; lines whose peak lies below a level
-    simply stop contributing. Each level is one pass over all lines at
-    once: threshold at ``>= h``, find where the thresholded cells change,
-    pair each run's start with its end, and count the runs per
-    (line, length).
+    simply stop contributing. The runs come from the level walk of
+    :func:`run_lengths`; each block of levels counts its runs per
+    (level, line, length) at once.
     """
-    index, padded = _padded_lines(dem, direction)
-    width = padded.shape[1]
-    flat = np.append(padded.ravel(), 0)  # the 0 ends the last line's last run
-    # level 0 holds no runs; it keeps the joins below defined when every
-    # cell is 0
-    found, runs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for h in range(1, dem.zmax + 1):
-        above = flat >= h
-        # changes alternate: the cell before a run, then the run's last cell;
-        # every row leads with a 0, so both lie on the run's own row
-        change = np.flatnonzero(above[1:] != above[:-1])
-        before, last = change[0::2], change[1::2]
-        key, count = np.unique(before - before % width + (last - before),
-                               return_counts=True)  # key: row * width + length
-        found.append(key)
+    index, starts, flat = _flat_lines(dem, direction)
+    width, tspan = flat.size - 1, max(dem.height, dem.width) + 1
+    # empty columns keep the joins below defined when every cell is 0
+    lines, levels, lengths, runs = ([np.zeros(0, dtype=np.int64)] for _ in range(4))
+    for h0, before, length in _level_runs(flat):
+        level, at = np.divmod(before, width)
+        line = np.searchsorted(starts, at, side="right") - 1
+        # one key per (level, line, length), which sort in that order
+        key, count = np.unique((level * index.size + line) * tspan + length,
+                               return_counts=True)
+        level_line, length = np.divmod(key, tspan)
+        level, line = np.divmod(level_line, index.size)
+        lines.append(line)
+        levels.append(level + h0)
+        lengths.append(length)
         runs.append(count)
-    sizes = [key.size for key in found]
-    key = np.concatenate(found)
-    row, length = np.divmod(key, width)
-    level = np.repeat(np.arange(len(sizes)), sizes)
-    # levels were appended in order, so a stable sort on the row alone
-    # leaves every line's entries sorted by (level, length)
-    order = np.argsort(row, kind="stable")
-    return RunTable._from_columns(direction, index[row[order]], level[order],
-                                  length[order], np.concatenate(runs)[order])
+    line = np.concatenate(lines)
+    # blocks come in level order and each is sorted by (level, line,
+    # length), so a stable sort on the line alone leaves every line's
+    # entries sorted by (level, length)
+    order = np.argsort(line, kind="stable")
+    return RunTable._from_columns(direction, index[line[order]],
+                                  np.concatenate(levels)[order],
+                                  np.concatenate(lengths)[order],
+                                  np.concatenate(runs)[order])
 
 
-def spectrum_from_runs(rt: RunTable, family: str = "nse",
+def spectrum_from_runs(rt: RunTable | RunLengths, family: str = "nse",
                        se=None) -> PatternSpectrum:
     """Rebuild a directional spectrum from run counts alone.
 
@@ -191,11 +256,13 @@ def spectrum_from_runs(rt: RunTable, family: str = "nse",
     outgrows it, so the volume loss at segment length k is
     k * (number of runs of length k, over all lines and levels); for the
     element-sum family the length bin (2n+1, 2n+2) collapses onto scale
-    n, the last scale whose 2n+1 window still fits. Only the table's
-    length and runs columns are read.
+    n, the last scale whose 2n+1 window still fits. Only the counts'
+    ``direction``, ``length`` and ``runs`` are read, so a
+    :class:`RunTable` and the :class:`RunLengths` of the same raster give
+    the same spectrum.
 
     Args:
-        rt: run table for the direction of interest.
+        rt: run table or run-length count for the direction of interest.
         family: "nse" or "length".
         se: optional element (or name) to validate against the
             direction; a mismatch is an error.

@@ -78,11 +78,17 @@ class PatternSpectrum:
 def _volume_curve(dem: Dem, direction: str) -> np.ndarray:
     """curve[w] = volume surviving an opening with a w-cell segment.
 
-    The curve ends in zeros: no segment longer than a line survives.
+    The curve ends in zeros: no segment longer than a line survives. It
+    is read-only and kept on the raster, so every spectrum of one
+    direction (both families) takes it from one sweep.
     """
-    loss = _kernels.directional_loss(dem.values, _kernels.DIRECTION_CODE[direction])
-    curve = np.zeros(loss.shape[0] + 1, dtype=np.int64)
-    curve[:-1] = loss[::-1].cumsum()[::-1]
+    curve = dem._volume_curves.get(direction)
+    if curve is None:
+        loss = _kernels.directional_loss(dem.values, _kernels.DIRECTION_CODE[direction])
+        curve = np.zeros(loss.shape[0] + 1, dtype=np.int64)
+        curve[:-1] = loss[::-1].cumsum()[::-1]
+        curve.flags.writeable = False
+        dem._volume_curves[direction] = curve
     return curve
 
 

@@ -6,13 +6,13 @@ offset extrema via a per-cell loop, openings via explicit translate
 enumeration, slab losses via a stack sweep over lines walked cell by
 cell, per-level run counting via direct thresholding (per sequence, and
 per segment of every scan line for whole run tables), and the entropy
-via exact ``Fraction`` probabilities, and the ESRI and fixture-CSV
-parsers as per-token loops. Expected values frozen in the
-test modules were produced with these. The one exception is the
-length-family spectrum reference, which loops the package's own
-``opening_by_segment`` over every length; its two one-sided extremum
-passes are the ones test_kernels.py checks against
-``naive_directional_extremum``.
+via exact ``Fraction`` probabilities, the ESRI and fixture-CSV
+parsers as per-token loops, and quantization with one new array per
+step. Expected values frozen in the test modules were produced with
+these. The one exception is the length-family spectrum reference, which
+loops the package's own ``opening_by_segment`` over every length; its
+two one-sided extremum passes are the ones test_kernels.py checks
+against ``naive_directional_extremum``.
 """
 
 import math
@@ -275,6 +275,29 @@ def naive_run_csv(direction, counts):
     for (i, h, t) in sorted(counts):
         lines.append(f"{direction},{i},{h},{t},{counts[(i, h, t)]}")
     return "\n".join(lines) + "\n"
+
+
+def reference_quantize(raw, mask=None, *, step=1.0, datum=0.0):
+    """``dem.quantize`` as it was before it computed the levels in place:
+    one new array per step. ``quantize`` must match it bit for bit."""
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if not math.isfinite(datum):
+        raise ValueError(f"datum must be finite, got {datum}")
+    arr = np.asarray(raw, dtype=np.float64)
+    if arr.ndim != 2:
+        raise DemError("expected a 2-D grid")
+    present = np.isfinite(arr)
+    if mask is not None:
+        present &= np.asarray(mask, dtype=bool)
+    if not present.any():
+        raise DemError("no unmasked finite values to quantize")
+    levels = np.floor((arr - datum) / step) + 1.0
+    levels = np.where(present, levels, 0.0)
+    if np.nanmax(levels) >= 2**62:
+        raise DemError("quantized levels overflow the elevation type")
+    values = np.maximum(levels.astype(np.int64), 1)
+    return Dem(np.where(present, values, 0), present)
 
 
 # ---------------------------------------------------------------------------

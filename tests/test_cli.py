@@ -242,6 +242,34 @@ class TestOracleCheckCommand:
         out = capsys.readouterr().out
         assert "diag-down" not in out and "row nse PASS" in out
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_negative_cap_is_an_error(self, fixture_dir, tmp_path, capsys, how):
+        args = ["--max-oracle-work", "-5"]
+        if how == "config":
+            config = tmp_path / "cfg.json"
+            config.write_text('{"max_oracle_work": -5}')
+            args = ["--config", str(config)]
+        code = main(["oracle-check", str(fixture_dir / "fictitious.csv"), *args])
+        out, err = capsys.readouterr()
+        assert code == 1 and "SKIP" not in out
+        assert err.startswith("error: max_oracle_work must be non-negative")
+
+    def test_one_sweep_per_direction(self, fixture_dir, monkeypatch, capsys):
+        # both families of a direction read one volume curve
+        from demgranulo import _kernels
+        sweeps = []
+
+        def counted(values, direction):
+            sweeps.append(direction)
+            return loss(values, direction)
+
+        loss = _kernels.directional_loss
+        monkeypatch.setattr(_kernels, "directional_loss", counted)
+        code = main(["oracle-check", str(fixture_dir / "fictitious.csv"),
+                     str(fixture_dir / "unipeak.csv")])
+        assert code == 0 and capsys.readouterr().out.count("PASS") == 16
+        assert sorted(sweeps) == sorted(list(_kernels.DIRECTION_CODE.values()) * 2)
+
     @pytest.mark.parametrize("command", ["spectrum", "oracle-check"])
     def test_zero_volume_reported_per_file(self, tmp_path, capsys, command):
         bad = tmp_path / "zero.csv"

@@ -1,15 +1,18 @@
 """Raster data model, ingestion, quantization and geometry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_parse_esri_ascii, reference_parse_fixture_csv
+from conftest import (reference_parse_esri_ascii, reference_parse_fixture_csv,
+                      reference_quantize)
 from demgranulo.dem import (Dem, DemError, DemParseError, parse_esri_ascii,
                             parse_fixture_csv, quantize, reflect_rows,
                             scale_heights, scan_lines, volume)
-from demgranulo.synth import random_dem, random_interval_dem
+from demgranulo.synth import random_dem, random_interval_dem, synthetic_terrain
 
 GRID_2X2 = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\n3 4\n"
 
@@ -87,6 +90,67 @@ class TestQuantize:
         lo, hi = sorted((z1, z2))
         dem = quantize(np.array([[lo, hi]]), step=step, datum=datum)
         assert dem.values[0, 0] <= dem.values[0, 1]
+
+
+# cells a quantizer must mask, clamp, refuse or map exactly: non-finite
+# values, a NODATA value, magnitudes near and past the int64 levels
+_ODD_ELEVATIONS = (float("nan"), float("inf"), float("-inf"), -9999.0, 0.0, -0.0,
+                   1e300, -1e300, 1.7e308, -1.7e308, 2.0**62, 2.0**63, -2.0**63)
+
+
+@st.composite
+def quantize_inputs(draw):
+    """A grid up to 6x6 with odd cells, an optional mask, a step and a datum."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = st.one_of(st.sampled_from(_ODD_ELEVATIONS),
+                      st.floats(-1e6, 1e6), st.floats(allow_nan=True, allow_infinity=True))
+    grid = np.array(draw(st.lists(cells, min_size=h * w, max_size=h * w))).reshape(h, w)
+    mask = draw(st.none() | st.lists(st.booleans(), min_size=h * w,
+                                     max_size=h * w).map(lambda m: np.reshape(m, (h, w))))
+    step = draw(st.sampled_from((1.0, 0.5, 1e-300, 1e300))
+                | st.floats(1e-3, 1e3))
+    datum = draw(st.sampled_from((0.0, -9999.0, -1e300, 1e300, -2.0**62))
+                 | st.floats(-1e6, 1e6))
+    return grid, mask, step, datum
+
+
+def _quantized(fn, grid, mask, step, datum):
+    """The Dem, or the type and message of the error raised."""
+    try:
+        with np.errstate(all="ignore"):  # inf and huge cells warn alike in both
+            return fn(grid, mask, step=step, datum=datum)
+    except (DemError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestQuantizeInPlace:
+    @settings(max_examples=400, deadline=None)
+    @given(quantize_inputs())
+    def test_matches_one_array_per_step(self, case):
+        grid, mask, step, datum = case
+        kept = grid.copy()
+        got = _quantized(quantize, grid, mask, step, datum)
+        assert got == _quantized(reference_quantize, grid, mask, step, datum)
+        # the caller's grid is not the buffer the levels are built in
+        np.testing.assert_array_equal(grid, kept)
+
+    def test_parse_peak_is_two_grids_beyond_its_data_step(self):
+        # measured 1.7 grids: the level buffer, the int64 levels and two
+        # masks beside the parsed grid; the Dem's own copy comes after
+        # the level buffer is freed. One array per step took 4.1 grids.
+        text = synthetic_terrain(320, levels=256, hole_fraction=0.02,
+                                 seed=1).to_esri_ascii()
+        grid_bytes = 320 * 320 * 8
+        tracemalloc.start()
+        try:
+            np.loadtxt(text.splitlines()[6:], comments=None, ndmin=2)
+            _, data_step = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            parse_esri_ascii(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= data_step + 2 * grid_bytes, (peak - data_step) / grid_bytes
 
 
 class TestEsriAscii:

@@ -15,9 +15,9 @@ import numpy as np
 from conftest import brute_runs_per_line, naive_run_csv, naive_run_table
 from demgranulo import oracle
 from demgranulo.dem import Dem, reflect_rows, scan_lines, volume
-from demgranulo.oracle import (RunTable, is_unipeak, reflection_family,
-                               run_profile_equal, run_table, spectrum_from_runs,
-                               unipeak_entropy_equivalence)
+from demgranulo.oracle import (RunLengths, RunTable, is_unipeak, reflection_family,
+                               run_lengths, run_profile_equal, run_table,
+                               spectrum_from_runs, unipeak_entropy_equivalence)
 from demgranulo.spectrum import (discrete_volume_derivative, pattern_spectrum)
 from demgranulo.synth import (random_dem, random_interval_dem,
                               random_unipeak_dem, run_profile_pair,
@@ -143,6 +143,54 @@ class TestRunTable:
             assert len(rt.counts) > 40_000
             assert retained <= 2 * 2**20, direction
             assert peak <= 8 * 2**20, direction
+
+
+class TestRunLengths:
+    @settings(max_examples=200, deadline=None)
+    @given(masked_rasters(), st.sampled_from(DIRECTIONS))
+    def test_equals_loop_reference_summed(self, dem, direction):
+        want = {}
+        for (_, _, t), c in naive_run_table(dem, direction).items():
+            want[t] = want.get(t, 0) + c
+        counted = run_lengths(dem, direction)
+        assert isinstance(counted, RunLengths) and counted.direction == direction
+        assert dict(zip(counted.length.tolist(), counted.runs.tolist())) == want
+        assert counted.length.tolist() == sorted(want)
+        assert counted.total_volume() == sum(t * c for t, c in want.items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(masked_rasters(), st.sampled_from(DIRECTIONS))
+    def test_spectra_equal_the_tables(self, dem, direction):
+        table, counted = run_table(dem, direction), run_lengths(dem, direction)
+        assert counted.total_volume() == table.total_volume() == volume(dem)
+        if volume(dem) == 0:
+            with pytest.raises(ValueError, match="no volume"):
+                spectrum_from_runs(counted)
+            return
+        for family in ("nse", "length"):
+            assert (spectrum_from_runs(counted, family).volumes
+                    == spectrum_from_runs(table, family).volumes)
+
+    def test_columns_are_read_only(self):
+        counted = run_lengths(Dem.from_rows([[2, 5, 5, 2, 2]]), "row")
+        assert counted.length.tolist() == [2, 5] and counted.runs.tolist() == [3, 2]
+        with pytest.raises(ValueError):
+            counted.runs[0] = 1
+
+    def test_memory_on_a_large_terrain(self):
+        # measured 0.8 MiB: the flat lines and one block of levels; the
+        # run table of the same terrain peaks at 4-5 MiB
+        dem = synthetic_terrain(128, levels=64, hole_fraction=0.15, seed=3)
+        for direction in DIRECTIONS:
+            tracemalloc.start()
+            try:
+                counted = run_lengths(dem, direction)
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert counted.total_volume() == volume(dem)
+            assert retained <= 64 * 2**10, direction
+            assert peak <= 1.5 * 2**20, direction
 
 
 class TestSpectrumFromRuns:
