@@ -26,9 +26,8 @@ _EXPORTS = {
                  "training_accuracy", "tree_from_json", "tree_to_json"),
     "dem": ("Dem", "ScanLine", "Segment", "parse_esri_ascii", "parse_fixture_csv",
             "quantize", "reflect_rows", "scale_heights", "scan_lines", "volume"),
-    "morphology": ("StructuringElement", "dilate", "erode", "erode_line_streaming",
-                   "multiscale_opening", "named_se", "nse", "open_square_separable",
-                   "opening"),
+    "morphology": ("StructuringElement", "dilate", "erode", "multiscale_opening",
+                   "named_se", "nse", "open_square_separable", "opening"),
     "oracle": ("RunLengths", "RunTable", "is_unipeak", "reflection_family",
                "run_lengths", "run_profile_equal", "run_table", "spectrum_from_runs",
                "unipeak_entropy_equivalence"),

@@ -140,11 +140,47 @@ def _expand_inputs(patterns) -> list[tuple[str, Path]]:
 _FILE_ERRORS = (DemError, ValueError, OSError, OverflowError, MemoryError)
 
 
-def _load_dem(path: Path, cfg: RunConfig) -> Dem:
-    text = path.read_text()
-    if path.suffix.lower() == ".csv":
-        return parse_fixture_csv(text)
-    return parse_esri_ascii(text, step=cfg.step, datum=cfg.datum)
+def _job(args):
+    """Load one raster and run the command's work on it: (result, error)."""
+    work, ident, path, cfg = args
+    try:
+        text = path.read_text()
+        if path.suffix.lower() == ".csv":
+            dem = parse_fixture_csv(text)
+        else:
+            dem = parse_esri_ascii(text, step=cfg.step, datum=cfg.datum)
+        return work(ident, dem, cfg), None
+    except _FILE_ERRORS as exc:
+        return None, f"{path}: {exc}"
+
+
+def _run_batch(work, cfg: RunConfig, emit) -> int:
+    """Run ``work(ident, dem, cfg)`` on every input; return the failure count.
+
+    Inputs run in sorted order, serially or over ``cfg.parallel``
+    processes. Each result goes to ``emit`` in that order, and a true
+    return from ``emit`` counts as a failure. A file that fails to load
+    or to compute prints ``error: <path>: <msg>`` in its place and
+    leaves the rest of the batch running.
+    """
+    jobs = [(work, ident, path, cfg) for ident, path in _expand_inputs(cfg.inputs)]
+    if cfg.parallel > 1 and len(jobs) > 1:
+        # imported here, so serial runs never load the process pool machinery;
+        # a worker that starts from a fresh import binds the numeric names too
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=cfg.parallel,
+                                 initializer=_load_numeric) as pool:
+            results = list(pool.map(_job, jobs))
+    else:
+        results = map(_job, jobs)
+    failures = 0
+    for result, error in results:
+        if error is None:
+            failures += bool(emit(result))
+        else:
+            failures += 1
+            print(f"error: {error}", file=sys.stderr)
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -164,40 +200,30 @@ def _spectrum_csv(ps) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _spectrum_one(args):
-    ident, path, cfg = args
-    try:
-        dem = _load_dem(path, cfg)
-        outputs = {}
-        gi = {}
-        n0 = {}
-        for se in SE_NAMES:
-            ps = pattern_spectrum(dem, se)
-            outputs[f"{ident}.spectrum.{se}.csv"] = _spectrum_csv(ps)
-            gi[se] = float(_fmt(granulometric_index(ps)))
-            n0[se] = ps.n0
-        summary = {"id": ident, "gi": gi, "n0": n0, "metadata": None}
-        return ident, outputs, summary, None
-    except _FILE_ERRORS as exc:
-        return ident, {}, None, f"{path}: {exc}"
+def _spectrum_one(ident, dem, cfg) -> dict[str, str]:
+    """Text of every file the raster gets, by name."""
+    outputs = {}
+    gi = {}
+    n0 = {}
+    for se in SE_NAMES:
+        ps = pattern_spectrum(dem, se)
+        outputs[f"{ident}.spectrum.{se}.csv"] = _spectrum_csv(ps)
+        gi[se] = float(_fmt(granulometric_index(ps)))
+        n0[se] = ps.n0
+    summary = {"id": ident, "gi": gi, "n0": n0, "metadata": _metadata(cfg)}
+    outputs[f"{ident}.summary.json"] = (
+        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return outputs
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [(ident, path, cfg) for ident, path in _expand_inputs(cfg.inputs)]
-    results = _run_jobs(_spectrum_one, jobs, cfg.parallel)
-    failures = 0
-    for ident, outputs, summary, error in results:
-        if error is not None:
-            failures += 1
-            print(f"error: {error}", file=sys.stderr)
-            continue
+
+    def write(outputs):
         for name, text in sorted(outputs.items()):
             (cfg.out_dir / name).write_text(text)
-        summary["metadata"] = _metadata(cfg)
-        (cfg.out_dir / f"{ident}.summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return 1 if failures else 0
+
+    return 1 if _run_batch(_spectrum_one, cfg, write) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -210,32 +236,18 @@ _FEATURE_COLUMNS = (["id"] + [f"gi_{se.lower()}" for se in SE_NAMES]
                     + ["degenerate", "high", "low"])
 
 
-def _features_one(args):
-    ident, path, cfg = args
-    try:
-        dem = _load_dem(path, cfg)
-        rec = normalized_mdgi(dem, watershed_id=ident)
-        hi, lo = high_low_direction(rec.z)
-        row = ([ident] + [_fmt(rec.gi[se]) for se in SE_NAMES]
-               + [_fmt(v) for v in rec.z] + [_fmt(v) for v in rec.x]
-               + ["1" if rec.degenerate else "0", hi, lo])
-        return ident, row, None
-    except _FILE_ERRORS as exc:
-        return ident, None, f"{path}: {exc}"
+def _features_one(ident, dem, cfg) -> str:
+    rec = normalized_mdgi(dem, watershed_id=ident)
+    hi, lo = high_low_direction(rec.z)
+    return ",".join([ident] + [_fmt(rec.gi[se]) for se in SE_NAMES]
+                    + [_fmt(v) for v in rec.z] + [_fmt(v) for v in rec.x]
+                    + ["1" if rec.degenerate else "0", hi, lo])
 
 
 def cmd_features(cfg: RunConfig, output: Path) -> int:
     output.parent.mkdir(parents=True, exist_ok=True)
-    jobs = [(ident, path, cfg) for ident, path in _expand_inputs(cfg.inputs)]
-    results = _run_jobs(_features_one, jobs, cfg.parallel)
-    failures = 0
     lines = [",".join(_FEATURE_COLUMNS)]
-    for ident, row, error in results:
-        if error is not None:
-            failures += 1
-            print(f"error: {error}", file=sys.stderr)
-            continue
-        lines.append(",".join(row))
+    failures = _run_batch(_features_one, cfg, lines.append)
     output.write_text("\n".join(lines) + "\n")
     return 1 if failures else 0
 
@@ -245,51 +257,41 @@ def cmd_features(cfg: RunConfig, output: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_one(args):
-    ident, path, cfg = args
-    try:
-        dem = _load_dem(path, cfg)
-        work = dem.height * dem.width * max(dem.zmax, 1)
-        if work > cfg.max_oracle_work:
-            return ident, [(ident, "-", "-", "SKIP",
-                            f"work {work} exceeds cap {cfg.max_oracle_work}")], None
-        rows = []
-        for direction in cfg.directions:
-            counted = run_lengths(dem, direction)
-            se = SE_FOR_DIRECTION[direction]
-            for family in ("nse", "length"):
-                # both families read the one volume curve the raster keeps
-                fast = pattern_spectrum(dem, se, family=family)
-                ref = spectrum_from_runs(counted, family)
-                probs = list(fast.probs)
-                if cfg.corrupt_hook and probs:
-                    probs[0] += Fraction(1, fast.volumes[0] + 1)  # test hook
-                verdict, detail = "PASS", ""
-                if probs != list(ref.probs):
-                    first = next(i for i, (a, b) in enumerate(
-                        zip(probs + [None], list(ref.probs) + [None])) if a != b)
-                    verdict, detail = "FAIL", f"first mismatch at index {first}"
-                rows.append((ident, direction, family, verdict, detail))
-        return ident, rows, None
-    except _FILE_ERRORS as exc:
-        return ident, [], f"{path}: {exc}"
+def _oracle_one(ident, dem, cfg) -> list[tuple[str, ...]]:
+    work = dem.height * dem.width * max(dem.zmax, 1)
+    if work > cfg.max_oracle_work:
+        return [(ident, "-", "-", "SKIP",
+                 f"work {work} exceeds cap {cfg.max_oracle_work}")]
+    rows = []
+    for direction in cfg.directions:
+        counted = run_lengths(dem, direction)
+        se = SE_FOR_DIRECTION[direction]
+        for family in ("nse", "length"):
+            # both families read the one volume curve the raster keeps
+            fast = pattern_spectrum(dem, se, family=family)
+            ref = spectrum_from_runs(counted, family)
+            probs = list(fast.probs)
+            if cfg.corrupt_hook and probs:
+                probs[0] += Fraction(1, fast.volumes[0] + 1)  # test hook
+            verdict, detail = "PASS", ""
+            if probs != list(ref.probs):
+                first = next(i for i, (a, b) in enumerate(
+                    zip(probs + [None], list(ref.probs) + [None])) if a != b)
+                verdict, detail = "FAIL", f"first mismatch at index {first}"
+            rows.append((ident, direction, family, verdict, detail))
+    return rows
 
 
 def cmd_oracle_check(cfg: RunConfig, report_path: Path | None) -> int:
-    jobs = [(ident, path, cfg) for ident, path in _expand_inputs(cfg.inputs)]
-    results = _run_jobs(_oracle_one, jobs, cfg.parallel)
-    failures = 0
     lines = ["id,direction,family,verdict,detail"]
-    for ident, rows, error in results:
-        if error is not None:
-            failures += 1
-            print(f"error: {error}", file=sys.stderr)
-            continue
+
+    def report(rows):
         for row in rows:
-            if row[3] == "FAIL":
-                failures += 1
             lines.append(",".join(row))
             print(" ".join(filter(None, row)))
+        return any(row[3] == "FAIL" for row in rows)
+
+    failures = _run_batch(_oracle_one, cfg, report)
     if report_path is not None:
         report_path.parent.mkdir(parents=True, exist_ok=True)
         report_path.write_text("\n".join(lines) + "\n")
@@ -302,11 +304,12 @@ def cmd_oracle_check(cfg: RunConfig, report_path: Path | None) -> int:
 
 
 def _read_feature_csv(path: Path, label_column: str | None):
-    text = path.read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # blank lines are skipped but keep their place in the numbering
+    lines = [(lineno, ln) for lineno, ln in enumerate(path.read_text().splitlines(), 1)
+             if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty feature CSV")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     try:
         xcols = [header.index(f"x{i}") for i in range(16)]
         id_col = header.index("id")
@@ -318,7 +321,7 @@ def _read_feature_csv(path: Path, label_column: str | None):
             raise ValueError(f"{path}: no column named {label_column!r}")
         label_col = header.index(label_column)
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValueError(f"{path}: line {lineno} has {len(cells)} cells, "
@@ -350,7 +353,10 @@ def cmd_train_tree(features: Path, label_column: str, max_depth: int,
 
 
 def cmd_classify(tree_path: Path, features: Path, output: Path) -> int:
-    tree = tree_from_json(tree_path.read_text())
+    try:
+        tree = tree_from_json(tree_path.read_text())
+    except ValueError as exc:  # malformed JSON included
+        raise ValueError(f"{tree_path}: {exc}") from None
     records = _read_feature_csv(features, None)
     output.parent.mkdir(parents=True, exist_ok=True)
     lines = ["id,label"]
@@ -403,17 +409,6 @@ def cmd_gen_fixtures(out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_jobs(fn, jobs, parallel):
-    """Run per-input jobs, serially or in processes; order is preserved."""
-    if parallel <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    # imported here, so serial runs never load the process pool machinery;
-    # a worker that starts from a fresh import binds the numeric names too
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=parallel, initializer=_load_numeric) as pool:
-        return list(pool.map(fn, jobs))
-
-
 def _add_batch_args(sub):
     sub.add_argument("inputs", nargs="+", help="input rasters (.asc/.csv), globs allowed")
     sub.add_argument("--out-dir", type=Path, default=None,
@@ -456,9 +451,12 @@ def _build_config(args) -> RunConfig:
     for d in directions or ():
         if d not in DIRECTIONS:
             raise ValueError(f"unknown direction {d!r}")
+    out_dir = pick("out_dir", "out")
+    if not isinstance(out_dir, (str, Path)):
+        raise ValueError(f"out_dir must be a string, got {out_dir!r}")
     return RunConfig(
         inputs=list(args.inputs),
-        out_dir=Path(pick("out_dir", "out")),
+        out_dir=Path(out_dir),
         step=number("step", float, 1.0),
         datum=number("datum", float, 0.0),
         parallel=number("parallel", int, 1),

@@ -223,27 +223,6 @@ def open_square_separable(dem: Dem, n: int) -> Dem:
     return _on_domain(dem, opening_raw(dem.values, named_se("B"), n))
 
 
-def erode_line_streaming(values, window: int) -> np.ndarray:
-    """Streaming 1-D windowed minimum with zero padding.
-
-    Output is identical to the naive windowed minimum that reads 0
-    outside the sequence, at O(log window) comparisons per sample.
-
-    Args:
-        values: 1-D integer sequence.
-        window: odd window length >= 1.
-
-    Returns:
-        int64 array of the same length.
-    """
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be odd and >= 1, got {window}")
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-D array")
-    return _kernels.directional_extremum(arr[None, :], _kernels.ROW, window // 2, True)[0]
-
-
 def opening_by_segment(values: np.ndarray, direction_code: int, length: int) -> np.ndarray:
     """Opening of a raw array by a directional segment of any length.
 

@@ -1,5 +1,6 @@
 """End-to-end subcommand behavior on temp directories."""
 
+import io
 import json
 import subprocess
 import sys
@@ -118,6 +119,20 @@ class TestSpectrumCommand:
         assert main(["oracle-check", str(src), "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "features", "oracle-check"])
+    @pytest.mark.parametrize("value", [5, None, ["a"]])
+    def test_out_dir_not_a_string_is_an_error(self, tmp_path, capsys, monkeypatch,
+                                              command, value):
+        # no --out-dir flag, so the config value is the one read
+        monkeypatch.chdir(tmp_path)
+        src = tmp_path / "demo.csv"
+        write_row_fixture(src)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out_dir": value}))
+        assert main([command, str(src), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: out_dir must be a string, got {value!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "demo.csv"]
 
     @pytest.mark.parametrize("key", ["step", "datum"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -289,6 +304,49 @@ class TestOracleCheckCommand:
             assert ids == ["ok"] * 8  # 4 directions x 2 families
 
 
+class TestBatchPolicy:
+    """A bad input fails alone, in place, in every batch command and runner."""
+
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    @pytest.mark.parametrize("command", ["spectrum", "features", "oracle-check"])
+    def test_bad_inputs_fail_in_place(self, tmp_path, monkeypatch, command, parallel):
+        write_row_fixture(tmp_path / "a_ok.csv")
+        (tmp_path / "c_cell.csv").write_text("1,x\n")
+        (tmp_path / "d_zero.csv").write_text("0,0\n")
+        (tmp_path / "e_ok.csv").write_text(
+            Dem.from_rows([[1, 3, 2], [2, 2, 5]]).to_fixture_csv())
+        inputs = [str(tmp_path / name) for name in
+                  ("a_ok.csv", "b_missing.csv", "c_cell.csv", "d_zero.csv", "e_ok.csv")]
+        out = tmp_path / "out"
+        report = out / "report.csv"
+        extra = ["--report", str(report)] if command == "oracle-check" else []
+        # one buffer for both streams shows where each error line falls
+        both = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", both)
+        monkeypatch.setattr(sys, "stderr", both)
+        code = main([command, *inputs, "--out-dir", str(out), "--parallel", parallel,
+                     *extra])
+        monkeypatch.undo()
+        assert code == 1
+
+        def source(line):
+            return line.split(": ")[1] if line.startswith("error: ") else line.split()[0]
+
+        rows = 8 if command == "oracle-check" else 0  # 4 directions x 2 families
+        assert ([source(ln) for ln in both.getvalue().splitlines()]
+                == ["a_ok"] * rows + inputs[1:4] + ["e_ok"] * rows)
+        if command == "spectrum":
+            written = sorted(p.name.split(".")[0] for p in out.iterdir())
+            assert written == ["a_ok"] * 6 + ["e_ok"] * 6  # 5 spectra and a summary
+        elif command == "features":
+            ids = [ln.split(",")[0] for ln in
+                   (out / "features.csv").read_text().splitlines()[1:]]
+            assert ids == ["a_ok", "e_ok"]
+        else:
+            ids = [ln.split(",")[0] for ln in report.read_text().splitlines()[1:]]
+            assert ids == ["a_ok"] * rows + ["e_ok"] * rows
+
+
 def _with_node(doc, i, **fields):
     """A tree document whose node ``i`` has ``fields`` replaced."""
     nodes = list(doc["nodes"])
@@ -342,14 +400,24 @@ class TestTreeCommands:
         cells = lines[2].split(",")
         cells[lines[0].split(",").index("x5")] = cell
         bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
-        capsys.readouterr()
-        argv = (["train-tree", str(bad), "--out-dir", str(tmp_path / "t")]
-                if command == "train-tree" else
-                ["classify", str(bad), "--tree", str(tree_dir / "tree.json"),
-                 "--output", str(tmp_path / "p.csv")])
-        assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: {bad}: line 3 has a non-finite feature\n"
+        # a blank line above the bad row still counts in its line number
+        for above, lineno in ([], 3), ([""], 4):
+            bad.write_text("\n".join(lines[:2] + above + [",".join(cells)] + lines[3:]) + "\n")
+            capsys.readouterr()
+            argv = (["train-tree", str(bad), "--out-dir", str(tmp_path / "t")]
+                    if command == "train-tree" else
+                    ["classify", str(bad), "--tree", str(tree_dir / "tree.json"),
+                     "--output", str(tmp_path / "p.csv")])
+            assert main(argv) == 1
+            assert (capsys.readouterr().err
+                    == f"error: {bad}: line {lineno} has a non-finite feature\n")
+
+    def test_short_row_line_counts_blank_lines(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        header = ["id"] + [f"x{i}" for i in range(16)] + ["label"]
+        bad.write_text(",".join(header) + "\n\nw0,1\n")
+        assert main(["train-tree", str(bad), "--out-dir", str(tmp_path / "t")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 3 has 2 cells, expected 18\n"
 
     @pytest.mark.parametrize("mutate", [
         lambda doc: {},
@@ -360,8 +428,10 @@ class TestTreeCommands:
         lambda doc: _with_node(doc, 0, threshold="0.5"),
         lambda doc: _with_node(doc, 0, threshold=float("nan")),
         lambda doc: _with_node(doc, -1, counts=5),
+        lambda doc: "{not json",
     ], ids=["empty-object", "list", "child-is-its-node", "child-past-list",
-            "feature-99", "string-threshold", "nan-threshold", "leaf-counts-not-object"])
+            "feature-99", "string-threshold", "nan-threshold", "leaf-counts-not-object",
+            "not-json"])
     def test_malformed_tree_is_an_error(self, fixture_dir, tmp_path, capsys, mutate):
         tree_dir = tmp_path / "tree"
         assert main(["train-tree", str(fixture_dir / "features_demo.csv"),
@@ -369,11 +439,12 @@ class TestTreeCommands:
         doc = json.loads((tree_dir / "tree.json").read_text())
         assert "feature" in doc["nodes"][0] and "leaf" in doc["nodes"][-1]
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(mutate(doc)))
+        text = mutate(doc)
+        bad.write_text(text if isinstance(text, str) else json.dumps(text))
         capsys.readouterr()
         assert main(["classify", str(fixture_dir / "features_demo.csv"),
                      "--tree", str(bad), "--output", str(tmp_path / "p.csv")]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 class TestGenFixtures:

@@ -13,9 +13,8 @@ from conftest import (binary_open_set, naive_erode, naive_window_extremum,
 from demgranulo import _kernels
 from demgranulo.dem import Dem
 from demgranulo.morphology import (StructuringElement, dilate, erode,
-                                   erode_line_streaming, multiscale_opening,
-                                   named_se, nse, open_square_separable,
-                                   opening, opening_raw)
+                                   multiscale_opening, named_se, nse,
+                                   open_square_separable, opening, opening_raw)
 from demgranulo.synth import random_dem, synthetic_terrain
 
 ALL_NAMES = ("B1", "B2", "B3", "B4", "B")
@@ -212,32 +211,34 @@ class TestMultiscale:
             multiscale_opening(dem, se, -1)
 
 
+def row_min(values, k):
+    """Windowed minimum of half-width k along one zero-padded line."""
+    line = np.asarray(values, dtype=np.int64)
+    return _kernels.directional_extremum(line[None, :], _kernels.ROW, k, True)[0]
+
+
 class TestStreamingLine:
     def test_window_one_identity(self):
-        assert erode_line_streaming([4, 1, 3], 1).tolist() == [4, 1, 3]
+        assert row_min([4, 1, 3], 0).tolist() == [4, 1, 3]
 
     def test_row_example(self):
-        assert erode_line_streaming([2, 5, 5, 2, 2], 3).tolist() == [0, 2, 2, 2, 0]
+        assert row_min([2, 5, 5, 2, 2], 1).tolist() == [0, 2, 2, 2, 0]
 
     def test_empty_line(self):
-        assert erode_line_streaming([], 1).tolist() == []
-        assert erode_line_streaming([], 5).tolist() == []
-
-    def test_even_window_rejected(self):
-        with pytest.raises(ValueError):
-            erode_line_streaming([1, 2], 2)
+        assert row_min([], 0).tolist() == []
+        assert row_min([], 2).tolist() == []
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=200),
            st.integers(0, 15))
     def test_matches_naive_min(self, values, k):
-        got = erode_line_streaming(values, 2 * k + 1)
+        got = row_min(values, k)
         assert got.tolist() == naive_window_extremum(values, k, True).tolist()
 
     def test_long_random_line(self):
         rng = np.random.default_rng(123)
         values = rng.integers(0, 1000, 1000)
-        got = erode_line_streaming(values, 21)
+        got = row_min(values, 10)
         assert got.tolist() == naive_window_extremum(values, 10, True).tolist()
 
 
