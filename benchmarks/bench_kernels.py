@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time the hot kernels and the full five-element feature computation.
 
-Every kernel is numpy code. The offset extremum serves only irregular
-structuring elements, which the features never use; a 5-cell cross
-times it.
+Every kernel is numpy code. The kernels run on the raster's levels in
+the narrowest signed dtype that holds them (int16 for up to 32767
+levels), as the spectra pass them. The offset extremum serves only
+irregular structuring elements, which the features never use; a 5-cell
+cross times it.
 
 Usage:
     python benchmarks/bench_kernels.py [--side N] [--levels L] [--repeats R]
@@ -13,7 +15,7 @@ import argparse
 import time
 
 from demgranulo import _kernels
-from demgranulo.spectrum import normalized_mdgi
+from demgranulo.spectrum import _levels, normalized_mdgi
 from demgranulo.synth import synthetic_terrain
 
 
@@ -31,21 +33,24 @@ CROSS = [(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)]
 
 def run(side, levels, repeats):
     dem = synthetic_terrain(side, levels=levels, seed=3)
+    arr = _levels(dem)
     cases = [
         ("windowed min (k=8, rows)",
-         lambda: _kernels.directional_extremum(dem.values, _kernels.ROW, 8, True)),
+         lambda: _kernels.directional_extremum(arr, _kernels.ROW, 8, True)),
         ("windowed max (k=8, diag)",
-         lambda: _kernels.directional_extremum(dem.values, _kernels.DIAG_UP, 8, False)),
+         lambda: _kernels.directional_extremum(arr, _kernels.DIAG_UP, 8, False)),
         ("offset min (5-cell cross)",
-         lambda: _kernels.offset_extremum(dem.values, CROSS, True)),
+         lambda: _kernels.offset_extremum(arr, CROSS, True)),
         ("spectrum sweep (4 dirs)",
-         lambda: [_kernels.directional_loss(dem.values, d) for d in range(4)]),
+         lambda: [_kernels.directional_loss(arr, d) for d in range(4)]),
+        # the raster keeps its volume curves: cleared, so every repeat
+        # sweeps again
         ("full features (5 elements)",
-         lambda: normalized_mdgi(dem)),
+         lambda: (dem._volume_curves.clear(), normalized_mdgi(dem))),
     ]
 
     print(f"raster {side}x{side}, {levels} levels, "
-          f"{dem.cell_count} cells, best of {repeats}")
+          f"{dem.cell_count} cells as {arr.dtype}, best of {repeats}")
     print(f"{'case':<28s} {'numpy (ms)':>10s}")
     for label, fn in cases:
         print(f"{label:<28s} {time_call(fn, repeats) * 1000:>10.2f}")

@@ -18,7 +18,12 @@ raster per offset.
 
 Conventions baked into every kernel:
 
-* elevation arrays are ``int64`` with ``0`` stored at masked cells;
+* elevation arrays are signed integers with ``0`` stored at masked
+  cells. A kernel works in the dtype it is given and returns it, so a
+  caller can pass levels in the narrowest type that holds them (a
+  256-level raster fits int16, a quarter of the memory traffic of
+  int64); any other array is converted to ``int64``. Volume sums
+  (``directional_loss``) are ``int64`` whatever the input;
 * reads outside the raster (or at masked cells) yield ``0``, so a
   windowed minimum is ``0`` wherever the window leaves the domain while
   a windowed maximum is unaffected (values are non-negative).
@@ -35,8 +40,10 @@ DIRECTION_CODE = {"row": ROW, "column": COLUMN, "diag-down": DIAG_DOWN,
                   "diag-up": DIAG_UP}
 
 
-def _as_int64_2d(values):
-    arr = np.ascontiguousarray(values, dtype=np.int64)
+def _as_int_2d(values):
+    values = np.asarray(values)
+    dtype = values.dtype if values.dtype.kind == "i" else np.int64
+    arr = np.ascontiguousarray(values, dtype=dtype)
     if arr.ndim != 2:
         raise ValueError("expected a 2-D array")
     return arr
@@ -91,7 +98,7 @@ def _line_blocks(arr, direction, before, after):
     for j in range(0, starts.shape[0], per_block):
         lens = lengths[j:j + per_block]
         n = int(lens.max())
-        padded = np.zeros((lens.shape[0], before + n + after), dtype=np.int64)
+        padded = np.zeros((lens.shape[0], before + n + after), dtype=arr.dtype)
         if direction in (ROW, COLUMN):
             padded[:, before:before + n] = lines[j:j + per_block]
             def put(out, res, rows=slice(j, j + per_block)):
@@ -120,7 +127,7 @@ def directional_extremum(values, direction, k, minimum, after=None):
     the largest power of two ``s`` within the width; two of them, one at
     each end, cover a full window (min and max are idempotent).
     """
-    arr = _as_int64_2d(values)
+    arr = _as_int_2d(values)
     after = k if after is None else after
     width = k + after + 1
     ufunc = np.minimum if minimum else np.maximum
@@ -146,7 +153,7 @@ def offset_extremum(values, offsets_rc, minimum):
     reads only zeros either way, and the pad stays at most three times
     the raster's height and width however large the offset.
     """
-    arr = _as_int64_2d(values)
+    arr = _as_int_2d(values)
     off = np.asarray(offsets_rc, dtype=np.int64).reshape(-1, 2)
     h, w = arr.shape
     dr = np.clip(off[:, 0], -h, h)
@@ -169,7 +176,7 @@ def directional_loss(values, direction):
     opening with a segment of any length, because a slab survives
     exactly the segments no longer than its width.
     """
-    arr = _as_int64_2d(values)
+    arr = _as_int_2d(values)
     lengths = line_layout(arr.shape, direction)[1]
     loss = np.zeros(int(lengths.max(initial=0)) + 2, dtype=np.int64)
     for padded, _ in _line_blocks(arr, direction, 1, 1):
@@ -185,7 +192,8 @@ def _add_slabs(p, n, loss):
     nearest cell to its left below ``v`` and ``R`` the nearest to its
     right at or below ``v``. When ``p[R] < v`` the cells ``L+1 .. R-1``
     are one maximal slab spanning the levels (max(p[L], p[R]), v]; when
-    ``p[R] == v`` the slab is counted at ``R`` instead. Both neighbours
+    ``p[R] == v`` the slab is counted at ``R`` instead, and the span
+    ``v - max(p[L], v)`` that ``i`` adds is 0. Both neighbours
     are found by binary lifting over ``mins[k][j] = min p[j : j + 2**k]``:
     the run of cells beside ``i`` that the search steps over is shorter
     than ``n``, so jumps of ``2**(levels - 1), ..., 2, 1`` cells measure
@@ -205,8 +213,6 @@ def _add_slabs(p, n, loss):
     right = cells + 1
     for k in reversed(range(levels)):
         right += (mins[k].take(right) > v) * (1 << k)
-    top = p[right] < v
-    cells, v, right = cells[top], v[top], right[top]
     left = cells
     for k in reversed(range(levels)):
         # a jump below index 0 reads mins[k][0], which covers the
@@ -214,4 +220,7 @@ def _add_slabs(p, n, loss):
         left = left - (mins[k].take(left - (1 << k), mode="clip") >= v) * (1 << k)
     left -= 1
     width = right - left - 1
-    np.add.at(loss, width, width * (v - np.maximum(p[left], p[right])))
+    # the span fits the levels' own dtype; its product with the width
+    # may not, so it is taken in int64
+    span = (v - np.maximum(p[left], p[right])).astype(np.int64)
+    np.add.at(loss, width, width * span)

@@ -448,6 +448,9 @@ def _build_config(args) -> RunConfig:
         directions = tuple(d.strip() for d in directions.split(",") if d.strip())
     elif directions is not None and not isinstance(directions, list):
         raise ValueError("directions must be a string or a list of names")
+    if directions is not None and not directions:
+        # an empty subset is an error, not the default of all four
+        raise ValueError("directions names no direction")
     for d in directions or ():
         if d not in DIRECTIONS:
             raise ValueError(f"unknown direction {d!r}")
@@ -460,7 +463,7 @@ def _build_config(args) -> RunConfig:
         step=number("step", float, 1.0),
         datum=number("datum", float, 0.0),
         parallel=number("parallel", int, 1),
-        directions=tuple(directions) if directions else DIRECTIONS,
+        directions=DIRECTIONS if directions is None else tuple(directions),
         max_oracle_work=number("max_oracle_work", int, 2_000_000),
         corrupt_hook=bool(getattr(args, "self_test_corrupt", False)),
     )

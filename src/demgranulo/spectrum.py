@@ -75,6 +75,17 @@ class PatternSpectrum:
         return tuple(Fraction(a - b, v0) for a, b in zip(self.volumes, self.volumes[1:]))
 
 
+def _levels(dem: Dem) -> np.ndarray:
+    """The raster's values in the narrowest signed dtype that holds them.
+
+    The kernels keep the dtype they are given, so a 256-level raster is
+    swept and opened as int16 rather than int64. ``values.max()`` is the
+    top level (masked cells store 0), and a raster that needs int64 is
+    passed as it is, not copied.
+    """
+    return dem.values.astype(np.min_scalar_type(-1 - int(dem.values.max())), copy=False)
+
+
 def _volume_curve(dem: Dem, direction: str) -> np.ndarray:
     """curve[w] = volume surviving an opening with a w-cell segment.
 
@@ -84,7 +95,7 @@ def _volume_curve(dem: Dem, direction: str) -> np.ndarray:
     """
     curve = dem._volume_curves.get(direction)
     if curve is None:
-        loss = _kernels.directional_loss(dem.values, _kernels.DIRECTION_CODE[direction])
+        loss = _kernels.directional_loss(_levels(dem), _kernels.DIRECTION_CODE[direction])
         curve = np.zeros(loss.shape[0] + 1, dtype=np.int64)
         curve[:-1] = loss[::-1].cumsum()[::-1]
         curve.flags.writeable = False
@@ -150,11 +161,12 @@ def _nse_spectrum_square(dem, se):
     # per-scale openings of any non-linear element, the square B included
     # (perfbench/tracer.py times it under this name); only the volume
     # needs the mask, so the per-scale raster wrapping is skipped
+    levels = _levels(dem)
     vols = [volume(dem)]
     n = 1
     limit = dem.height + dem.width + 2
     while vols[-1] > 0:
-        arr = opening_raw(dem.values, se, n)
+        arr = opening_raw(levels, se, n)
         vols.append(int(arr.sum(where=dem.mask, dtype=np.int64)))
         del arr  # not held while the next opening runs: peak stays 2 rasters
         n += 1

@@ -257,6 +257,23 @@ class TestOracleCheckCommand:
         out = capsys.readouterr().out
         assert "diag-down" not in out and "row nse PASS" in out
 
+    @pytest.mark.parametrize("how,value", [("flag", ""), ("flag", ","), ("flag", " , "),
+                                           ("config", []), ("config", ""),
+                                           ("config", ",")])
+    def test_empty_direction_subset_is_an_error(self, fixture_dir, tmp_path, capsys,
+                                                how, value):
+        # an empty subset must not fall back to checking all four directions
+        args = ["--directions", value]
+        if how == "config":
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"directions": value}))
+            args = ["--config", str(config)]
+        code = main(["oracle-check", str(fixture_dir / "fictitious.csv"), *args])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "directions" in captured.err
+        assert "PASS" not in captured.out
+
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_negative_cap_is_an_error(self, fixture_dir, tmp_path, capsys, how):
         args = ["--max-oracle-work", "-5"]

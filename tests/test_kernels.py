@@ -230,6 +230,98 @@ class TestOffsetExtremum:
             assert peak <= 4 * arr.nbytes + 2**17
 
 
+NARROW = [np.int8, np.int16, np.int32]
+
+
+def _narrow_raster(seed, shape, dtype, top):
+    """Raster of levels 1..top with about 20 % masked (0) cells, in
+    ``dtype``; ``top`` may reach the largest value the dtype holds."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(1, top, size=shape, endpoint=True, dtype=np.int64)
+    return np.where(rng.random(shape) >= 0.2, values, 0).astype(dtype)
+
+
+@st.composite
+def narrow_rasters(draw, max_side=12):
+    """A masked raster in a narrow dtype: 1 x n, n x 1 or h x w, with
+    levels up to the top of the dtype."""
+    dtype = draw(st.sampled_from(NARROW))
+    n = draw(st.integers(1, max_side))
+    shape = draw(st.sampled_from([(1, n), (n, 1),
+                                  (n, draw(st.integers(1, max_side)))]))
+    top = draw(st.sampled_from([3, int(np.iinfo(dtype).max)]))
+    return _narrow_raster(draw(st.integers(0, 10**6)), shape, dtype, top)
+
+
+class TestNarrowDtypes:
+    """A kernel works in the signed dtype it is given: the same cells as
+    on int64, in the input's dtype, with volume sums in int64."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(narrow_rasters(), st.integers(0, 15), st.integers(0, 15), st.booleans(),
+           st.sampled_from(DIRECTIONS))
+    def test_directional_extremum(self, arr, k, after, minimum, direction):
+        # after=0 and k=0 are the one-sided windows of a segment opening
+        got = _kernels.directional_extremum(arr, direction, k, minimum, after=after)
+        want = _kernels.directional_extremum(arr.astype(np.int64), direction, k,
+                                             minimum, after=after)
+        assert got.dtype == arr.dtype
+        assert got.tolist() == want.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(narrow_rasters(),
+           st.lists(st.tuples(st.integers(-15, 15), st.integers(-15, 15)),
+                    min_size=1, max_size=8),
+           st.booleans())
+    def test_offset_extremum(self, arr, offsets, minimum):
+        got = _kernels.offset_extremum(arr, offsets, minimum)
+        want = _kernels.offset_extremum(arr.astype(np.int64), offsets, minimum)
+        assert got.dtype == arr.dtype
+        assert got.tolist() == want.tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(narrow_rasters(), st.sampled_from(DIRECTIONS))
+    def test_directional_loss(self, arr, direction):
+        got = _kernels.directional_loss(arr, direction)
+        assert got.dtype == np.int64
+        assert got.tolist() == _kernels.directional_loss(arr.astype(np.int64),
+                                                         direction).tolist()
+        assert got.tolist() == naive_slab_loss(arr, UNIT[direction]).tolist()
+
+    @pytest.mark.parametrize("dtype,top", [(np.int8, 127), (np.int16, 128),
+                                           (np.int16, 32767), (np.int32, 32768),
+                                           (np.int32, 2**31 - 1)])
+    @pytest.mark.parametrize("shape", [(1, 5000), (5000, 1)])
+    def test_width_times_span_overflows_the_dtype(self, dtype, top, shape):
+        # slabs of thousands of cells spanning up to ``top`` levels: each
+        # width * span product overflows the levels' dtype
+        line = np.full(5000, top, dtype=np.int64)
+        line[[1000, 2500, 2501]] = [top - 1, 1, top // 2]
+        arr = line.reshape(shape).astype(dtype)
+        for direction in DIRECTIONS:
+            loss = _kernels.directional_loss(arr, direction)
+            assert loss.tolist() == naive_slab_loss(arr, UNIT[direction]).tolist()
+            assert int(loss.sum()) == int(line.sum())
+        direction = _kernels.ROW if shape[0] == 1 else _kernels.COLUMN
+        for minimum in (True, False):
+            got = _kernels.directional_extremum(arr, direction, 700, minimum)
+            want = naive_directional_extremum(line.reshape(shape), UNIT[direction],
+                                              700, 700, minimum)
+            assert got.dtype == dtype and got.tolist() == want.tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 40), st.integers(1, 40),
+           st.sampled_from([np.int8, np.int64]), st.sampled_from(DIRECTIONS))
+    def test_plateaus(self, seed, h, w, dtype, direction):
+        # levels 1..3 in runs: most cells have an equal cell as their
+        # nearest right neighbour at or below them, and add no volume
+        rng = np.random.default_rng(seed)
+        arr = np.repeat(rng.integers(0, 4, size=(h, w)), rng.integers(1, 6, size=w),
+                        axis=1)[:, :w].astype(dtype)
+        got = _kernels.directional_loss(arr, direction)
+        assert got.tolist() == naive_slab_loss(arr, UNIT[direction]).tolist()
+
+
 def test_import_leaves_numba_unloaded():
     # numba's import cost would land on every run's start-up time
     code = "import sys, demgranulo; print('numba' in sys.modules)"

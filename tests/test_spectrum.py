@@ -114,6 +114,49 @@ class TestPatternSpectrum:
             tracemalloc.stop()
         assert peak <= 2 * dem.values.nbytes + 2 * 2**20
 
+    def test_square_spectrum_memory_on_compact_levels(self):
+        # 256 levels are opened as int16, a quarter of the int64 raster
+        # per working array: the openings together stay under one int64
+        # raster
+        dem = synthetic_terrain(1000, levels=256)
+        tracemalloc.start()
+        try:
+            pattern_spectrum(dem, "B")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= dem.values.nbytes + 2 * 2**20
+
+    def test_square_spectrum_memory_when_levels_need_int64(self):
+        # levels up to 2**40 need int64, and the raster's own values are
+        # opened without a copy of them
+        dem = scale_heights(synthetic_terrain(1000, levels=256), 2**32)
+        assert spectrum._levels(dem) is dem.values
+        tracemalloc.start()
+        try:
+            pattern_spectrum(dem, "B")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * dem.values.nbytes + 2 * 2**20
+
+    @pytest.mark.parametrize("top,dtype", [(127, np.int8), (128, np.int16),
+                                           (32767, np.int16), (32768, np.int32),
+                                           (2**31 - 1, np.int32), (2**31, np.int64)])
+    def test_levels_at_dtype_bounds(self, top, dtype):
+        # the narrowest signed dtype that holds the top level: one a bit
+        # narrower would wrap the top cell negative
+        rng = np.random.default_rng(top % 1000)
+        mask = rng.random((6, 7)) >= 0.15
+        mask[2, 3] = True
+        values = np.where(mask, rng.integers(1, top, (6, 7), endpoint=True), 0)
+        values[2, 3] = top
+        dem = Dem(values, mask)
+        assert spectrum._levels(dem).dtype == dtype
+        for name in ALL_NAMES:
+            se = named_se(name)
+            assert pattern_spectrum(dem, se).volumes == opening_spectrum_volumes(dem, se)
+
     def test_length_family_requires_linear(self):
         with pytest.raises(ValueError):
             pattern_spectrum(Dem.from_rows([[1, 2]]), "B", family="length")
