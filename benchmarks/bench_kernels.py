@@ -15,6 +15,7 @@ import argparse
 import time
 
 from demgranulo import _kernels
+from demgranulo._base import DIRECTIONS
 from demgranulo.spectrum import _levels, normalized_mdgi
 from demgranulo.synth import synthetic_terrain
 
@@ -36,13 +37,13 @@ def run(side, levels, repeats):
     arr = _levels(dem)
     cases = [
         ("windowed min (k=8, rows)",
-         lambda: _kernels.directional_extremum(arr, _kernels.ROW, 8, True)),
+         lambda: _kernels.directional_extremum(arr, "row", 8, True)),
         ("windowed max (k=8, diag)",
-         lambda: _kernels.directional_extremum(arr, _kernels.DIAG_UP, 8, False)),
+         lambda: _kernels.directional_extremum(arr, "diag-up", 8, False)),
         ("offset min (5-cell cross)",
          lambda: _kernels.offset_extremum(arr, CROSS, True)),
         ("spectrum sweep (4 dirs)",
-         lambda: [_kernels.directional_loss(arr, d) for d in range(4)]),
+         lambda: [_kernels.directional_loss(arr, d) for d in DIRECTIONS]),
         # the raster keeps its volume curves: cleared, so every repeat
         # sweeps again
         ("full features (5 elements)",

@@ -5,15 +5,25 @@ the feature record live here rather than in ``dem``, ``morphology`` and
 ``spectrum``, which re-export them. ``classify`` and the CLI's
 ``train-tree``, ``classify`` and ``--version`` paths import only this
 module, so they start without loading numpy.
+
+A direction is passed around by its name only; ``DIRECTION_STEPS`` is the
+one table of what a name means, the unit lattice step ``(drow, dcol)``
+from one cell of a scan line to the next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# Scan directions, and the directional structuring element whose scans
-# run along each one.
-DIRECTIONS = ("row", "column", "diag-down", "diag-up")
+# Scan directions and their unit steps (drow, dcol), and the directional
+# structuring element whose scans run along each one.
+DIRECTION_STEPS = {
+    "row": (0, 1),
+    "column": (1, 0),
+    "diag-down": (1, 1),
+    "diag-up": (1, -1),
+}
+DIRECTIONS = tuple(DIRECTION_STEPS)
 SE_FOR_DIRECTION = {
     "row": "B4",
     "column": "B2",

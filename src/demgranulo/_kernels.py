@@ -1,8 +1,10 @@
 """Hot numeric kernels: windowed extrema and peak-slab sweeps.
 
-Every kernel is numpy code. Directional kernels take the scan lines a
-block at a time as a zero-padded matrix (:func:`_line_blocks`): rows and
-columns are slices, diagonals follow :func:`line_layout`.
+Every kernel is numpy code. Directional kernels take a scan direction by
+its name (``"row"``, ``"column"``, ``"diag-down"``, ``"diag-up"``; see
+``_base.DIRECTION_STEPS``) and read the scan lines a block at a time as
+a zero-padded matrix (:func:`_line_blocks`): rows and columns are
+slices, diagonals follow the flat-index layout of :func:`line_layout`.
 
 * the windowed extremum along scan lines (:func:`directional_extremum`)
   builds windows of 1, 2, 4, ... cells by doubling, so a window of any
@@ -31,14 +33,6 @@ Conventions baked into every kernel:
 
 import numpy as np
 
-# Direction codes shared with the rest of the package.
-ROW = 0
-COLUMN = 1
-DIAG_DOWN = 2
-DIAG_UP = 3
-DIRECTION_CODE = {"row": ROW, "column": COLUMN, "diag-down": DIAG_DOWN,
-                  "diag-up": DIAG_UP}
-
 
 def _as_int_2d(values):
     values = np.asarray(values)
@@ -58,21 +52,21 @@ def line_layout(shape, direction):
     ``c - r``) and ``w - 1`` for diag-up lines (constant ``r + c``).
     """
     h, w = shape
-    if direction == ROW:
+    if direction == "row":
         return np.arange(h, dtype=np.int64) * w, np.full(h, w, dtype=np.int64), 1
-    if direction == COLUMN:
+    if direction == "column":
         return np.arange(w, dtype=np.int64), np.full(w, h, dtype=np.int64), w
     index = np.arange(h + w - 1, dtype=np.int64)
-    if direction == DIAG_DOWN:
+    if direction == "diag-down":
         r0 = np.maximum(h - 1 - index, 0)
         c0 = np.maximum(index - (h - 1), 0)
         return r0 * w + c0, np.minimum(h - r0, w - c0), w + 1
-    if direction == DIAG_UP:
+    if direction == "diag-up":
         r0 = np.maximum(index - (w - 1), 0)
         lengths = np.minimum(index, h - 1) - r0 + 1
         # a one-wide raster has one-cell lines, which any nonzero step walks
         return r0 * w + index - r0, lengths, max(w - 1, 1)
-    raise ValueError(f"unknown direction code {direction}")
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 # Padded cells per block of scan lines in the directional kernels. The
@@ -94,15 +88,15 @@ def _line_blocks(arr, direction, before, after):
     """
     starts, lengths, step = line_layout(arr.shape, direction)
     per_block = max(1, _BLOCK_CELLS // max(1, before + int(lengths.max(initial=0)) + after))
-    lines = arr if direction == ROW else arr.T
+    lines = arr if direction == "row" else arr.T
     for j in range(0, starts.shape[0], per_block):
         lens = lengths[j:j + per_block]
         n = int(lens.max())
         padded = np.zeros((lens.shape[0], before + n + after), dtype=arr.dtype)
-        if direction in (ROW, COLUMN):
+        if direction in ("row", "column"):
             padded[:, before:before + n] = lines[j:j + per_block]
             def put(out, res, rows=slice(j, j + per_block)):
-                (out if direction == ROW else out.T)[rows] = res
+                (out if direction == "row" else out.T)[rows] = res
         else:
             pos = np.arange(n)
             index = starts[j:j + per_block, None] + pos * step

@@ -437,11 +437,17 @@ def _build_config(args) -> RunConfig:
         return file_cfg.get(name, default)
 
     def number(name, kind, default):
+        # a JSON true is no number, and a count takes no fraction; int()
+        # and float() would take true as 1 and cut 2.5 down to 2
         val = pick(name, default)
         try:
+            if isinstance(val, bool) or (
+                    kind is int and isinstance(val, float) and not val.is_integer()):
+                raise ValueError
             return kind(val)
         except (TypeError, ValueError):
-            raise ValueError(f"{name} must be a number, got {val!r}") from None
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{name} must be {what}, got {val!r}") from None
 
     directions = pick("directions", None)
     if isinstance(directions, str):

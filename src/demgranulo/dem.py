@@ -26,15 +26,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # defined numpy-free in _base, and part of this module's interface
-from ._base import DIRECTIONS, SE_FOR_DIRECTION, DemError, DemParseError  # noqa: F401
-
-# The unit lattice step (drow, dcol) of each scan direction.
-DIRECTION_STEPS = {
-    "row": (0, 1),
-    "column": (1, 0),
-    "diag-down": (1, 1),
-    "diag-up": (1, -1),
-}
+from ._base import (DIRECTION_STEPS, DIRECTIONS, SE_FOR_DIRECTION,  # noqa: F401
+                    DemError, DemParseError)
 
 _ESRI_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 _I64_MAX = 2**63 - 1

@@ -14,6 +14,10 @@ run through the doubling scan-line window kernel (O(log width) per
 cell) at the scaled half-width, so no scaled element is ever built for
 them; any other element folds in one shifted view of the zero-padded
 raster per offset of its n-fold sum.
+
+Linear elements derive from ``_base.DIRECTION_STEPS``, the one table of
+scan directions: B1-B4, :meth:`StructuringElement.as_line` and the scaled
+segments of :func:`nse` all step by the unit ``(dx, dy) = (dcol, drow)``.
 """
 
 from __future__ import annotations
@@ -24,17 +28,23 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from ._base import SE_NAMES  # noqa: F401  (part of this module's interface)
+# SE_NAMES is part of this module's interface
+from ._base import DIRECTION_STEPS, SE_FOR_DIRECTION, SE_NAMES  # noqa: F401
 from .dem import Dem
 
-# Unit offset (dx, dy) generating each named linear element; dx steps
-# columns and dy steps rows, so B4 = {(-1,0),(0,0),(1,0)} runs along a row.
-_LINE_UNITS = {
-    (1, 0): "row",
-    (0, 1): "column",
-    (1, 1): "diag-down",
-    (1, -1): "diag-up",
-}
+
+def _segment(direction: str, k: int) -> frozenset[tuple[int, int]]:
+    """Offsets (dx, dy) of the centred 2k+1-cell segment along ``direction``.
+
+    dx steps columns and dy rows, so B4 is {(-1,0),(0,0),(1,0)}.
+    """
+    drow, dcol = DIRECTION_STEPS[direction]
+    return frozenset((i * dcol, i * drow) for i in range(-k, k + 1))
+
+
+def _square(k: int) -> frozenset[tuple[int, int]]:
+    """Offsets of the centred (2k+1)x(2k+1) square."""
+    return frozenset((dx, dy) for dx in range(-k, k + 1) for dy in range(-k, k + 1))
 
 
 @dataclass(frozen=True)
@@ -60,13 +70,14 @@ class StructuringElement:
         return len(self.offsets)
 
     def as_line(self) -> tuple[str, int] | None:
-        """(direction, half-length) when the offsets form a centred segment."""
-        if self.offsets == frozenset({(0, 0)}):
-            return "row", 0
-        for unit, direction in _LINE_UNITS.items():
-            k = len(self.offsets) // 2
-            segment = {(i * unit[0], i * unit[1]) for i in range(-k, k + 1)}
-            if self.offsets == segment:
+        """(direction, half-length) when the offsets form a centred segment.
+
+        The single point is the 0-length segment of the first direction,
+        ``("row", 0)``.
+        """
+        k = len(self.offsets) // 2
+        for direction in DIRECTION_STEPS:
+            if self.offsets == _segment(direction, k):
                 return direction, k
         return None
 
@@ -80,19 +91,19 @@ class StructuringElement:
         return None
 
     @cached_property
-    def _line_passes(self) -> tuple[tuple[int, ...], int]:
-        """Kernel direction codes and half-width of the line passes that
-        make up the element: one for a line, row then column for a square
-        (separable and exact under the zero-pad convention), none for any
-        other element. Cached, so a spectrum detects the shape once.
+    def _line_passes(self) -> tuple[tuple[str, ...], int]:
+        """Directions and half-width of the line passes that make up the
+        element: one for a line, row then column for a square (separable
+        and exact under the zero-pad convention), none for any other
+        element. Cached, so a spectrum detects the shape once.
         """
         line = self.as_line()
         if line is not None:
             direction, k = line
-            return (_kernels.DIRECTION_CODE[direction],), k
+            return (direction,), k
         square = self.as_square()
         if square is not None:
-            return (_kernels.ROW, _kernels.COLUMN), square
+            return ("row", "column"), square
         return (), 0
 
     def offset_rc(self) -> np.ndarray:
@@ -100,13 +111,8 @@ class StructuringElement:
         return np.array(sorted((dy, dx) for dx, dy in self.offsets), dtype=np.int64)
 
 
-_NAMED = {
-    "B1": frozenset({(-1, 1), (0, 0), (1, -1)}),
-    "B2": frozenset({(0, 1), (0, 0), (0, -1)}),
-    "B3": frozenset({(-1, -1), (0, 0), (1, 1)}),
-    "B4": frozenset({(-1, 0), (0, 0), (1, 0)}),
-    "B": frozenset((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)),
-}
+# B1-B4 are the unit segments of their scan directions, B the 3x3 square
+_NAMED = {se: _segment(d, 1) for d, se in SE_FOR_DIRECTION.items()} | {"B": _square(1)}
 
 
 def named_se(name: str) -> StructuringElement:
@@ -138,14 +144,10 @@ def nse(se: StructuringElement, n: int) -> StructuringElement:
     line = se.as_line()
     if line is not None:
         direction, k = line
-        unit = next(u for u, d in _LINE_UNITS.items() if d == direction)
-        offs = frozenset((i * unit[0], i * unit[1]) for i in range(-n * k, n * k + 1))
-        return StructuringElement(offs, name=f"{n}{se.name or 'L'}")
+        return StructuringElement(_segment(direction, n * k), name=f"{n}{se.name or 'L'}")
     square = se.as_square()
     if square is not None:
-        k = n * square
-        offs = frozenset((dx, dy) for dx in range(-k, k + 1) for dy in range(-k, k + 1))
-        return StructuringElement(offs, name=f"{n}{se.name or 'SQ'}")
+        return StructuringElement(_square(n * square), name=f"{n}{se.name or 'SQ'}")
     acc = se.offsets
     for _ in range(n - 1):
         acc = frozenset((ax + bx, ay + by) for ax, ay in acc for bx, by in se.offsets)
@@ -188,18 +190,14 @@ def opening_raw(values: np.ndarray, se: StructuringElement, n: int) -> np.ndarra
     return _raw_extremum(_raw_extremum(values, se, n, True), se, n, False)
 
 
-def _on_domain(dem: Dem, values: np.ndarray) -> Dem:
-    return Dem(np.where(dem.mask, values, 0), dem.mask)
-
-
 def erode(dem: Dem, se) -> Dem:
     """Windowed minimum over the element; out-of-domain reads as 0."""
-    return _on_domain(dem, _raw_extremum(dem.values, resolve_se(se), 1, True))
+    return Dem(_raw_extremum(dem.values, resolve_se(se), 1, True), dem.mask)
 
 
 def dilate(dem: Dem, se) -> Dem:
     """Windowed maximum over the element; the 0 pad is neutral here."""
-    return _on_domain(dem, _raw_extremum(dem.values, resolve_se(se), 1, False))
+    return Dem(_raw_extremum(dem.values, resolve_se(se), 1, False), dem.mask)
 
 
 def opening(dem: Dem, se) -> Dem:
@@ -210,20 +208,20 @@ def opening(dem: Dem, se) -> Dem:
     and covering the cell of the minimum elevation over the translate,
     and 0 where no translate fits.
     """
-    return _on_domain(dem, opening_raw(dem.values, resolve_se(se), 1))
+    return Dem(opening_raw(dem.values, resolve_se(se), 1), dem.mask)
 
 
 def multiscale_opening(dem: Dem, se, n: int) -> Dem:
     """Opening by the n-fold Minkowski sum of the element; n = 0 is identity."""
-    return _on_domain(dem, opening_raw(dem.values, resolve_se(se), n))
+    return Dem(opening_raw(dem.values, resolve_se(se), n), dem.mask)
 
 
 def open_square_separable(dem: Dem, n: int) -> Dem:
     """Opening by the (2n+1)x(2n+1) square via four streaming passes."""
-    return _on_domain(dem, opening_raw(dem.values, named_se("B"), n))
+    return Dem(opening_raw(dem.values, named_se("B"), n), dem.mask)
 
 
-def opening_by_segment(values: np.ndarray, direction_code: int, length: int) -> np.ndarray:
+def opening_by_segment(values: np.ndarray, direction: str, length: int) -> np.ndarray:
     """Opening of a raw array by a directional segment of any length.
 
     An opening does not depend on where the element's origin sits, so
@@ -234,5 +232,5 @@ def opening_by_segment(values: np.ndarray, direction_code: int, length: int) -> 
     """
     if length < 1:
         raise ValueError("segment length must be >= 1")
-    er = _kernels.directional_extremum(values, direction_code, 0, True, after=length - 1)
-    return _kernels.directional_extremum(er, direction_code, length - 1, False, after=0)
+    er = _kernels.directional_extremum(values, direction, 0, True, after=length - 1)
+    return _kernels.directional_extremum(er, direction, length - 1, False, after=0)

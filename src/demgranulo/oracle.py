@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,8 +34,9 @@ class RunTable:
     The table is four int64 columns of equal size, sorted by
     (line, level, length): ``runs[j]`` maximal runs exactly ``length[j]``
     cells long lie at threshold ``level[j]`` on line ``line[j]``.
-    ``counts`` reads the columns as a mapping
-    ``(line, level, length) -> runs``.
+    ``counts`` is the same table as a read-only mapping
+    ``(line, level, length) -> runs`` in table order, built on first
+    access.
 
     ``RunTable(direction, mapping)`` builds a table from such a mapping.
     Every entry must be a non-negative int64 and the volume, the sum of
@@ -70,7 +73,11 @@ class RunTable:
             col.flags.writeable = False
             columns.append(col)
         self.line, self.level, self.length, self.runs = columns
-        self.counts = RunCounts(*columns)
+
+    @cached_property
+    def counts(self) -> Mapping:
+        keys = zip(self.line.tolist(), self.level.tolist(), self.length.tolist())
+        return MappingProxyType(dict(zip(keys, self.runs.tolist())))
 
     def __eq__(self, other):
         if not isinstance(other, RunTable):
@@ -98,36 +105,6 @@ class RunTable:
             self.line.tolist(), self.level.tolist(), self.length.tolist(),
             self.runs.tolist()))
         return "\n".join(lines) + "\n"
-
-
-class RunCounts(Mapping):
-    """Read-only mapping (line, level, length) -> runs over a table's columns.
-
-    Iteration, ``values()`` and ``items()`` read the columns in table
-    order; the first lookup by key builds a dict index.
-    """
-
-    def __init__(self, line, level, length, runs):
-        self._keys = (line, level, length)
-        self._runs = runs
-        self._index = None
-
-    def __len__(self):
-        return self._runs.size
-
-    def __iter__(self):
-        return zip(*(col.tolist() for col in self._keys))
-
-    def __getitem__(self, key):
-        if self._index is None:
-            self._index = dict(self.items())
-        return self._index[key]
-
-    def values(self) -> list[int]:
-        return self._runs.tolist()
-
-    def items(self) -> list[tuple[tuple[int, int, int], int]]:
-        return list(zip(self, self.values()))
 
 
 class RunLengths:

@@ -23,12 +23,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from ._base import FeatureRecord
+from ._base import SE_NAMES, FeatureRecord
 from .dem import Dem, volume
 from .morphology import opening_raw, resolve_se
-
-DIRECTIONAL_SES = ("B1", "B2", "B3", "B4")
-ALL_SES = ("B1", "B2", "B3", "B4", "B")
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,7 @@ def _volume_curve(dem: Dem, direction: str) -> np.ndarray:
     """
     curve = dem._volume_curves.get(direction)
     if curve is None:
-        loss = _kernels.directional_loss(_levels(dem), _kernels.DIRECTION_CODE[direction])
+        loss = _kernels.directional_loss(_levels(dem), direction)
         curve = np.zeros(loss.shape[0] + 1, dtype=np.int64)
         curve[:-1] = loss[::-1].cumsum()[::-1]
         curve.flags.writeable = False
@@ -205,13 +202,13 @@ def normalized_mdgi(dem: Dem, watershed_id: str = "",
     e.g. a single cell) gets Z = 0 with the degenerate flag set instead
     of an error, so batch runs survive flat inputs.
     """
-    gi = {name: granulometric_index(pattern_spectrum(dem, name)) for name in ALL_SES}
+    gi = {name: granulometric_index(pattern_spectrum(dem, name)) for name in SE_NAMES}
     gi_b = gi["B"]
     if gi_b <= 0.0:
         z = (0.0, 0.0, 0.0, 0.0)
         degenerate = True
     else:
-        z = tuple(gi[name] / gi_b for name in DIRECTIONAL_SES)
+        z = tuple(gi[name] / gi_b for name in SE_NAMES[:4])
         degenerate = False
     return FeatureRecord(watershed_id=watershed_id, x=order_stat_features(z),
                          gi=gi, z=z, degenerate=degenerate, label=label)
@@ -242,7 +239,7 @@ def high_low_direction(z) -> tuple[str, str]:
     z = tuple(float(v) for v in z)
     hi = max(range(4), key=lambda i: (z[i], -i))
     lo = min(range(4), key=lambda i: (z[i], i))
-    return DIRECTIONAL_SES[hi], DIRECTIONAL_SES[lo]
+    return SE_NAMES[hi], SE_NAMES[lo]
 
 
 def volume_above(dem: Dem, h0: int) -> int:

@@ -64,7 +64,7 @@ def random_dem(rng, max_height: int = 12, max_width: int = 12,
     mask = rng.random((h, w)) >= hole_fraction
     if not mask.any():
         mask[rng.integers(0, h), rng.integers(0, w)] = True
-    return Dem(np.where(mask, values, 0), mask)
+    return Dem(values, mask)  # Dem stores 0 at the absent cells
 
 
 def random_interval_dem(rng, max_rows: int = 6, max_width: int = 10,
@@ -123,7 +123,7 @@ def synthetic_terrain(side: int, levels: int = 256, hole_fraction: float = 0.02,
     mask = rng.random((side, side)) >= hole_fraction
     if not mask.any():
         mask[0, 0] = True
-    return Dem(np.where(mask, values, 0), mask)
+    return Dem(values, mask)  # Dem stores 0 at the absent cells
 
 
 def _box_smooth(arr: np.ndarray, k: int) -> np.ndarray:

@@ -20,7 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from demgranulo._kernels import DIRECTION_CODE
 from demgranulo.dem import (_ESRI_HEADER_KEYS, _I64_MAX, Dem, DemError, DemParseError,
                             quantize, scan_lines, volume)
 from demgranulo.morphology import nse, opening_by_segment
@@ -195,10 +194,10 @@ def opening_spectrum_volumes(dem, se, family="nse"):
     direction, opened by ``opening_by_segment``.
     """
     if family == "length":
-        code = DIRECTION_CODE[se.as_line()[0]]
+        direction = se.as_line()[0]
 
         def opened(i):  # a segment of i + 1 cells
-            return np.where(dem.mask, opening_by_segment(dem.values, code, i + 1), 0)
+            return np.where(dem.mask, opening_by_segment(dem.values, direction, i + 1), 0)
     else:
         def opened(i):
             return translate_fit_opening(dem, nse(se, i)).values

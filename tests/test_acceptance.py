@@ -164,7 +164,7 @@ def test_operator_laws():
             length = int(rng.integers(1, 200))
             values = rng.integers(0, 50, length)
             k = int(rng.integers(0, 12))
-            got = _kernels.directional_extremum(values[None, :], _kernels.ROW, k, True)[0]
+            got = _kernels.directional_extremum(values[None, :], "row", k, True)[0]
             assert got.tolist() == naive_window_extremum(values, k, True).tolist()
 
         for _ in range(200):

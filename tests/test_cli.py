@@ -110,13 +110,19 @@ class TestSpectrumCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("key", ["step", "datum", "parallel", "max_oracle_work"])
-    @pytest.mark.parametrize("value", [[1], None, "x", {"a": 1}])
+    @pytest.mark.parametrize("value", [[1], None, "x", {"a": 1}, True, 2.5, float("inf")])
     def test_non_numeric_config_value_is_an_error(self, tmp_path, capsys, key, value):
+        # a boolean is no number, a fraction is one only for step and datum,
+        # and no count is infinite
         src = tmp_path / "demo.csv"
         write_row_fixture(src)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
-        assert main(["oracle-check", str(src), "--config", str(cfg)]) == 1
+        code = main(["oracle-check", str(src), "--config", str(cfg)])
+        if value == 2.5 and key in ("step", "datum"):
+            assert code == 0
+            return
+        assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
@@ -300,7 +306,7 @@ class TestOracleCheckCommand:
         code = main(["oracle-check", str(fixture_dir / "fictitious.csv"),
                      str(fixture_dir / "unipeak.csv")])
         assert code == 0 and capsys.readouterr().out.count("PASS") == 16
-        assert sorted(sweeps) == sorted(list(_kernels.DIRECTION_CODE.values()) * 2)
+        assert sorted(sweeps) == sorted(["row", "column", "diag-down", "diag-up"] * 2)
 
     @pytest.mark.parametrize("command", ["spectrum", "oracle-check"])
     def test_zero_volume_reported_per_file(self, tmp_path, capsys, command):

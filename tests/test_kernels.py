@@ -16,11 +16,10 @@ from conftest import (brute_runs_per_line, naive_directional_extremum,
 from demgranulo import _kernels
 from demgranulo.synth import random_dem
 
-DIRECTIONS = [_kernels.ROW, _kernels.COLUMN, _kernels.DIAG_DOWN, _kernels.DIAG_UP]
+DIRECTIONS = ["row", "column", "diag-down", "diag-up"]
 
 # unit step (dr, dc) from one cell of a scan line to the next
-UNIT = {_kernels.ROW: (0, 1), _kernels.COLUMN: (1, 0),
-        _kernels.DIAG_DOWN: (1, 1), _kernels.DIAG_UP: (1, -1)}
+UNIT = {"row": (0, 1), "column": (1, 0), "diag-down": (1, 1), "diag-up": (1, -1)}
 
 
 def _raster(seed, h, w):
@@ -42,7 +41,7 @@ class TestWindowExtremum:
            st.integers(0, 12), st.booleans())
     def test_matches_sliding_window(self, values, k, minimum):
         arr = np.array(values, dtype=np.int64)[None, :]
-        got = _kernels.directional_extremum(arr, _kernels.ROW, k, minimum)[0]
+        got = _kernels.directional_extremum(arr, "row", k, minimum)[0]
         want = naive_window_extremum(values, k, minimum)
         assert got.tolist() == want.tolist()
 
@@ -50,10 +49,10 @@ class TestWindowExtremum:
         # a lone peak spreads exactly along the scanned line under max
         arr = np.zeros((7, 7), dtype=np.int64)
         arr[3, 3] = 9
-        for d, cells in ((_kernels.ROW, {(3, 2), (3, 3), (3, 4)}),
-                         (_kernels.COLUMN, {(2, 3), (3, 3), (4, 3)}),
-                         (_kernels.DIAG_DOWN, {(2, 2), (3, 3), (4, 4)}),
-                         (_kernels.DIAG_UP, {(2, 4), (3, 3), (4, 2)})):
+        for d, cells in (("row", {(3, 2), (3, 3), (3, 4)}),
+                         ("column", {(2, 3), (3, 3), (4, 3)}),
+                         ("diag-down", {(2, 2), (3, 3), (4, 4)}),
+                         ("diag-up", {(2, 4), (3, 3), (4, 2)})):
             out = _kernels.directional_extremum(arr, d, 1, False)
             assert {tuple(rc) for rc in np.argwhere(out == 9)} == cells
 
@@ -104,7 +103,7 @@ class TestWindowExtremum:
         assert peak <= out.nbytes + 2 * 2**20
 
     @pytest.mark.parametrize("shape", [(1, 100000), (100000, 1)])
-    @pytest.mark.parametrize("direction", [_kernels.ROW, _kernels.COLUMN])
+    @pytest.mark.parametrize("direction", ["row", "column"])
     def test_long_line_working_memory_bounded(self, shape, direction):
         # rows and columns are sliced, not gathered by a flat index
         # matrix: one 100000-cell line costs a few line copies beyond the
@@ -173,9 +172,9 @@ class TestDirectionalLoss:
         # step one run at a time take as many rounds as the line is long
         arr = _adversarial_line(name)
         t0 = time.perf_counter()
-        got = _kernels.directional_loss(arr, _kernels.ROW)
+        got = _kernels.directional_loss(arr, "row")
         elapsed = time.perf_counter() - t0
-        assert got.tolist() == naive_slab_loss(arr, UNIT[_kernels.ROW]).tolist()
+        assert got.tolist() == naive_slab_loss(arr, UNIT["row"]).tolist()
         assert got.sum() == arr.sum()
         assert elapsed < 1.0, f"{elapsed:.2f}s"
 
@@ -183,7 +182,7 @@ class TestDirectionalLoss:
         # loss[3] = 3 * (2**61 - 1) has more significant bits than a
         # float64 holds: the sums must stay integer
         arr = np.array([[2**61, 2**61 - 1, 2**61]], dtype=np.int64)
-        loss = _kernels.directional_loss(arr, _kernels.ROW)
+        loss = _kernels.directional_loss(arr, "row")
         assert loss.tolist() == [0, 2, 0, 3 * (2**61 - 1), 0]
         assert int(loss.sum()) == sum(int(x) for x in arr.ravel())
 
@@ -302,7 +301,7 @@ class TestNarrowDtypes:
             loss = _kernels.directional_loss(arr, direction)
             assert loss.tolist() == naive_slab_loss(arr, UNIT[direction]).tolist()
             assert int(loss.sum()) == int(line.sum())
-        direction = _kernels.ROW if shape[0] == 1 else _kernels.COLUMN
+        direction = "row" if shape[0] == 1 else "column"
         for minimum in (True, False):
             got = _kernels.directional_extremum(arr, direction, 700, minimum)
             want = naive_directional_extremum(line.reshape(shape), UNIT[direction],

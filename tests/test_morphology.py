@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (binary_open_set, naive_erode, naive_window_extremum,
                       threshold_cells, translate_fit_opening)
 from demgranulo import _kernels
+from demgranulo._base import DIRECTIONS, SE_FOR_DIRECTION
 from demgranulo.dem import Dem
 from demgranulo.morphology import (StructuringElement, dilate, erode,
                                    multiscale_opening, named_se, nse,
@@ -61,10 +62,11 @@ class TestStructuringElements:
     def test_nse_square_grows(self):
         assert len(nse(named_se("B"), 2)) == 25
 
-    def test_line_detection(self):
-        assert named_se("B1").as_line() == ("diag-up", 1)
-        assert named_se("B3").as_line() == ("diag-down", 1)
-        assert named_se("B2").as_line() == ("column", 1)
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_line_detection(self, direction):
+        se = named_se(SE_FOR_DIRECTION[direction])
+        assert se.as_line() == (direction, 1)
+        assert nse(se, 3).as_line() == (direction, 3)
         assert named_se("B").as_line() is None
         assert named_se("B").as_square() == 1
 
@@ -214,7 +216,7 @@ class TestMultiscale:
 def row_min(values, k):
     """Windowed minimum of half-width k along one zero-padded line."""
     line = np.asarray(values, dtype=np.int64)
-    return _kernels.directional_extremum(line[None, :], _kernels.ROW, k, True)[0]
+    return _kernels.directional_extremum(line[None, :], "row", k, True)[0]
 
 
 class TestStreamingLine:
