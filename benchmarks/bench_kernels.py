@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Time the hot kernels and the full five-element feature computation.
+"""Time the parsers, the hot kernels and the five-element features.
+
+The parsers read the benchmark raster as rendered by
+``Dem.to_fixture_csv`` and ``Dem.to_esri_ascii``.
 
 Every kernel is numpy code. The kernels run on the raster's levels in
 the narrowest signed dtype that holds them (int16 for up to 32767
@@ -16,6 +19,7 @@ import time
 
 from demgranulo import _kernels
 from demgranulo._base import DIRECTIONS
+from demgranulo.dem import parse_esri_ascii, parse_fixture_csv
 from demgranulo.spectrum import _levels, normalized_mdgi
 from demgranulo.synth import synthetic_terrain
 
@@ -35,7 +39,10 @@ CROSS = [(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)]
 def run(side, levels, repeats):
     dem = synthetic_terrain(side, levels=levels, seed=3)
     arr = _levels(dem)
+    csv_text, esri_text = dem.to_fixture_csv(), dem.to_esri_ascii()
     cases = [
+        ("parse fixture CSV", lambda: parse_fixture_csv(csv_text)),
+        ("parse ESRI ASCII", lambda: parse_esri_ascii(esri_text)),
         ("windowed min (k=8, rows)",
          lambda: _kernels.directional_extremum(arr, "row", 8, True)),
         ("windowed max (k=8, diag)",

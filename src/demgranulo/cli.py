@@ -158,17 +158,18 @@ def _run_batch(work, cfg: RunConfig, emit) -> int:
     """Run ``work(ident, dem, cfg)`` on every input; return the failure count.
 
     Inputs run in sorted order, serially or over ``cfg.parallel``
-    processes. Each result goes to ``emit`` in that order, and a true
-    return from ``emit`` counts as a failure. A file that fails to load
-    or to compute prints ``error: <path>: <msg>`` in its place and
-    leaves the rest of the batch running.
+    processes, at most one per input. Each result goes to ``emit`` in
+    that order, and a true return from ``emit`` counts as a failure. A
+    file that fails to load or to compute prints ``error: <path>: <msg>``
+    in its place and leaves the rest of the batch running.
     """
     jobs = [(work, ident, path, cfg) for ident, path in _expand_inputs(cfg.inputs)]
     if cfg.parallel > 1 and len(jobs) > 1:
         # imported here, so serial runs never load the process pool machinery;
         # a worker that starts from a fresh import binds the numeric names too
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.parallel,
+        # the pool may fork every worker up front: no more than the inputs
+        with ProcessPoolExecutor(max_workers=min(cfg.parallel, len(jobs)),
                                  initializer=_load_numeric) as pool:
             results = list(pool.map(_job, jobs))
     else:

@@ -12,9 +12,12 @@ other than the grid's, the data are read again one token at a time.
 Only that pass raises for a bad cell, so every :class:`DemParseError`
 names the line and column it always did, and tokens Python's ``float``
 accepts but ``np.loadtxt`` refuses (``1_0``, Arabic-Indic digits) still
-parse. ``parse_fixture_csv`` makes one pass: it converts each line's
-cells with ``int`` into flat lists of presence flags and values, each
-turned into an array once, and on a bad line names its first bad cell.
+parse. ``parse_fixture_csv`` reads a text of ASCII digits, commas and
+blanks with one ``np.loadtxt`` call, its empty fields written as -1;
+any other text, or one ``np.loadtxt`` refuses, is read line by line
+with ``int``, which names the first bad cell of a bad line.
+``quantize``, which ``parse_esri_ascii`` ends with, hands the levels it
+builds to the :class:`Dem` without a copy.
 """
 
 from __future__ import annotations
@@ -49,11 +52,28 @@ class Dem:
         mask = np.ascontiguousarray(self.mask, dtype=bool)
         if values.ndim != 2 or mask.shape != values.shape:
             raise DemError("values and mask must be 2-D arrays of equal shape")
-        if not mask.any():
-            raise DemError("domain is empty (all cells masked)")
         if (values[mask] < 0).any():
             raise DemError("present elevations must be non-negative")
-        values = np.where(mask, values, 0)
+        self._seal(np.where(mask, values, 0), mask)
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, mask: np.ndarray) -> "Dem":
+        """A Dem over arrays the package has just built, without a copy.
+
+        ``values`` must be C-contiguous int64, non-negative and 0 at the
+        absent cells, and ``mask`` a C-contiguous bool array of its shape.
+        Both become read-only, so no other holder may write to them.
+        """
+        dem = cls.__new__(cls)
+        object.__setattr__(dem, "_volume_curves", {})
+        dem._seal(values, mask)
+        return dem
+
+    def _seal(self, values: np.ndarray, mask: np.ndarray) -> None:
+        """Store ``values`` and ``mask`` read-only once the domain holds a
+        cell and the volume fits int64."""
+        if not mask.any():
+            raise DemError("domain is empty (all cells masked)")
         # bounds the volume, and with it every slab and loss sum
         if int(values.max()) * int(np.count_nonzero(mask)) > _I64_MAX:
             raise DemError("elevations too large: the volume would overflow int64")
@@ -247,22 +267,37 @@ def quantize(raw, mask=None, *, step: float = 1.0, datum: float = 0.0) -> Dem:
     Returns:
         The quantized Dem.
     """
+    _check_step_and_datum(step, datum)
+    # the levels are built in a C-ordered copy, never in the caller's grid
+    levels = np.array(raw, dtype=np.float64, order="C")
+    if levels.ndim != 2:
+        raise DemError("expected a 2-D grid")
+    present = np.isfinite(levels)
+    if mask is not None:
+        present &= np.asarray(mask, dtype=bool)
+    if not present.any():
+        raise DemError("no unmasked finite values to quantize")
+    return _quantize_in_place(levels, present, step, datum)
+
+
+def _check_step_and_datum(step: float, datum: float) -> None:
     # a NaN or infinite step or datum would map every cell to level 1
     if not (step > 0 and math.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step}")
     if not math.isfinite(datum):
         raise ValueError(f"datum must be finite, got {datum}")
-    arr = np.asarray(raw, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DemError("expected a 2-D grid")
-    present = np.isfinite(arr)
-    if mask is not None:
-        present &= np.asarray(mask, dtype=bool)
-    if not present.any():
-        raise DemError("no unmasked finite values to quantize")
-    # floor((z - datum) / step) + 1 in one float buffer, step by step in
-    # place, then one int64 conversion: two grids beside the input
-    levels = np.subtract(arr, datum)
+
+
+def _quantize_in_place(levels: np.ndarray, present: np.ndarray,
+                       step: float, datum: float) -> Dem:
+    """:func:`quantize` of a C-ordered float64 grid the caller owns and
+    gives up, with its C-ordered ``present`` mask holding a cell.
+
+    floor((z - datum) / step) + 1 is computed step by step in the grid's
+    own buffer, then converted to int64 once: the int64 levels, which the
+    Dem adopts, are the only numeric grid allocated.
+    """
+    np.subtract(levels, datum, out=levels)
     np.divide(levels, step, out=levels)
     np.floor(levels, out=levels)
     levels += 1.0
@@ -270,9 +305,8 @@ def quantize(raw, mask=None, *, step: float = 1.0, datum: float = 0.0) -> Dem:
     if np.nanmax(levels) >= 2**62:
         raise DemError("quantized levels overflow the elevation type")
     values = levels.astype(np.int64)
-    del levels
-    np.maximum(values, 1, out=values)
-    return Dem(values, present)  # Dem stores 0 at the absent cells
+    np.maximum(values, 1, out=values, where=present)  # absent cells stay 0
+    return Dem._adopt(values, present)
 
 
 def parse_esri_ascii(text: str, *, step: float = 1.0, datum: float = 0.0) -> Dem:
@@ -346,7 +380,8 @@ def parse_esri_ascii(text: str, *, step: float = 1.0, datum: float = 0.0) -> Dem
         raise DemParseError("grid contains no data cells",
                             line=_last_data_line(lines, data_start))
     del lines, data  # the text's lines are not held while the levels are built
-    return quantize(grid, present, step=step, datum=datum)
+    _check_step_and_datum(step, datum)
+    return _quantize_in_place(grid, present, step, datum)
 
 
 def _last_data_line(lines: list[str], data_start: int) -> int:
@@ -381,23 +416,66 @@ def _esri_cells_by_token(lines: list[str], data_start: int, count: int) -> np.nd
 def parse_fixture_csv(text: str) -> Dem:
     """Parse the internal fixture CSV (integer cells, empty = masked).
 
-    Rows shorter than the longest are padded with masked cells. Each
-    line's cells go into two flat lists the size of the raster, presence
-    flags and values, which become the mask and values arrays in one
-    conversion each; no line's strings outlive it. A line holding a cell
-    that is not an integer, or lies outside the int64 range, raises a
-    :class:`DemParseError` naming the line and the first bad column.
+    Rows shorter than the longest are padded with masked cells. A text
+    made only of ASCII digits, commas, spaces, tabs and line breaks is
+    read by one ``np.loadtxt`` call (:func:`_fixture_grid`) into an int64
+    grid with -1 at the empty fields, whose mask is ``grid >= 0``. Any
+    other text, and any text ``np.loadtxt`` refuses (a cell past int64,
+    ``1 2``, a field of blanks only), is read line by line with ``int``,
+    which also takes ``+5``, ``1_0`` and Arabic-Indic digits. A line
+    holding a cell that is not an integer, or lies outside the int64
+    range, raises a :class:`DemParseError` naming the line and the first
+    bad column.
     """
     lines = text.splitlines()
     if not lines:
         raise DemParseError("empty fixture", line=1)
     width = max(line.count(",") for line in lines) + 1
+    grid = None if text.translate(_CSV_BULK_CHARS) else _fixture_grid(lines, width)
+    if grid is None:
+        values, mask = _fixture_cells_by_line(lines, width)
+    else:
+        values, mask = grid, grid >= 0  # the Dem zeroes the -1 of empty fields
+    try:
+        # copied like a caller's arrays: handing the grid over uncopied
+        # (Dem._adopt) raised oracle-check's peak RSS by 1.2 %, a glibc
+        # heap-layout effect (with MALLOC_MMAP_THRESHOLD_ fixed, within 0.3 %)
+        return Dem(values, mask)
+    except DemError as exc:
+        raise DemParseError(str(exc), line=1)
+
+
+# the characters of a text the bulk CSV path reads: with no sign, point,
+# exponent or non-ASCII digit, np.loadtxt and int agree on every integer
+# field, and a -1 in the padded text can only stand for an empty field
+_CSV_BULK_CHARS = dict.fromkeys(map(ord, "0123456789, \t\r\n"))
+
+
+def _fixture_grid(lines: list[str], width: int) -> np.ndarray | None:
+    """The fixture's cells as one int64 grid with -1 at empty fields, or
+    None when ``np.loadtxt`` refuses them."""
+    # every line becomes ",f1,...,fw," (padded to width fields, then
+    # wrapped in commas), so each empty field lies between two commas and
+    # two passes fill every run of them: ",,," -> ",-1,," -> ",-1,-1,".
+    # Padded one line at a time as np.loadtxt reads them, so no padded
+    # copy of the text or raster-sized list is held beside the grid.
+    padded = (f",{line}{',' * (width - line.count(','))}"
+              .replace(",,", ",-1,").replace(",,", ",-1,") for line in lines)
+    try:
+        return np.loadtxt(padded, delimiter=",", dtype=np.int64, comments=None,
+                          ndmin=2, usecols=range(1, width + 1))
+    except (ValueError, OverflowError):
+        return None
+
+
+def _fixture_cells_by_line(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fixture's (values, mask) grids, each line's cells read by ``int``."""
     size = len(lines) * width
     # sized once: a list grown cell by cell overshoots the raster, and
     # freeing that larger block raises glibc's dynamic mmap threshold above
     # the raster-sized arrays allocated later, which then land on the heap
     # and fragment it (about 1.5 MB more peak RSS for five 128x128 rasters
-    # through oracle-check)
+    # through oracle-check, measured when this pass read every fixture)
     present, cells = [False] * size, [0] * size
     for lineno, (start, line) in enumerate(zip(range(0, size, width), lines), start=1):
         row = list(map(str.strip, line.split(",")))
@@ -410,12 +488,8 @@ def parse_fixture_csv(text: str) -> Dem:
         present[start:start + len(row)] = map(bool, row)
         cells[start:start + len(row)] = ints
     shape = (len(lines), width)
-    values = np.array(cells, dtype=np.int64).reshape(shape)
-    mask = np.array(present, dtype=bool).reshape(shape)
-    try:
-        return Dem(values, mask)
-    except DemError as exc:
-        raise DemParseError(str(exc), line=1)
+    return (np.array(cells, dtype=np.int64).reshape(shape),
+            np.array(present, dtype=bool).reshape(shape))
 
 
 def _bad_fixture_cell(row: list[str], lineno: int) -> DemParseError:

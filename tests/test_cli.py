@@ -330,6 +330,40 @@ class TestOracleCheckCommand:
 class TestBatchPolicy:
     """A bad input fails alone, in place, in every batch command and runner."""
 
+    @pytest.mark.parametrize("parallel, files, workers", [(6, 2, 2), (2, 3, 2)])
+    def test_pool_no_larger_than_the_batch(self, tmp_path, monkeypatch,
+                                           parallel, files, workers):
+        # the pool forks every worker up front; a stub that runs the jobs
+        # in this process records the size asked for without forking
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+                initializer()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        inputs = []
+        for i in range(files):
+            inputs.append(tmp_path / f"r{i}.csv")
+            write_row_fixture(inputs[-1])
+        out = tmp_path / "out"
+        assert main(["spectrum", *map(str, inputs), "--out-dir", str(out),
+                     "--parallel", str(parallel)]) == 0
+        assert sizes == [workers]
+        assert len(list(out.glob("*.summary.json"))) == files
+
     @pytest.mark.parametrize("parallel", ["1", "2"])
     @pytest.mark.parametrize("command", ["spectrum", "features", "oracle-check"])
     def test_bad_inputs_fail_in_place(self, tmp_path, monkeypatch, command, parallel):

@@ -135,9 +135,9 @@ class TestQuantizeInPlace:
         np.testing.assert_array_equal(grid, kept)
 
     def test_parse_peak_is_two_grids_beyond_its_data_step(self):
-        # measured 1.7 grids: the level buffer, the int64 levels and two
-        # masks beside the parsed grid; the Dem's own copy comes after
-        # the level buffer is freed. One array per step took 4.1 grids.
+        # measured 0.44 grids: the int64 levels and the mask, with the
+        # levels built in the parsed grid's own buffer. A level buffer of
+        # its own and the Dem's copy took 1.7 grids, one array per step 4.1.
         text = synthetic_terrain(320, levels=256, hole_fraction=0.02,
                                  seed=1).to_esri_ascii()
         grid_bytes = 320 * 320 * 8
@@ -151,6 +151,26 @@ class TestQuantizeInPlace:
         finally:
             tracemalloc.stop()
         assert peak <= data_step + 2 * grid_bytes, (peak - data_step) / grid_bytes
+
+
+class TestParseMemory:
+    # tracemalloc peak in int64 grids, 320x320 terrain at 256 levels:
+    # measured 2.69 (CSV) and 2.15 (ESRI), where the CSV pass that sent
+    # every cell through int read 4.72 and a level buffer beside the
+    # parsed ESRI grid, and the Dem's copy of its levels, read 3.38
+    @pytest.mark.parametrize("parse, render, bound", [
+        (parse_fixture_csv, Dem.to_fixture_csv, 3.0),
+        (parse_esri_ascii, Dem.to_esri_ascii, 2.3),
+    ], ids=["fixture-csv", "esri-ascii"])
+    def test_parse_peak(self, parse, render, bound):
+        text = render(synthetic_terrain(320, levels=256, hole_fraction=0.02, seed=1))
+        tracemalloc.start()
+        try:
+            parse(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 320 * 320 * 8, peak / (320 * 320 * 8)
 
 
 class TestEsriAscii:
@@ -276,6 +296,13 @@ def csv_texts(draw):
     return "\n".join(lines) + draw(st.sampled_from(("", "\n")))
 
 
+def _random_csv(side, empty_fraction, seed):
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(0, 10**6, (side, side)).astype(str)
+    cells[rng.random((side, side)) < empty_fraction] = ""
+    return "".join(",".join(row) + "\n" for row in cells)
+
+
 def _outcome(parse, text):
     """The parsed Dem, or the type and message of the error raised."""
     try:
@@ -315,10 +342,37 @@ class TestBulkParsersMatchTokenLoops:
         "", "\n", "1,,3\n,2\n4", "1_0, 2 ,\u0661\n", "5,x\n", f"{-2**63},1\n",
         f"1,{2**63}\n", f"{2**63 - 1},{2**63 - 1}\n", "1,-2\n",
         f",x,{2**63}\n", f"{-2**63},x\n", f"1,2\n3,{2**63}\n4,x\n",
+        # digits, commas and blanks only: offered to the bulk path
+        "1,2\r\n,3\r\n", "1,2\r3,4", "1\n\n3\n", "1,\t,3\n", "1, ,3\n", " 4 ,\t5\t\n",
+        "007,1\n", "1,2,\n3,4,\n", "1\n2,3,4\n,5\n", ",,\n,\n", "\n\n", "0,0\n",
+        pytest.param(_random_csv(64, 0.1, seed=5), id="random-64x64"),
     ])
     def test_fixture_csv_cases(self, text):
         assert (_outcome(parse_fixture_csv, text)
                 == _outcome(reference_parse_fixture_csv, text))
+
+    @pytest.mark.parametrize("text, loadtxt_calls, by_line", [
+        ("1,,3\n4,5\n", 1, False),
+        ("1_0,2\n,3\n", 0, True),  # not digits only: never offered to np.loadtxt
+        ("1, ,3\n", 1, True),  # refused: a field of blanks only
+        (f"1,{2**63}\n", 1, True),  # refused: past int64
+    ])
+    def test_fixture_csv_loadtxt_calls(self, monkeypatch, text, loadtxt_calls, by_line):
+        from demgranulo import dem as dem_module
+        calls = {"loadtxt": 0, "by_line": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np, "loadtxt", counted("loadtxt", np.loadtxt))
+        monkeypatch.setattr(dem_module, "_fixture_cells_by_line",
+                            counted("by_line", dem_module._fixture_cells_by_line))
+        got = _outcome(parse_fixture_csv, text)
+        assert calls == {"loadtxt": loadtxt_calls, "by_line": int(by_line)}
+        assert got == _outcome(reference_parse_fixture_csv, text)
 
 
 class TestVolume:
