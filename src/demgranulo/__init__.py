@@ -33,7 +33,8 @@ _EXPORTS = {
                "unipeak_entropy_equivalence"),
     "spectrum": ("PatternSpectrum", "discrete_volume_derivative",
                  "granulometric_index", "high_low_direction", "normalized_mdgi",
-                 "order_stat_features", "pattern_spectrum", "volume_above"),
+                 "order_stat_features", "pattern_spectra", "pattern_spectrum",
+                 "volume_above"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

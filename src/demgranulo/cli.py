@@ -42,7 +42,7 @@ _NUMERIC = {
     "dem": ("Dem", "parse_esri_ascii", "parse_fixture_csv"),
     "oracle": ("reflection_family", "run_lengths", "run_table", "spectrum_from_runs"),
     "spectrum": ("granulometric_index", "high_low_direction", "normalized_mdgi",
-                 "pattern_spectrum"),
+                 "pattern_spectra", "pattern_spectrum"),
     "synth": ("fictitious_dem", "reflection_demo_dem", "run_profile_pair",
               "synthetic_watershed_features", "unipeak_demo_dem"),
 }
@@ -266,11 +266,9 @@ def _oracle_one(ident, dem, cfg) -> list[tuple[str, ...]]:
     rows = []
     for direction in cfg.directions:
         counted = run_lengths(dem, direction)
-        se = SE_FOR_DIRECTION[direction]
-        for family in ("nse", "length"):
-            # both families read the one volume curve the raster keeps
-            fast = pattern_spectrum(dem, se, family=family)
-            ref = spectrum_from_runs(counted, family)
+        # both families read the volume curve of one sweep
+        for fast in pattern_spectra(dem, SE_FOR_DIRECTION[direction], ("nse", "length")):
+            ref = spectrum_from_runs(counted, fast.family)
             probs = list(fast.probs)
             if cfg.corrupt_hook and probs:
                 probs[0] += Fraction(1, fast.volumes[0] + 1)  # test hook
@@ -279,7 +277,7 @@ def _oracle_one(ident, dem, cfg) -> list[tuple[str, ...]]:
                 first = next(i for i, (a, b) in enumerate(
                     zip(probs + [None], list(ref.probs) + [None])) if a != b)
                 verdict, detail = "FAIL", f"first mismatch at index {first}"
-            rows.append((ident, direction, family, verdict, detail))
+            rows.append((ident, direction, fast.family, verdict, detail))
     return rows
 
 
@@ -458,9 +456,11 @@ def _build_config(args) -> RunConfig:
     if directions is not None and not directions:
         # an empty subset is an error, not the default of all four
         raise ValueError("directions names no direction")
-    for d in directions or ():
+    for i, d in enumerate(directions or ()):
         if d not in DIRECTIONS:
             raise ValueError(f"unknown direction {d!r}")
+        if d in directions[:i]:
+            raise ValueError(f"directions names {d} twice")
     out_dir = pick("out_dir", "out")
     if not isinstance(out_dir, (str, Path)):
         raise ValueError(f"out_dir must be a string, got {out_dir!r}")

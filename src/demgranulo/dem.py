@@ -23,7 +23,7 @@ builds to the :class:`Dem` without a copy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,18 +38,19 @@ _I64_MAX = 2**63 - 1
 
 @dataclass(frozen=True, eq=False)
 class Dem:
-    """Masked integer raster. ``values`` is int64 with 0 at absent cells."""
+    """Masked integer raster. ``values`` is int64 with 0 at absent cells.
+
+    A raster holds its two read-only arrays and nothing else: no spectrum
+    or curve derived from it is kept on it. The constructor copies both.
+    """
 
     values: np.ndarray
     mask: np.ndarray
-    # direction -> volume curve, filled by spectrum._volume_curve and kept
-    # as long as the raster lives; the raster is immutable, so no curve
-    # goes stale
-    _volume_curves: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.int64)
-        mask = np.ascontiguousarray(self.mask, dtype=bool)
+        # a copy: the caller's own mask stays writeable and its own
+        mask = np.array(self.mask, dtype=bool, order="C")
         if values.ndim != 2 or mask.shape != values.shape:
             raise DemError("values and mask must be 2-D arrays of equal shape")
         if (values[mask] < 0).any():
@@ -65,7 +66,6 @@ class Dem:
         Both become read-only, so no other holder may write to them.
         """
         dem = cls.__new__(cls)
-        object.__setattr__(dem, "_volume_curves", {})
         dem._seal(values, mask)
         return dem
 
@@ -312,10 +312,10 @@ def _quantize_in_place(levels: np.ndarray, present: np.ndarray,
 def parse_esri_ascii(text: str, *, step: float = 1.0, datum: float = 0.0) -> Dem:
     """Parse an ESRI ASCII grid and quantize it into a Dem.
 
-    The header must provide ncols, nrows, xllcorner, yllcorner and
-    cellsize (any case), optionally NODATA_value; data rows follow, top
-    row first. Cells equal to the declared NODATA value, or non-finite,
-    are masked out.
+    The header must provide ncols, nrows, xllcorner and yllcorner (or
+    xllcenter and yllcenter) and cellsize (any case), optionally
+    NODATA_value; data rows follow, top row first. Cells equal to the
+    declared NODATA value, or non-finite, are masked out.
 
     The data lines are read in bulk by ``np.loadtxt``. When it refuses a
     line, or the grid holds other than nrows*ncols cells, the data are
@@ -345,9 +345,15 @@ def parse_esri_ascii(text: str, *, step: float = 1.0, datum: float = 0.0) -> Dem
             continue
         data_start = lineno - 1
         break
+    # the origin is the lower-left cell's corner or its centre, a full pair
+    centred = "xllcenter" in header or "yllcenter" in header
     for key in _ESRI_HEADER_KEYS:
-        if key not in header:
-            raise DemParseError(f"header missing {key}", line=data_start or 1)
+        key = key.replace("corner", "center") if centred else key
+        if key in header:
+            continue
+        if key == "xllcorner" and "yllcorner" not in header:
+            key = "xllcorner/yllcorner or xllcenter/yllcenter"
+        raise DemParseError(f"header missing {key}", line=data_start or 1)
     ncols, nrows = header["ncols"], header["nrows"]
     if ncols != int(ncols) or nrows != int(nrows) or ncols < 1 or nrows < 1:
         raise DemParseError("ncols/nrows must be positive integers", line=1)

@@ -8,10 +8,10 @@ the final entropy is evaluated in floating point, with the natural
 logarithm (a base change rescales every index by the same constant and
 cancels in the normalized features).
 
-Each spectrum has one code path. A linear element takes the slab sweep,
-which yields the volume of every scale from one pass over the scan
-lines; every other element opens the raster once per scale through
-``morphology.opening_raw`` until the volume reaches 0.
+Each spectrum has one code path, :func:`pattern_spectra`. A linear
+element takes the slab sweep, one pass that yields every scale of every
+family asked for in the call; every other element opens the raster once
+per scale through ``morphology.opening_raw`` until the volume reaches 0.
 """
 
 from __future__ import annotations
@@ -83,20 +83,14 @@ def _levels(dem: Dem) -> np.ndarray:
     return dem.values.astype(np.min_scalar_type(-1 - int(dem.values.max())), copy=False)
 
 
-def _volume_curve(dem: Dem, direction: str) -> np.ndarray:
+def _volume_curve(levels: np.ndarray, direction: str) -> np.ndarray:
     """curve[w] = volume surviving an opening with a w-cell segment.
 
-    The curve ends in zeros: no segment longer than a line survives. It
-    is read-only and kept on the raster, so every spectrum of one
-    direction (both families) takes it from one sweep.
+    The curve ends in zeros: no segment longer than a line survives.
     """
-    curve = dem._volume_curves.get(direction)
-    if curve is None:
-        loss = _kernels.directional_loss(_levels(dem), direction)
-        curve = np.zeros(loss.shape[0] + 1, dtype=np.int64)
-        curve[:-1] = loss[::-1].cumsum()[::-1]
-        curve.flags.writeable = False
-        dem._volume_curves[direction] = curve
+    loss = _kernels.directional_loss(levels, direction)
+    curve = np.zeros(loss.shape[0] + 1, dtype=np.int64)
+    curve[:-1] = loss[::-1].cumsum()[::-1]
     return curve
 
 
@@ -122,6 +116,15 @@ def pattern_spectrum(dem: Dem, se, *, family: str = "nse") -> PatternSpectrum:
     Returns:
         The exact PatternSpectrum.
     """
+    return pattern_spectra(dem, se, (family,))[0]
+
+
+def pattern_spectra(dem: Dem, se, families) -> tuple[PatternSpectrum, ...]:
+    """Spectra of one element, one per entry of ``families``, from one sweep.
+
+    Every argument is checked before the work starts; an element that is
+    not a line takes only "nse", from one per-scale openings loop.
+    """
     se = resolve_se(se)
     v0 = volume(dem)
     if v0 <= 0:
@@ -129,37 +132,38 @@ def pattern_spectrum(dem: Dem, se, *, family: str = "nse") -> PatternSpectrum:
     if len(se) < 2:
         raise ValueError("single-point element never removes volume")
     line = se.as_line()
-    if family == "length":
-        if line is None:
+    for family in families:
+        if family == "length" and line is None:
             raise ValueError("length family requires a linear element")
-        return _length_spectrum_sweep(dem, se, line)
-    if family != "nse":
-        raise ValueError(f"unknown family {family!r}")
-    if line is not None:
-        return _nse_spectrum_sweep(dem, se, line)
-    return _nse_spectrum_square(dem, se)
+        if family not in ("nse", "length"):
+            raise ValueError(f"unknown family {family!r}")
+    if line is None:
+        return (_nse_spectrum_square(dem, se, v0),) * len(families)
+    curve = _volume_curve(_levels(dem), line[0])
+    # read from the module per call: perfbench/tracer.py wraps them by name
+    build = {"nse": _nse_spectrum_sweep, "length": _length_spectrum_sweep}
+    return tuple(build[family](se, line, curve) for family in families)
 
 
-def _length_spectrum_sweep(dem, se, line):
+def _length_spectrum_sweep(se, line, curve):
     direction, _ = line
-    curve = _volume_curve(dem, direction)
     return _spectrum_from_points(se.name or direction, "length", curve[1:])
 
 
-def _nse_spectrum_sweep(dem, se, line):
-    direction, k0 = line
+def _nse_spectrum_sweep(se, line, curve):
+    _, k0 = line
     # scale n opens with a window of 2*k0*n + 1 cells; the stride may
     # step past the curve's zeros, so a terminal 0 is appended
-    vols = list(_volume_curve(dem, direction)[1::2 * k0]) + [0]
+    vols = list(curve[1::2 * k0]) + [0]
     return _spectrum_from_points(se.name, "nse", vols)
 
 
-def _nse_spectrum_square(dem, se):
+def _nse_spectrum_square(dem, se, v0):
     # per-scale openings of any non-linear element, the square B included
     # (perfbench/tracer.py times it under this name); only the volume
     # needs the mask, so the per-scale raster wrapping is skipped
     levels = _levels(dem)
-    vols = [volume(dem)]
+    vols = [v0]
     n = 1
     limit = dem.height + dem.width + 2
     while vols[-1] > 0:

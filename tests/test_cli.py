@@ -280,6 +280,25 @@ class TestOracleCheckCommand:
         assert captured.err.startswith("error: ") and "directions" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("how,value", [("flag", "row,row"), ("flag", "row,column,row"),
+                                           ("config", ["row", "row"]),
+                                           ("config", "column, row,row")])
+    def test_repeated_direction_is_an_error(self, fixture_dir, tmp_path, capsys,
+                                            how, value):
+        # a repeated name would check its direction twice and repeat report rows
+        args = ["--directions", value]
+        if how == "config":
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"directions": value}))
+            args = ["--config", str(config)]
+        report = tmp_path / "report.csv"
+        code = main(["oracle-check", str(fixture_dir / "unipeak.csv"), *args,
+                     "--report", str(report)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: directions names row twice\n"
+        assert captured.out == "" and not report.exists()
+
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_negative_cap_is_an_error(self, fixture_dir, tmp_path, capsys, how):
         args = ["--max-oracle-work", "-5"]

@@ -49,6 +49,14 @@ class TestDemType:
         with pytest.raises(ValueError):
             dem.values[0, 0] = 5
 
+    def test_callers_mask_stays_writeable(self):
+        # the raster seals a copy of the mask, never the caller's array
+        mask = np.ones((2, 2), dtype=bool)
+        dem = Dem(np.ones((2, 2), dtype=np.int64), mask)
+        assert mask.flags.writeable
+        mask[0, 0] = False
+        assert dem.mask.all() and dem.cell_count == 4
+
 
 class TestQuantize:
     def test_formula(self):
@@ -199,6 +207,27 @@ class TestEsriAscii:
     def test_missing_header_key(self):
         with pytest.raises(DemParseError, match="nrows"):
             parse_esri_ascii("ncols 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\n")
+
+    @pytest.mark.parametrize("origin", ["xllcorner 0\nyllcorner 0",
+                                        "xllcenter 0.5\nyllcenter 0.5",
+                                        "YLLCENTER 0.5\nXllCenter 0.5"])
+    def test_origin_at_cell_corner_or_centre(self, origin):
+        text = GRID_2X2.replace("xllcorner 0\nyllcorner 0", origin)
+        assert parse_esri_ascii(text, datum=1.0) == Dem.from_rows([[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("origin,missing", [
+        ("", "xllcorner/yllcorner or xllcenter/yllcenter"),
+        ("yllcorner 0\n", "xllcorner"),
+        ("xllcorner 0\n", "yllcorner"),
+        ("xllcenter 0\n", "yllcenter"),
+        ("xllcorner 0\nyllcenter 0\n", "xllcenter"),
+    ])
+    def test_origin_is_one_full_pair(self, origin, missing):
+        # a header with no origin names both spellings of the pair
+        text = GRID_2X2.replace("xllcorner 0\nyllcorner 0\n", origin)
+        with pytest.raises(DemParseError) as exc:
+            parse_esri_ascii(text)
+        assert str(exc.value).startswith(f"header missing {missing} (line ")
 
     def test_non_numeric_token_names_position(self):
         text = GRID_2X2.replace("3 4", "3 oops")

@@ -11,14 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fraction_entropy, opening_spectrum_volumes
-from demgranulo import spectrum
-from demgranulo.dem import Dem, scale_heights, volume
-from demgranulo.morphology import StructuringElement, named_se
+from demgranulo import _kernels, spectrum
+from demgranulo.dem import Dem, parse_esri_ascii, scale_heights, volume
+from demgranulo.morphology import StructuringElement, named_se, nse, resolve_se
 from demgranulo.oracle import RunTable, run_table, spectrum_from_runs
 from demgranulo.spectrum import (PatternSpectrum, discrete_volume_derivative,
                                  granulometric_index, high_low_direction,
                                  normalized_mdgi, order_stat_features,
-                                 pattern_spectrum, volume_above)
+                                 pattern_spectra, pattern_spectrum, volume_above)
 from demgranulo.synth import random_dem, random_interval_dem, synthetic_terrain
 
 ALL_NAMES = ("B1", "B2", "B3", "B4", "B")
@@ -175,6 +175,62 @@ class TestPatternSpectrum:
         reference = pattern_spectrum(dem, "B4").probs
         for member in reflection_family(dem):
             assert pattern_spectrum(member, "B4").probs == reference
+
+
+def _count_sweeps(monkeypatch) -> list[str]:
+    """The direction of every slab sweep from here on, in call order."""
+    sweeps = []
+    loss = _kernels.directional_loss
+
+    def counted(values, direction):
+        sweeps.append(direction)
+        return loss(values, direction)
+
+    monkeypatch.setattr(_kernels, "directional_loss", counted)
+    return sweeps
+
+
+class TestPatternSpectra:
+    @settings(max_examples=80, deadline=None)
+    @given(dems(), st.sampled_from(["B1", "B2", "B3", "B4", nse("B4", 2)]),
+           st.sampled_from([("nse", "length"), ("length", "nse"), ("nse", "nse")]))
+    def test_one_spectrum_per_family(self, dem, se, families):
+        assert pattern_spectra(dem, se, families) == tuple(
+            pattern_spectrum(dem, se, family=f) for f in families)
+
+    @pytest.mark.parametrize("se", ["B1", "B2", "B3", "B4", nse("B4", 2)])
+    @pytest.mark.parametrize("families", [("nse", "length"), ("length", "nse", "length")])
+    def test_one_sweep_per_call(self, monkeypatch, se, families):
+        sweeps = _count_sweeps(monkeypatch)
+        got = pattern_spectra(synthetic_terrain(12, levels=16), se, families)
+        assert [ps.family for ps in got] == list(families)
+        assert sweeps == [resolve_se(se).as_line()[0]]
+
+    @pytest.mark.parametrize("rows,se,families,match", [
+        ([[2, 5, 5]], "B", ("nse", "length"), "linear element"),
+        ([[2, 5, 5]], "B4", ("nse", "square"), "unknown family"),
+        ([[0, 0, 0]], "B4", ("nse", "length"), "zero-volume"),
+        ([[0, 0, 0]], "B", ("nse",), "zero-volume"),
+    ])
+    def test_rejected_before_any_work(self, monkeypatch, rows, se, families, match):
+        def no_work(*args):
+            raise AssertionError("ran before the arguments were checked")
+
+        monkeypatch.setattr(_kernels, "directional_loss", no_work)
+        monkeypatch.setattr(spectrum, "opening_raw", no_work)
+        with pytest.raises(ValueError, match=match):
+            pattern_spectra(Dem.from_rows(rows), se, families)
+
+    @pytest.mark.parametrize("build", ["constructor", "parser"])
+    def test_no_state_kept_on_the_raster(self, monkeypatch, build):
+        # every call sweeps: nothing of a spectrum is cached on the raster
+        dem = Dem.from_rows([[2, 5, 5, 2, 2]])
+        if build == "parser":
+            dem = parse_esri_ascii(dem.to_esri_ascii(), datum=1.0)
+        sweeps = _count_sweeps(monkeypatch)
+        assert pattern_spectrum(dem, "B4") == pattern_spectrum(dem, "B4")
+        assert sweeps == ["row", "row"]
+        assert vars(dem).keys() == {"values", "mask"}
 
 
 class TestSpectrumValidation:
