@@ -2,7 +2,9 @@
 """Time the parsers, the hot kernels and the five-element features.
 
 The parsers read the benchmark raster as rendered by
-``Dem.to_fixture_csv`` and ``Dem.to_esri_ascii``.
+``Dem.to_fixture_csv`` and ``Dem.to_esri_ascii``, and the fixture CSV
+once more behind a leading ``+``, which sends it to the by-line pass;
+both writers are timed too.
 
 Every kernel is numpy code. The kernels run on the raster's levels in
 the narrowest signed dtype that holds them (int16 for up to 32767
@@ -42,7 +44,10 @@ def run(side, levels, repeats):
     csv_text, esri_text = dem.to_fixture_csv(), dem.to_esri_ascii()
     cases = [
         ("parse fixture CSV", lambda: parse_fixture_csv(csv_text)),
+        ("parse fixture CSV by line", lambda: parse_fixture_csv("+" + csv_text)),
         ("parse ESRI ASCII", lambda: parse_esri_ascii(esri_text)),
+        ("write fixture CSV", dem.to_fixture_csv),
+        ("write ESRI ASCII", dem.to_esri_ascii),
         ("windowed min (k=8, rows)",
          lambda: _kernels.directional_extremum(arr, "row", 8, True)),
         ("windowed max (k=8, diag)",

@@ -2,7 +2,8 @@
 
 The raster errors, the scan directions, the structuring-element names and
 the feature record live here rather than in ``dem``, ``morphology`` and
-``spectrum``, which re-export them. ``classify`` and the CLI's
+``spectrum``, which re-export them; so does the step/datum check that
+``dem`` and the CLI's ``RunConfig`` share. ``classify`` and the CLI's
 ``train-tree``, ``classify`` and ``--version`` paths import only this
 module, so they start without loading numpy.
 
@@ -13,6 +14,7 @@ from one cell of a scan line to the next.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 # Scan directions and their unit steps (drow, dcol), and the directional
@@ -48,6 +50,15 @@ class DemParseError(DemError):
         super().__init__(message + loc)
         self.line = line
         self.column = column
+
+
+def _check_step_and_datum(step: float, datum: float) -> None:
+    """Reject a quantization step or datum that is not a usable number."""
+    # a NaN or infinite step or datum would map every cell to level 1
+    if not (step > 0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if not math.isfinite(datum):
+        raise ValueError(f"datum must be finite, got {datum}")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ from importlib import import_module
 from pathlib import Path
 
 from . import __version__
-from ._base import DIRECTIONS, SE_FOR_DIRECTION, SE_NAMES, DemError, FeatureRecord
+from ._base import (DIRECTIONS, SE_FOR_DIRECTION, SE_NAMES, DemError, FeatureRecord,
+                    _check_step_and_datum)
 from .classify import (predict, render_tree, train_cart, training_accuracy,
                        tree_from_json, tree_to_json)
 
@@ -100,10 +101,7 @@ class RunConfig:
     corrupt_hook: bool = False
 
     def __post_init__(self):
-        if not (self.step > 0 and math.isfinite(self.step)):
-            raise ValueError(f"step must be positive and finite, got {self.step}")
-        if not math.isfinite(self.datum):
-            raise ValueError(f"datum must be finite, got {self.datum}")
+        _check_step_and_datum(self.step, self.datum)
         if self.parallel < 1:
             raise ValueError("parallelism degree must be >= 1")
         if self.max_oracle_work < 0:
@@ -114,8 +112,11 @@ class RunConfig:
 
 
 def _expand_inputs(patterns) -> list[tuple[str, Path]]:
-    """Resolve globs and sort by id (file stem, then full path).
+    """Resolve globs and sort by id.
 
+    An input's id is its file stem. When another input holds that, it is
+    the path with every ``/`` written ``_``, and when that is taken too,
+    the path id with ``~2``, ``~3``, ... appended, the first that is free.
     A wildcard pattern matching nothing contributes an empty set; a
     literal path is kept even when missing so it errors per-file.
     """
@@ -129,8 +130,11 @@ def _expand_inputs(patterns) -> list[tuple[str, Path]]:
     seen = {}
     for p in paths:
         ident = p.stem
-        if ident in seen and seen[ident] != p:
-            ident = str(p).replace("/", "_")
+        if seen.get(ident, p) != p:
+            fallback = ident = str(p).replace("/", "_")
+            n = 2
+            while seen.get(ident, p) != p:  # never overwrite another input
+                ident, n = f"{fallback}~{n}", n + 1
         seen[ident] = p
     return sorted(seen.items())
 

@@ -14,15 +14,17 @@ names the line and column it always did, and tokens Python's ``float``
 accepts but ``np.loadtxt`` refuses (``1_0``, Arabic-Indic digits) still
 parse. ``parse_fixture_csv`` reads a text of ASCII digits, commas and
 blanks with one ``np.loadtxt`` call, its empty fields written as -1;
-any other text, or one ``np.loadtxt`` refuses, is read line by line
-with ``int``, which names the first bad cell of a bad line.
-``quantize``, which ``parse_esri_ascii`` ends with, hands the levels it
-builds to the :class:`Dem` without a copy.
+any other text, or one ``np.loadtxt`` refuses, is read in one pass, each
+cell once by ``int`` and each line written into the grid as one row; the
+first bad cell raises, naming its line and column. ``quantize``, which
+``parse_esri_ascii`` ends with, hands the levels it builds to the
+:class:`Dem` without a copy. The writers render a raster a row at a time
+from the row's Python lists of values and mask.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,7 +32,7 @@ import numpy as np
 
 # defined numpy-free in _base, and part of this module's interface
 from ._base import (DIRECTION_STEPS, DIRECTIONS, SE_FOR_DIRECTION,  # noqa: F401
-                    DemError, DemParseError)
+                    DemError, DemParseError, _check_step_and_datum)
 
 _ESRI_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 _I64_MAX = 2**63 - 1
@@ -139,7 +141,7 @@ class Dem:
         bit-exactly; the default ingestion datum of 0 maps an integer
         grid one level up (see :func:`quantize`).
         """
-        lines = [
+        header = [
             f"ncols {self.width}",
             f"nrows {self.height}",
             "xllcorner 0.0",
@@ -147,20 +149,18 @@ class Dem:
             "cellsize 1.0",
             f"NODATA_value {nodata}",
         ]
-        for r in range(self.height):
-            row = [str(int(self.values[r, c])) if self.mask[r, c] else str(nodata)
-                   for c in range(self.width)]
-            lines.append(" ".join(row))
-        return "\n".join(lines) + "\n"
+        return "\n".join(header + self._text_rows(" ", str(nodata))) + "\n"
 
     def to_fixture_csv(self) -> str:
         """Render as the internal fixture CSV: empty fields mean masked."""
-        lines = []
-        for r in range(self.height):
-            lines.append(",".join(
-                str(int(self.values[r, c])) if self.mask[r, c] else ""
-                for c in range(self.width)))
-        return "\n".join(lines) + "\n"
+        return "\n".join(self._text_rows(",", "")) + "\n"
+
+    def _text_rows(self, sep: str, absent: str) -> list[str]:
+        """One line of text per row, ``absent`` at masked cells; each row
+        becomes Python lists on its own, not the whole raster at once."""
+        return [sep.join([str(v) if p else absent
+                          for v, p in zip(vals.tolist(), present.tolist())])
+                for vals, present in zip(self.values, self.mask)]
 
 
 @dataclass(frozen=True)
@@ -278,14 +278,6 @@ def quantize(raw, mask=None, *, step: float = 1.0, datum: float = 0.0) -> Dem:
     if not present.any():
         raise DemError("no unmasked finite values to quantize")
     return _quantize_in_place(levels, present, step, datum)
-
-
-def _check_step_and_datum(step: float, datum: float) -> None:
-    # a NaN or infinite step or datum would map every cell to level 1
-    if not (step > 0 and math.isfinite(step)):
-        raise ValueError(f"step must be positive and finite, got {step}")
-    if not math.isfinite(datum):
-        raise ValueError(f"datum must be finite, got {datum}")
 
 
 def _quantize_in_place(levels: np.ndarray, present: np.ndarray,
@@ -427,11 +419,11 @@ def parse_fixture_csv(text: str) -> Dem:
     read by one ``np.loadtxt`` call (:func:`_fixture_grid`) into an int64
     grid with -1 at the empty fields, whose mask is ``grid >= 0``. Any
     other text, and any text ``np.loadtxt`` refuses (a cell past int64,
-    ``1 2``, a field of blanks only), is read line by line with ``int``,
-    which also takes ``+5``, ``1_0`` and Arabic-Indic digits. A line
-    holding a cell that is not an integer, or lies outside the int64
-    range, raises a :class:`DemParseError` naming the line and the first
-    bad column.
+    ``1 2``, a field of blanks only), is read by
+    :func:`_fixture_cells_by_line`, each cell once with ``int``, which
+    also takes ``+5``, ``1_0`` and Arabic-Indic digits. The first cell
+    that is not an integer, or lies outside the int64 range, raises a
+    :class:`DemParseError` naming its line and column.
     """
     lines = text.splitlines()
     if not lines:
@@ -475,42 +467,31 @@ def _fixture_grid(lines: list[str], width: int) -> np.ndarray | None:
 
 
 def _fixture_cells_by_line(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The fixture's (values, mask) grids, each line's cells read by ``int``."""
-    size = len(lines) * width
-    # sized once: a list grown cell by cell overshoots the raster, and
-    # freeing that larger block raises glibc's dynamic mmap threshold above
-    # the raster-sized arrays allocated later, which then land on the heap
-    # and fragment it (about 1.5 MB more peak RSS for five 128x128 rasters
-    # through oracle-check, measured when this pass read every fixture)
-    present, cells = [False] * size, [0] * size
-    for lineno, (start, line) in enumerate(zip(range(0, size, width), lines), start=1):
+    """The fixture's (values, mask) grids, each cell read once by ``int``
+    and each line written as one row; the first cell that is not an int64
+    raises, naming its line and column."""
+    values = np.zeros((len(lines), width), dtype=np.int64)
+    mask = np.zeros((len(lines), width), dtype=bool)
+    for lineno, line in enumerate(lines, start=1):
         row = list(map(str.strip, line.split(",")))
+        cells = []  # the line's cells up to the first one int refuses
         try:
-            ints = [int(tok) if tok else 0 for tok in row]
+            for tok in row:
+                cells.append(int(tok) if tok else 0)
         except ValueError:
-            ints = None
-        if ints is None or max(ints) > _I64_MAX or min(ints) < -_I64_MAX:
-            raise _bad_fixture_cell(row, lineno)
-        present[start:start + len(row)] = map(bool, row)
-        cells[start:start + len(row)] = ints
-    shape = (len(lines), width)
-    return (np.array(cells, dtype=np.int64).reshape(shape),
-            np.array(present, dtype=bool).reshape(shape))
-
-
-def _bad_fixture_cell(row: list[str], lineno: int) -> DemParseError:
-    """The error for the first cell of a fixture line that is not an int64."""
-    for colno, tok in enumerate(row, start=1):
-        if not tok:
-            continue
-        try:
-            value = int(tok)
-        except ValueError:
-            return DemParseError(f"non-integer cell {tok!r}", line=lineno, column=colno)
-        if abs(value) > _I64_MAX:
-            return DemParseError(f"cell {tok!r} outside the int64 range",
-                                 line=lineno, column=colno)
-    raise AssertionError(f"line {lineno} holds no bad cell")
+            pass
+        if len(cells) < len(row) or max(cells) > _I64_MAX or min(cells) < -_I64_MAX:
+            # every converted cell precedes the refused one: a cell past
+            # int64 among them is the first bad cell
+            colno = next((c for c, v in enumerate(cells, start=1) if abs(v) > _I64_MAX),
+                         len(cells) + 1)
+            tok = row[colno - 1]
+            raise DemParseError(f"cell {tok!r} outside the int64 range"
+                                if colno <= len(cells) else f"non-integer cell {tok!r}",
+                                line=lineno, column=colno)
+        values[lineno - 1, :len(row)] = cells
+        mask[lineno - 1, :len(row)] = list(map(bool, row))
+    return values, mask
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +535,9 @@ def reflect_rows(dem: Dem, subset: Iterable[int]) -> Dem:
 
 
 def scale_heights(dem: Dem, k: int) -> Dem:
-    """Multiply every present elevation by the integer factor ``k >= 1``."""
+    """Multiply every present elevation by the integer factor ``k >= 1``
+    (an int or numpy integer: a float raises ``TypeError``, not truncated)."""
+    k = operator.index(k)
     if k < 1:
         raise ValueError(f"scale factor must be >= 1, got {k}")
     if dem.zmax > _I64_MAX // k:

@@ -7,8 +7,8 @@ enumeration, slab losses via a stack sweep over lines walked cell by
 cell, per-level run counting via direct thresholding (per sequence, and
 per segment of every scan line for whole run tables), and the entropy
 via exact ``Fraction`` probabilities, the ESRI and fixture-CSV
-parsers as per-token loops, and quantization with one new array per
-step. Expected values frozen in the test modules were produced with
+parsers as per-token loops, their writers as per-cell loops, and
+quantization with one new array per step. Expected values frozen in the test modules were produced with
 these. The one exception is the length-family spectrum reference, which
 loops the package's own ``opening_by_segment`` over every length; its
 two one-sided extremum passes are the ones test_kernels.py checks
@@ -405,6 +405,39 @@ def reference_parse_fixture_csv(text):
         return Dem.from_rows(rows)
     except DemError as exc:
         raise DemParseError(str(exc), line=1)
+
+
+# ---------------------------------------------------------------------------
+# Reference writers: one cell at a time, as the package wrote before it
+# rendered whole rows
+# ---------------------------------------------------------------------------
+
+
+def reference_to_esri_ascii(dem, nodata=-9999):
+    """``Dem.to_esri_ascii`` with every cell read by index."""
+    lines = [
+        f"ncols {dem.width}",
+        f"nrows {dem.height}",
+        "xllcorner 0.0",
+        "yllcorner 0.0",
+        "cellsize 1.0",
+        f"NODATA_value {nodata}",
+    ]
+    for r in range(dem.height):
+        row = [str(int(dem.values[r, c])) if dem.mask[r, c] else str(nodata)
+               for c in range(dem.width)]
+        lines.append(" ".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_to_fixture_csv(dem):
+    """``Dem.to_fixture_csv`` with every cell read by index."""
+    lines = []
+    for r in range(dem.height):
+        lines.append(",".join(
+            str(int(dem.values[r, c])) if dem.mask[r, c] else ""
+            for c in range(dem.width)))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,18 @@ class TestFeaturesCommand:
         assert "big.asc" in err and "grid ended after 3 of 10000000000 cells" in err
         assert [ln.split(",")[0] for ln in out.read_text().splitlines()[1:]] == ["ok"]
 
+    def test_colliding_fallback_ids_keep_every_input(self, tmp_path, monkeypatch):
+        # a/b/x.csv and a_b/x.csv both fall back from the stem x to a_b_x.csv
+        monkeypatch.chdir(tmp_path)
+        inputs = ["x.csv", "a/b/x.csv", "a_b/x.csv"]
+        for name in inputs:
+            Path(name).parent.mkdir(parents=True, exist_ok=True)
+            write_row_fixture(Path(name))
+        assert main(["features", *inputs, "--output", "features.csv"]) == 0
+        ids = [ln.split(",")[0] for ln in
+               Path("features.csv").read_text().splitlines()[1:]]
+        assert ids == ["a_b_x.csv", "a_b_x.csv~2", "x"]
+
     def test_batch_order_stable(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
         inputs = [str(fixture_dir / n) for n in
