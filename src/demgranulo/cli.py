@@ -14,9 +14,9 @@ inputs are processed in sorted order, rationals are written as "a/b"
 with the raw volume denominator, and reals carry 6 significant digits.
 
 Only ``spectrum``, ``features``, ``oracle-check`` and ``gen-fixtures``
-load numpy: :func:`main` binds the numeric names they call (parsers,
-spectra, oracle, fixtures) into this module when one of them runs.
-``train-tree``, ``classify`` and ``--version`` start without numpy.
+load numpy: they bind the numeric names they call (parsers, spectra,
+oracle, fixtures) into this module when they start. ``train-tree``,
+``classify`` and ``--version`` start without numpy.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import glob
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
@@ -91,8 +91,19 @@ def _metadata(cfg) -> dict:
 
 @dataclass
 class RunConfig:
+    """The options of one batch run, checked.
+
+    A field's default is the option's only default. ``directions`` may
+    be a comma-separated string or a list (``None`` for all four),
+    ``out_dir`` a string, and a number anything ``float`` or ``int``
+    takes but a bool or, for a count, a fraction; each is stored as its
+    field's type. The first fault raises ``ValueError``, checked in this
+    order: directions, out_dir, the number types, step and datum values,
+    parallel, max_oracle_work, inputs.
+    """
+
     inputs: list[str]
-    out_dir: Path
+    out_dir: Path = Path("out")
     step: float = 1.0
     datum: float = 0.0
     parallel: int = 1
@@ -101,6 +112,38 @@ class RunConfig:
     corrupt_hook: bool = False
 
     def __post_init__(self):
+        directions = self.directions
+        if directions is None:  # a config's null keeps the default
+            directions = DIRECTIONS
+        elif isinstance(directions, str):
+            directions = [d.strip() for d in directions.split(",") if d.strip()]
+        elif not isinstance(directions, (list, tuple)):
+            raise ValueError("directions must be a string or a list of names")
+        if not directions:
+            # an empty subset is an error, not the default of all four
+            raise ValueError("directions names no direction")
+        for i, d in enumerate(directions):
+            if d not in DIRECTIONS:
+                raise ValueError(f"unknown direction {d!r}")
+            if d in directions[:i]:
+                raise ValueError(f"directions names {d} twice")
+        self.directions = tuple(directions)
+        if not isinstance(self.out_dir, (str, Path)):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+        self.out_dir = Path(self.out_dir)
+        for name, kind in (("step", float), ("datum", float),
+                           ("parallel", int), ("max_oracle_work", int)):
+            # a JSON true is no number, and a count takes no fraction; int()
+            # and float() would take true as 1 and cut 2.5 down to 2
+            val = getattr(self, name)
+            try:
+                if isinstance(val, bool) or (
+                        kind is int and isinstance(val, float) and not val.is_integer()):
+                    raise ValueError
+                setattr(self, name, kind(val))
+            except (TypeError, ValueError):
+                what = "an integer" if kind is int else "a number"
+                raise ValueError(f"{name} must be {what}, got {val!r}") from None
         _check_step_and_datum(self.step, self.datum)
         if self.parallel < 1:
             raise ValueError("parallelism degree must be >= 1")
@@ -167,6 +210,7 @@ def _run_batch(work, cfg: RunConfig, emit) -> int:
     file that fails to load or to compute prints ``error: <path>: <msg>``
     in its place and leaves the rest of the batch running.
     """
+    _load_numeric()
     jobs = [(work, ident, path, cfg) for ident, path in _expand_inputs(cfg.inputs)]
     if cfg.parallel > 1 and len(jobs) > 1:
         # imported here, so serial runs never load the process pool machinery;
@@ -235,9 +279,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 # features
 # ---------------------------------------------------------------------------
 
+_X_COLUMNS = [f"x{i}" for i in range(16)]
 _FEATURE_COLUMNS = (["id"] + [f"gi_{se.lower()}" for se in SE_NAMES]
-                    + [f"z{i}" for i in range(1, 5)]
-                    + [f"x{i}" for i in range(16)]
+                    + [f"z{i}" for i in range(1, 5)] + _X_COLUMNS
                     + ["degenerate", "high", "low"])
 
 
@@ -249,7 +293,8 @@ def _features_one(ident, dem, cfg) -> str:
                     + ["1" if rec.degenerate else "0", hi, lo])
 
 
-def cmd_features(cfg: RunConfig, output: Path) -> int:
+def cmd_features(cfg: RunConfig, output: Path | None = None) -> int:
+    output = output or cfg.out_dir / "features.csv"
     output.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(_FEATURE_COLUMNS)]
     failures = _run_batch(_features_one, cfg, lines.append)
@@ -314,7 +359,7 @@ def _read_feature_csv(path: Path, label_column: str | None):
         raise ValueError(f"{path}: empty feature CSV")
     header = lines[0][1].split(",")
     try:
-        xcols = [header.index(f"x{i}") for i in range(16)]
+        xcols = [header.index(name) for name in _X_COLUMNS]
         id_col = header.index("id")
     except ValueError as exc:
         raise ValueError(f"{path}: missing feature columns ({exc})") from None
@@ -375,6 +420,7 @@ def cmd_classify(tree_path: Path, features: Path, output: Path) -> int:
 
 
 def cmd_gen_fixtures(out_dir: Path) -> int:
+    _load_numeric()
     out_dir.mkdir(parents=True, exist_ok=True)
     emitted = []
 
@@ -396,7 +442,7 @@ def cmd_gen_fixtures(out_dir: Path) -> int:
     emit("constant.csv", Dem.from_rows([[1, 1, 1, 1, 1]]).to_fixture_csv())
 
     records = synthetic_watershed_features()
-    lines = [",".join(["id"] + [f"x{i}" for i in range(16)] + ["label"])]
+    lines = [",".join(["id"] + _X_COLUMNS + ["label"])]
     for rec in records:
         lines.append(",".join([rec.watershed_id] + [_fmt(v) for v in rec.x]
                               + [rec.label]))
@@ -414,70 +460,27 @@ def cmd_gen_fixtures(out_dir: Path) -> int:
 
 def _add_batch_args(sub):
     sub.add_argument("inputs", nargs="+", help="input rasters (.asc/.csv), globs allowed")
-    sub.add_argument("--out-dir", type=Path, default=None,
-                     help="output directory (default out)")
-    sub.add_argument("--step", type=float, default=None,
+    sub.add_argument("--out-dir", type=Path, help="output directory (default out)")
+    sub.add_argument("--step", type=float,
                      help="quantization level width for .asc inputs (default 1)")
-    sub.add_argument("--datum", type=float, default=None,
+    sub.add_argument("--datum", type=float,
                      help="elevation of level 1 for .asc inputs (default 0)")
-    sub.add_argument("--parallel", type=int, default=None,
-                     help="process-level parallelism (default 1)")
-    sub.add_argument("--config", type=Path, default=None,
-                     help="JSON file with defaults; explicit flags win")
+    sub.add_argument("--parallel", type=int, help="process-level parallelism (default 1)")
+    sub.add_argument("--config", type=Path, help="JSON file with defaults; explicit flags win")
 
 
 def _build_config(args) -> RunConfig:
-    file_cfg = {}
-    if getattr(args, "config", None) is not None:
+    """Explicit flags over the ``--config`` file over ``RunConfig``'s defaults."""
+    options = {f.name for f in fields(RunConfig)} - {"inputs"}
+    given = {}
+    if args.config is not None:
         file_cfg = json.loads(args.config.read_text())
         if not isinstance(file_cfg, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-
-    def pick(name, default):
-        val = getattr(args, name, None)
-        if val is not None:
-            return val
-        return file_cfg.get(name, default)
-
-    def number(name, kind, default):
-        # a JSON true is no number, and a count takes no fraction; int()
-        # and float() would take true as 1 and cut 2.5 down to 2
-        val = pick(name, default)
-        try:
-            if isinstance(val, bool) or (
-                    kind is int and isinstance(val, float) and not val.is_integer()):
-                raise ValueError
-            return kind(val)
-        except (TypeError, ValueError):
-            what = "an integer" if kind is int else "a number"
-            raise ValueError(f"{name} must be {what}, got {val!r}") from None
-
-    directions = pick("directions", None)
-    if isinstance(directions, str):
-        directions = tuple(d.strip() for d in directions.split(",") if d.strip())
-    elif directions is not None and not isinstance(directions, list):
-        raise ValueError("directions must be a string or a list of names")
-    if directions is not None and not directions:
-        # an empty subset is an error, not the default of all four
-        raise ValueError("directions names no direction")
-    for i, d in enumerate(directions or ()):
-        if d not in DIRECTIONS:
-            raise ValueError(f"unknown direction {d!r}")
-        if d in directions[:i]:
-            raise ValueError(f"directions names {d} twice")
-    out_dir = pick("out_dir", "out")
-    if not isinstance(out_dir, (str, Path)):
-        raise ValueError(f"out_dir must be a string, got {out_dir!r}")
-    return RunConfig(
-        inputs=list(args.inputs),
-        out_dir=Path(out_dir),
-        step=number("step", float, 1.0),
-        datum=number("datum", float, 0.0),
-        parallel=number("parallel", int, 1),
-        directions=DIRECTIONS if directions is None else tuple(directions),
-        max_oracle_work=number("max_oracle_work", int, 2_000_000),
-        corrupt_hook=bool(getattr(args, "self_test_corrupt", False)),
-    )
+        # the test hook is a flag only
+        given = {k: v for k, v in file_cfg.items() if k in options and k != "corrupt_hook"}
+    given.update((k, v) for k, v in vars(args).items() if k in options and v is not None)
+    return RunConfig(args.inputs, **given)
 
 
 def main(argv=None) -> int:
@@ -489,21 +492,24 @@ def main(argv=None) -> int:
 
     sp = subs.add_parser("spectrum", help="volume curves and indices per raster")
     _add_batch_args(sp)
+    sp.set_defaults(run=lambda args: cmd_spectrum(_build_config(args)))
 
     ft = subs.add_parser("features", help="feature rows per raster")
     _add_batch_args(ft)
-    ft.add_argument("--output", type=Path, default=None,
+    ft.set_defaults(run=lambda args: cmd_features(_build_config(args), args.output))
+    ft.add_argument("--output", type=Path,
                     help="feature CSV path (default <out-dir>/features.csv)")
 
     oc = subs.add_parser("oracle-check",
                          help="compare streaming and run-counted spectra")
     _add_batch_args(oc)
-    oc.add_argument("--report", type=Path, default=None, help="also write a CSV report")
-    oc.add_argument("--directions", default=None,
+    oc.set_defaults(run=lambda args: cmd_oracle_check(_build_config(args), args.report))
+    oc.add_argument("--report", type=Path, help="also write a CSV report")
+    oc.add_argument("--directions",
                     help="comma-separated subset of row,column,diag-down,diag-up")
-    oc.add_argument("--max-oracle-work", type=int, default=None,
+    oc.add_argument("--max-oracle-work", type=int,
                     help="skip rasters with cells*levels beyond this")
-    oc.add_argument("--self-test-corrupt", action="store_true",
+    oc.add_argument("--self-test-corrupt", dest="corrupt_hook", action="store_true",
                     help=argparse.SUPPRESS)
 
     tt = subs.add_parser("train-tree", help="fit a depth-capped tree on features")
@@ -511,38 +517,25 @@ def main(argv=None) -> int:
     tt.add_argument("--label-column", default="label")
     tt.add_argument("--max-depth", type=int, default=2)
     tt.add_argument("--out-dir", type=Path, default=Path("out"))
+    tt.set_defaults(run=lambda args: cmd_train_tree(
+        args.features, args.label_column, args.max_depth, args.out_dir))
 
     cl = subs.add_parser("classify", help="apply a stored tree to features")
     cl.add_argument("features", type=Path)
     cl.add_argument("--tree", type=Path, required=True)
     cl.add_argument("--output", type=Path, default=Path("predictions.csv"))
+    cl.set_defaults(run=lambda args: cmd_classify(args.tree, args.features, args.output))
 
     gf = subs.add_parser("gen-fixtures", help="emit documented fixture rasters")
     gf.add_argument("--out-dir", type=Path, default=Path("fixtures"))
+    gf.set_defaults(run=lambda args: cmd_gen_fixtures(args.out_dir))
 
     args = parser.parse_args(argv)
-    if args.command not in ("train-tree", "classify"):
-        _load_numeric()
     try:
-        if args.command == "spectrum":
-            return cmd_spectrum(_build_config(args))
-        if args.command == "features":
-            cfg = _build_config(args)
-            output = args.output or (cfg.out_dir / "features.csv")
-            return cmd_features(cfg, output)
-        if args.command == "oracle-check":
-            return cmd_oracle_check(_build_config(args), args.report)
-        if args.command == "train-tree":
-            return cmd_train_tree(args.features, args.label_column,
-                                  args.max_depth, args.out_dir)
-        if args.command == "classify":
-            return cmd_classify(args.tree, args.features, args.output)
-        if args.command == "gen-fixtures":
-            return cmd_gen_fixtures(args.out_dir)
+        return args.run(args)
     except (DemError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

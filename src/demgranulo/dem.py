@@ -24,6 +24,7 @@ from the row's Python lists of values and mask.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -286,19 +287,21 @@ def _quantize_in_place(levels: np.ndarray, present: np.ndarray,
     gives up, with its C-ordered ``present`` mask holding a cell.
 
     floor((z - datum) / step) + 1 is computed step by step in the grid's
-    own buffer, then converted to int64 once: the int64 levels, which the
-    Dem adopts, are the only numeric grid allocated.
+    own buffer and clamped at 1 there, so no float outside int64 reaches
+    the one conversion to int64: the int64 levels, which the Dem adopts,
+    are the only numeric grid allocated.
     """
-    np.subtract(levels, datum, out=levels)
-    np.divide(levels, step, out=levels)
+    # a level that overflows to -inf clamps to 1, and one at +inf is refused
+    with np.errstate(over="ignore"):
+        np.subtract(levels, datum, out=levels)
+        np.divide(levels, step, out=levels)
     np.floor(levels, out=levels)
     levels += 1.0
+    np.maximum(levels, 1.0, out=levels)
     levels[~present] = 0.0
     if np.nanmax(levels) >= 2**62:
         raise DemError("quantized levels overflow the elevation type")
-    values = levels.astype(np.int64)
-    np.maximum(values, 1, out=values, where=present)  # absent cells stay 0
-    return Dem._adopt(values, present)
+    return Dem._adopt(levels.astype(np.int64), present)
 
 
 def parse_esri_ascii(text: str, *, step: float = 1.0, datum: float = 0.0) -> Dem:
@@ -347,7 +350,9 @@ def parse_esri_ascii(text: str, *, step: float = 1.0, datum: float = 0.0) -> Dem
             key = "xllcorner/yllcorner or xllcenter/yllcenter"
         raise DemParseError(f"header missing {key}", line=data_start or 1)
     ncols, nrows = header["ncols"], header["nrows"]
-    if ncols != int(ncols) or nrows != int(nrows) or ncols < 1 or nrows < 1:
+    # int() refuses nan and the infinities, so they are ruled out first
+    finite = math.isfinite(ncols) and math.isfinite(nrows)
+    if not finite or ncols != int(ncols) or nrows != int(nrows) or ncols < 1 or nrows < 1:
         raise DemParseError("ncols/nrows must be positive integers", line=1)
     ncols, nrows = int(ncols), int(nrows)
     nodata = header.get("nodata_value")

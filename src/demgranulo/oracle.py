@@ -115,12 +115,22 @@ class RunLengths:
     lengths that occur are listed, in increasing order, as two read-only
     int64 arrays. These are the two columns of a :class:`RunTable` that
     :func:`spectrum_from_runs` reads, summed over the other two.
+
+    ``RunLengths(direction, counts)`` takes ``counts[t]``, the number of
+    runs of length ``t``, as an int64 array. As in a :class:`RunTable`,
+    every count must be non-negative and the volume, the sum of length
+    times runs, must fit int64.
     """
 
     def __init__(self, direction: str, counts: np.ndarray):
         self.direction = direction
         length = np.flatnonzero(counts).astype(np.int64, copy=False)
         runs = counts[length]
+        if (runs < 0).any():
+            raise ValueError("run table entries must be non-negative")
+        # summed in Python ints, which do not wrap
+        if sum(t * c for t, c in zip(length.tolist(), runs.tolist())) > _I64_MAX:
+            raise ValueError("run table volume overflows int64")
         length.flags.writeable = runs.flags.writeable = False
         self.length, self.runs = length, runs
 

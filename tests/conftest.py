@@ -295,7 +295,7 @@ def reference_quantize(raw, mask=None, *, step=1.0, datum=0.0):
     levels = np.where(present, levels, 0.0)
     if np.nanmax(levels) >= 2**62:
         raise DemError("quantized levels overflow the elevation type")
-    values = np.maximum(levels.astype(np.int64), 1)
+    values = np.maximum(levels, 1.0).astype(np.int64)
     return Dem(np.where(present, values, 0), present)
 
 
@@ -333,7 +333,8 @@ def reference_parse_esri_ascii(text, *, step=1.0, datum=0.0):
         if key not in header:
             raise DemParseError(f"header missing {key}", line=data_start or 1)
     ncols, nrows = header["ncols"], header["nrows"]
-    if ncols != int(ncols) or nrows != int(nrows) or ncols < 1 or nrows < 1:
+    if not (math.isfinite(ncols) and math.isfinite(nrows)) or (
+            ncols != int(ncols) or nrows != int(nrows) or ncols < 1 or nrows < 1):
         raise DemParseError("ncols/nrows must be positive integers", line=1)
     ncols, nrows = int(ncols), int(nrows)
     nodata = header.get("nodata_value")

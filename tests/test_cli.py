@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import demgranulo
-from demgranulo.cli import main
+from demgranulo.cli import RunConfig, main
 from demgranulo.dem import Dem
 
 
@@ -97,17 +97,33 @@ class TestSpectrumCommand:
         doc2 = json.loads((tmp_path / "o2" / "grid.summary.json").read_text())
         assert doc2["metadata"]["quantize_datum"] == 0.0
 
+    # config text -> the error it prints
+    BAD_CONFIGS = {
+        '[1]': "{cfg}: config must be a JSON object",
+        '"x"': "{cfg}: config must be a JSON object",
+        'null': "{cfg}: config must be a JSON object",
+        '{"directions": 5}': "directions must be a string or a list of names",
+        '{"directions": [5]}': "unknown direction 5",
+        '{"directions": {"row": 1}}': "directions must be a string or a list of names",
+        # two faults: the first check in order names its key
+        '{"directions": ["row", "row"], "out_dir": 5}': "directions names row twice",
+        '{"step": true, "out_dir": 5}': "out_dir must be a string, got 5",
+        '{"parallel": true, "step": "nan"}': "parallel must be an integer, got True",
+        '{"step": -1, "parallel": 0}': "step must be positive and finite, got -1.0",
+        '{"max_oracle_work": -1, "parallel": 0}': "parallelism degree must be >= 1",
+    }
+
     @pytest.mark.parametrize("command", ["spectrum", "oracle-check"])
-    @pytest.mark.parametrize("text", ['[1]', '"x"', 'null', '{"directions": 5}',
-                                      '{"directions": [5]}', '{"directions": {"row": 1}}'])
-    def test_bad_config_is_an_error(self, tmp_path, capsys, command, text):
+    @pytest.mark.parametrize("text", list(BAD_CONFIGS))
+    def test_bad_config_is_an_error(self, tmp_path, capsys, monkeypatch, command, text):
+        monkeypatch.chdir(tmp_path)  # no --out-dir flag, so the config value is read
         src = tmp_path / "demo.csv"
         write_row_fixture(src)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
-        assert main([command, str(src), "--config", str(cfg),
-                     "--out-dir", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert main([command, str(src), "--config", str(cfg)]) == 1
+        message = self.BAD_CONFIGS[text].format(cfg=cfg)
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("key", ["step", "datum", "parallel", "max_oracle_work"])
     @pytest.mark.parametrize("value", [[1], None, "x", {"a": 1}, True, 2.5, float("inf")])
@@ -123,8 +139,13 @@ class TestSpectrumCommand:
             assert code == 0
             return
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err
+        if value == float("inf") and key in ("step", "datum"):
+            message = ("step must be positive and finite" if key == "step"
+                       else "datum must be finite")
+        else:
+            kind = "an integer" if key in ("parallel", "max_oracle_work") else "a number"
+            message = f"{key} must be {kind}"
+        assert capsys.readouterr().err == f"error: {message}, got {value!r}\n"
 
     @pytest.mark.parametrize("command", ["spectrum", "features", "oracle-check"])
     @pytest.mark.parametrize("value", [5, None, ["a"]])
@@ -155,9 +176,44 @@ class TestSpectrumCommand:
             cfg.write_text(json.dumps({key: float(value)}))
             argv += ["--config", str(cfg)]
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err
+        message = ("step must be positive and finite" if key == "step"
+                   else "datum must be finite")
+        assert capsys.readouterr().err == f"error: {message}, got {value}\n"
         assert not (tmp_path / "out" / "features.csv").exists()
+
+
+class TestRunConfig:
+    def test_defaults(self):
+        cfg = RunConfig(["a.csv"])
+        assert (cfg.out_dir, cfg.step, cfg.datum, cfg.parallel, cfg.max_oracle_work,
+                cfg.corrupt_hook) == (Path("out"), 1.0, 0.0, 1, 2_000_000, False)
+        assert cfg.directions == ("row", "column", "diag-down", "diag-up")
+
+    def test_values_take_their_field_types(self):
+        cfg = RunConfig(["a.csv"], out_dir="o", step=2, datum="-1.5", parallel=3.0,
+                        directions="diag-up, row", max_oracle_work="7")
+        assert (cfg.out_dir, cfg.step, cfg.datum, cfg.parallel, cfg.max_oracle_work,
+                cfg.directions) == (Path("o"), 2.0, -1.5, 3, 7, ("diag-up", "row"))
+        assert type(cfg.step) is float and type(cfg.parallel) is int
+
+    def test_error_is_the_text_the_cli_prints(self, tmp_path, capsys):
+        with pytest.raises(ValueError) as raised:
+            RunConfig(["a.csv"], step=True)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"step": true}')
+        assert main(["spectrum", "a.csv", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
+        assert str(raised.value) == "step must be a number, got True"
+
+    def test_config_null_directions_keeps_all_four(self, tmp_path, capsys):
+        src = tmp_path / "demo.csv"
+        write_row_fixture(src)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"directions": null, "corrupt_hook": true, "inputs": []}')
+        # corrupt_hook and inputs are no config keys: the file sets neither
+        assert main(["oracle-check", str(src), "--config", str(cfg)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [r.split()[1] for r in rows[::2]] == ["row", "column", "diag-down", "diag-up"]
 
 
 class TestFeaturesCommand:
@@ -211,6 +267,20 @@ class TestFeaturesCommand:
         assert main(["features", str(ok), str(big), "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert "big.asc" in err and "grid ended after 3 of 10000000000 cells" in err
+        assert [ln.split(",")[0] for ln in out.read_text().splitlines()[1:]] == ["ok"]
+
+    @pytest.mark.parametrize("key", ["ncols", "nrows"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_esri_count_fails_only_its_file(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.asc"
+        bad.write_text(Dem.from_rows([[1, 2], [3, 4]]).to_esri_ascii()
+                       .replace(f"{key} 2", f"{key} {value}"))
+        ok = tmp_path / "ok.csv"
+        write_row_fixture(ok)
+        out = tmp_path / "o.csv"
+        assert main(["features", str(ok), str(bad), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: ncols/nrows must be positive integers (line 1)\n")
         assert [ln.split(",")[0] for ln in out.read_text().splitlines()[1:]] == ["ok"]
 
     def test_colliding_fallback_ids_keep_every_input(self, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Raster data model, ingestion, quantization and geometry."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,18 @@ class TestQuantize:
     def test_below_datum_clamps_to_one(self):
         dem = quantize(np.array([[-5.0]]), step=1.0, datum=0.0)
         assert dem.values[0, 0] == 1
+
+    @pytest.mark.parametrize("grid, datum, want", [
+        ([[-1e300, 2.0, -1e19]], 0.0, [[1, 3, 1]]),
+        # -1.7e308 - 1e308 overflows to -inf
+        ([[-1.7e308, 1e308, -1e308]], 1e308, [[1, 1, 1]]),
+    ])
+    def test_far_below_datum_clamps_before_the_cast(self, grid, datum, want):
+        # the float levels used to be cast to int64 first, outside its range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dem = quantize(np.array(grid), datum=datum)
+        assert dem.values.tolist() == want
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -229,6 +242,21 @@ class TestEsriAscii:
         # nan and inf parse as numbers, so they start the data, not a header
         dem = parse_esri_ascii(GRID_2X2.replace("1 2\n", "nan 2\n"))
         assert dem.mask.tolist() == [[False, True], [True, True]]
+
+    @pytest.mark.parametrize("key", ["ncols", "nrows"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_count_is_a_parse_error(self, key, value):
+        # int() of these raised ValueError or OverflowError, not a parse error
+        with pytest.raises(DemParseError) as exc:
+            parse_esri_ascii(GRID_2X2.replace(f"{key} 2", f"{key} {value}"))
+        assert str(exc.value) == "ncols/nrows must be positive integers (line 1)"
+
+    def test_cell_far_below_datum_lands_on_level_one(self):
+        text = "ncols 3\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n-1e300 2 -1e19\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dem = parse_esri_ascii(text)
+        assert dem.values.tolist() == [[1, 3, 1]]
 
     def test_missing_header_key(self):
         with pytest.raises(DemParseError, match="nrows"):

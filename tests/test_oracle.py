@@ -171,6 +171,23 @@ class TestRunLengths:
             assert (spectrum_from_runs(counted, family).volumes
                     == spectrum_from_runs(table, family).volumes)
 
+    def test_negative_count_rejected(self):
+        # [0, -3, 2] used to give the spectrum (1, 0)
+        with pytest.raises(ValueError, match="^run table entries must be non-negative$"):
+            RunLengths("row", np.array([0, -3, 2]))
+
+    def test_volume_past_int64_rejected(self):
+        # 2 * 2**62 wrapped to -2**63, and the spectrum reported no volume
+        counts = np.zeros(3, dtype=np.int64)
+        counts[2] = 2**62
+        with pytest.raises(ValueError, match="^run table volume overflows int64$"):
+            RunLengths("row", counts)
+
+    def test_volume_at_the_int64_limit_kept(self):
+        counted = RunLengths("row", np.array([0, 2**63 - 1], dtype=np.int64))
+        assert counted.length.tolist() == [1] and counted.runs.tolist() == [2**63 - 1]
+        assert counted.total_volume() == 2**63 - 1
+
     def test_columns_are_read_only(self):
         counted = run_lengths(Dem.from_rows([[2, 5, 5, 2, 2]]), "row")
         assert counted.length.tolist() == [2, 5] and counted.runs.tolist() == [3, 2]
