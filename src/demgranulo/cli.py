@@ -4,7 +4,7 @@ Subcommands:
 
 * ``spectrum``      volume curves and indices per raster and element
 * ``features``      one feature row per raster (indices, Z, X, flags)
-* ``oracle-check``  morphological vs run-counted spectra, exact compare
+* ``oracle-check``  morphological vs run-counted volume sequences, exact compare
 * ``train-tree``    fit the depth-capped CART on a feature CSV
 * ``classify``      apply a stored tree to a feature CSV
 * ``gen-fixtures``  emit the documented fixture rasters and demo data
@@ -27,7 +27,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
 
@@ -141,7 +140,7 @@ class RunConfig:
                         kind is int and isinstance(val, float) and not val.is_integer()):
                     raise ValueError
                 setattr(self, name, kind(val))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # float(10**400) overflows
                 what = "an integer" if kind is int else "a number"
                 raise ValueError(f"{name} must be {what}, got {val!r}") from None
         _check_step_and_datum(self.step, self.datum)
@@ -317,14 +316,14 @@ def _oracle_one(ident, dem, cfg) -> list[tuple[str, ...]]:
         counted = run_lengths(dem, direction)
         # both families read the volume curve of one sweep
         for fast in pattern_spectra(dem, SE_FOR_DIRECTION[direction], ("nse", "length")):
-            ref = spectrum_from_runs(counted, fast.family)
-            probs = list(fast.probs)
-            if cfg.corrupt_hook and probs:
-                probs[0] += Fraction(1, fast.volumes[0] + 1)  # test hook
+            ref = spectrum_from_runs(counted, fast.family).volumes
+            volumes = fast.volumes
+            if cfg.corrupt_hook:
+                volumes = (volumes[0] + 1,) + volumes[1:]  # test hook
             verdict, detail = "PASS", ""
-            if probs != list(ref.probs):
+            if volumes != ref:
                 first = next(i for i, (a, b) in enumerate(
-                    zip(probs + [None], list(ref.probs) + [None])) if a != b)
+                    zip(volumes + (None,), ref + (None,))) if a != b)
                 verdict, detail = "FAIL", f"first mismatch at index {first}"
             rows.append((ident, direction, fast.family, verdict, detail))
     return rows

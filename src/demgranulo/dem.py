@@ -45,17 +45,23 @@ class Dem:
 
     A raster holds its two read-only arrays and nothing else: no spectrum
     or curve derived from it is kept on it. The constructor copies both.
+    It takes values of any dtype, but a present value must be a finite
+    integer: ``1.5`` is refused, not truncated, and absent cells are
+    never read, so they may hold NaN.
     """
 
     values: np.ndarray
     mask: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.int64)
+        values = np.asarray(self.values)
         # a copy: the caller's own mask stays writeable and its own
         mask = np.array(self.mask, dtype=bool, order="C")
         if values.ndim != 2 or mask.shape != values.shape:
             raise DemError("values and mask must be 2-D arrays of equal shape")
+        if values.dtype.kind not in "biu":
+            values = _integer_levels(values, mask)
+        values = np.ascontiguousarray(values, dtype=np.int64)
         if (values[mask] < 0).any():
             raise DemError("present elevations must be non-negative")
         self._seal(np.where(mask, values, 0), mask)
@@ -124,12 +130,14 @@ class Dem:
         """Build from nested lists where ``None`` marks an absent cell."""
         height = len(rows)
         width = max((len(r) for r in rows), default=0)
-        values = np.zeros((height, width), dtype=np.int64)
+        # objects, so the constructor sees each value as given: 1.5 is
+        # refused there rather than truncated here
+        values = np.zeros((height, width), dtype=object)
         mask = np.zeros((height, width), dtype=bool)
         for r, row in enumerate(rows):
             for c, v in enumerate(row):
                 if v is not None:
-                    values[r, c] = int(v)
+                    values[r, c] = v
                     mask[r, c] = True
         return cls(values, mask)
 
@@ -162,6 +170,28 @@ class Dem:
         return [sep.join([str(v) if p else absent
                           for v, p in zip(vals.tolist(), present.tolist())])
                 for vals, present in zip(self.values, self.mask)]
+
+
+def _integer_levels(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """A grid of floats, complex numbers or objects as int64, 0 at the
+    absent cells.
+
+    Comparing the cast grid with the given one refuses a present value
+    the cast changed (1.5, NaN, 2**70, 1j); a float the cast is undefined
+    for becomes 0.5 first, so it fails that comparison without a warning.
+    """
+    try:
+        values = np.where(mask, values, 0)
+        if values.dtype.kind == "c":  # the cast would drop the imaginary part
+            values = np.where(values.imag == 0, values.real, 0.5)
+        if values.dtype.kind == "f":
+            values = np.where((values >= -2.0**63) & (values < 2.0**63), values, 0.5)
+        levels = values.astype(np.int64)
+    except (TypeError, ValueError, OverflowError):
+        levels = None
+    if levels is None or not (levels == values).all():
+        raise DemError("present elevations must be finite integers that int64 holds")
+    return levels
 
 
 @dataclass(frozen=True)
@@ -275,7 +305,10 @@ def quantize(raw, mask=None, *, step: float = 1.0, datum: float = 0.0) -> Dem:
         raise DemError("expected a 2-D grid")
     present = np.isfinite(levels)
     if mask is not None:
-        present &= np.asarray(mask, dtype=bool)
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != levels.shape:
+            raise DemError("mask must have the grid's shape")
+        present &= mask
     if not present.any():
         raise DemError("no unmasked finite values to quantize")
     return _quantize_in_place(levels, present, step, datum)
@@ -526,11 +559,15 @@ def row_interval(dem: Dem, r: int) -> tuple[int, int] | None:
 def reflect_rows(dem: Dem, subset: Iterable[int]) -> Dem:
     """Mirror the selected rows within their own column interval.
 
-    Every selected row must be a single unbroken interval; the cell at
-    column j moves to column (hi - j + lo). Other rows are untouched.
+    Every selected row must be an integer in ``0..height-1`` (a negative
+    index is refused, not counted from the end) and a single unbroken
+    interval; the cell at column j moves to column (hi - j + lo). Other
+    rows are untouched.
     """
     values = np.array(dem.values)
-    for r in set(subset):
+    for r in sorted({operator.index(r) for r in subset}):
+        if not 0 <= r < dem.height:
+            raise ValueError(f"row {r} is outside 0..{dem.height - 1}")
         interval = row_interval(dem, r)
         if interval is None:
             continue

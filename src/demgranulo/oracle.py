@@ -5,12 +5,14 @@ maximal runs, and counting those runs per length and level determines
 every directional spectrum without a single morphological operation.
 The agreement between this route and the streaming operators in
 :mod:`spectrum` is the central cross-validation of the package, so
-nothing here is shared with the fast path: the lattice lines come from
-``dem._line_starts`` and are laid end to end in one flat array, each
-behind one 0, and one level walk finds the runs, thresholding that array
-at a block of levels at once. :func:`run_lengths` keeps only how many
-runs have each length, which is all a spectrum needs; :func:`run_table`
-keeps each run's line and level too.
+nothing here is shared with the fast path, its structuring elements
+included: a count's direction names its element. The lattice lines come
+from ``dem._line_starts`` and are laid end to end in one flat array,
+each behind one 0, and one level walk finds the runs, thresholding that
+array at a block of levels at once. :func:`run_lengths` keeps only how
+many runs have each length, which is all a spectrum needs;
+:func:`run_table` keeps each run's line and level too, for the
+run-profile and single-peak tests.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 
 from .dem import (_I64_MAX, DIRECTION_STEPS, SE_FOR_DIRECTION, Dem, _line_starts,
                   reflect_rows, row_interval, scan_lines, volume)
-from .morphology import resolve_se
 from .spectrum import PatternSpectrum, discrete_volume_derivative, granulometric_index
 
 
@@ -53,11 +54,9 @@ class RunTable:
             runs = np.array([counts[k] for k in keys], dtype=np.int64)
         except OverflowError:
             raise ValueError("run table entries must fit int64") from None
-        if (cols < 0).any() or (runs < 0).any():
-            raise ValueError("run table entries must be non-negative")
-        if sum(t * c for (_, _, t), c in counts.items()) > _I64_MAX:
-            raise ValueError("run table volume overflows int64")
-        self._set(direction, *cols.T, runs)
+        line, level, length = cols.T
+        _check_runs(length, runs, line, level)
+        self._set(direction, line, level, length, runs)
 
     @classmethod
     def _from_columns(cls, direction, line, level, length, runs) -> "RunTable":
@@ -91,20 +90,8 @@ class RunTable:
     def __repr__(self):
         return f"RunTable({self.direction!r}, {self.runs.size} entries)"
 
-    def cells_at_level(self, line_index: int, h: int) -> int:
-        at = (self.line == line_index) & (self.level == h)
-        return int(self.length[at] @ self.runs[at])
-
     def total_volume(self) -> int:
         return int(self.length @ self.runs)
-
-    def to_csv(self) -> str:
-        d = self.direction
-        lines = ["direction,line,h,t,count"]
-        lines.extend(f"{d},{i},{h},{t},{c}" for i, h, t, c in zip(
-            self.line.tolist(), self.level.tolist(), self.length.tolist(),
-            self.runs.tolist()))
-        return "\n".join(lines) + "\n"
 
 
 class RunLengths:
@@ -126,11 +113,7 @@ class RunLengths:
         self.direction = direction
         length = np.flatnonzero(counts).astype(np.int64, copy=False)
         runs = counts[length]
-        if (runs < 0).any():
-            raise ValueError("run table entries must be non-negative")
-        # summed in Python ints, which do not wrap
-        if sum(t * c for t, c in zip(length.tolist(), runs.tolist())) > _I64_MAX:
-            raise ValueError("run table volume overflows int64")
+        _check_runs(length, runs)
         length.flags.writeable = runs.flags.writeable = False
         self.length, self.runs = length, runs
 
@@ -139,6 +122,16 @@ class RunLengths:
 
     def total_volume(self) -> int:
         return int(self.length @ self.runs)
+
+
+def _check_runs(length: np.ndarray, runs: np.ndarray, *keys: np.ndarray) -> None:
+    """Refuse counts whose sums could wrap: a negative length, count or
+    other key, or a volume, the sum of length times runs, past int64."""
+    if any((col < 0).any() for col in (length, runs, *keys)):
+        raise ValueError("run table entries must be non-negative")
+    # summed in Python ints, which do not wrap
+    if sum(t * c for t, c in zip(length.tolist(), runs.tolist())) > _I64_MAX:
+        raise ValueError("run table volume overflows int64")
 
 
 # cells thresholded at once by one block of the level walk
@@ -235,8 +228,7 @@ def run_table(dem: Dem, direction: str) -> RunTable:
                                   np.concatenate(runs)[order])
 
 
-def spectrum_from_runs(rt: RunTable | RunLengths, family: str = "nse",
-                       se=None) -> PatternSpectrum:
+def spectrum_from_runs(rt: RunTable | RunLengths, family: str = "nse") -> PatternSpectrum:
     """Rebuild a directional spectrum from run counts alone.
 
     A run of length t is removed by a segment opening once the segment
@@ -251,20 +243,10 @@ def spectrum_from_runs(rt: RunTable | RunLengths, family: str = "nse",
     Args:
         rt: run table or run-length count for the direction of interest.
         family: "nse" or "length".
-        se: optional element (or name) to validate against the
-            direction; a mismatch is an error.
 
     Returns:
         PatternSpectrum identical to the morphological one.
     """
-    se_name = SE_FOR_DIRECTION[rt.direction]
-    if se is not None:
-        given = resolve_se(se)
-        line = given.as_line()
-        expected = resolve_se(se_name).as_line()
-        if line is None or line[0] != expected[0] or line[1] != 1:
-            raise ValueError(
-                f"element {given.name or given.offsets} does not scan {rt.direction}")
     if rt.total_volume() <= 0:
         raise ValueError("run table carries no volume")
     tmax = int(rt.length.max())
@@ -279,7 +261,7 @@ def spectrum_from_runs(rt: RunTable | RunLengths, family: str = "nse",
         vols = vols[:np.flatnonzero(vols == 0)[0] + 1]
     else:
         raise ValueError(f"unknown family {family!r}")
-    name = se_name if family == "nse" else f"L:{rt.direction}"
+    name = SE_FOR_DIRECTION[rt.direction] if family == "nse" else f"L:{rt.direction}"
     return PatternSpectrum(name, family, tuple(vols.tolist()))
 
 
@@ -342,10 +324,9 @@ def is_unipeak(dem: Dem) -> UniPeakCheck:
     if len(lines[0].segments) != 1:
         return UniPeakCheck(False, "row has mask gaps")
     rt = run_table(dem, "row")
-    per_level: dict[int, int] = {}
-    for (_, h, _), c in rt.counts.items():
-        per_level[h] = per_level.get(h, 0) + c
-    for h, c in sorted(per_level.items()):
+    # one line, so the table runs through the levels in order
+    level, first = np.unique(rt.level, return_index=True)
+    for h, c in zip(level.tolist(), np.add.reduceat(rt.runs, first).tolist()):
         if c != 1:
             return UniPeakCheck(False, f"{c} runs at level {h}")
     return UniPeakCheck(True)
@@ -368,5 +349,5 @@ def unipeak_entropy_equivalence(dem: Dem) -> tuple[float, float]:
     for d in discrete_volume_derivative(dem):
         p = d / v
         derivative_entropy -= p * math.log(p)
-    gi = granulometric_index(spectrum_from_runs(run_table(dem, "row"), "length"))
+    gi = granulometric_index(spectrum_from_runs(run_lengths(dem, "row"), "length"))
     return derivative_entropy, gi

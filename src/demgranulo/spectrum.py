@@ -17,6 +17,7 @@ per scale through ``morphology.opening_raw`` until the volume reaches 0.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -247,7 +248,10 @@ def high_low_direction(z) -> tuple[str, str]:
 
 
 def volume_above(dem: Dem, h0: int) -> int:
-    """Volume on and above level ``h0``: sum of (f - h0 + 1) where f >= h0."""
+    """Volume on and above level ``h0``: sum of (f - h0 + 1) where f >= h0.
+
+    ``h0`` is an int or numpy integer: a float raises ``TypeError``."""
+    h0 = operator.index(h0)
     if h0 < 1:
         raise ValueError("h0 must be >= 1")
     return int(np.maximum(dem.values - np.int64(h0 - 1), 0).sum(dtype=np.int64))

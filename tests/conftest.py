@@ -268,14 +268,6 @@ def naive_run_table(dem, direction):
     return counts
 
 
-def naive_run_csv(direction, counts):
-    """A run-count dict as the run-table CSV, rows in sorted key order."""
-    lines = ["direction,line,h,t,count"]
-    for (i, h, t) in sorted(counts):
-        lines.append(f"{direction},{i},{h},{t},{counts[(i, h, t)]}")
-    return "\n".join(lines) + "\n"
-
-
 def reference_quantize(raw, mask=None, *, step=1.0, datum=0.0):
     """``dem.quantize`` as it was before it computed the levels in place:
     one new array per step. ``quantize`` must match it bit for bit."""
@@ -288,7 +280,10 @@ def reference_quantize(raw, mask=None, *, step=1.0, datum=0.0):
         raise DemError("expected a 2-D grid")
     present = np.isfinite(arr)
     if mask is not None:
-        present &= np.asarray(mask, dtype=bool)
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != arr.shape:
+            raise DemError("mask must have the grid's shape")
+        present &= mask
     if not present.any():
         raise DemError("no unmasked finite values to quantize")
     levels = np.floor((arr - datum) / step) + 1.0

@@ -181,6 +181,17 @@ class TestSpectrumCommand:
         assert capsys.readouterr().err == f"error: {message}, got {value}\n"
         assert not (tmp_path / "out" / "features.csv").exists()
 
+    @pytest.mark.parametrize("key,value", [("step", 10**400), ("datum", -10**400)])
+    def test_config_number_past_float_range_is_an_error(self, tmp_path, capsys,
+                                                        key, value):
+        # float() of such an integer raises OverflowError, not ValueError
+        src = tmp_path / "demo.csv"
+        write_row_fixture(src)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["oracle-check", str(src), "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"error: {key} must be a number, got {value}\n")
+
 
 class TestRunConfig:
     def test_defaults(self):
@@ -321,7 +332,26 @@ class TestOracleCheckCommand:
                      "--self-test-corrupt"])
         assert code == 1
         out = capsys.readouterr().out
-        assert "FAIL" in out and "index 0" in out
+        assert "fictitious row nse FAIL first mismatch at index 0\n" in out
+
+    def test_volumes_scaled_by_a_common_factor_fail(self, fixture_dir, monkeypatch,
+                                                     capsys):
+        # doubled volumes give the same probabilities, yet not the same counts
+        from demgranulo import cli
+        from demgranulo.spectrum import PatternSpectrum
+        counted = cli.spectrum_from_runs
+
+        def doubled(rt, family):
+            ps = counted(rt, family)
+            return PatternSpectrum(ps.se_name, ps.family, tuple(2 * v for v in ps.volumes))
+
+        monkeypatch.setattr(cli, "spectrum_from_runs", doubled)
+        code = main(["oracle-check", str(fixture_dir / "fictitious.csv"),
+                     "--directions", "row"])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "fictitious row nse FAIL first mismatch at index 0\n"
+            "fictitious row length FAIL first mismatch at index 0\n")
 
     def test_cap_skips(self, fixture_dir, capsys):
         code = main(["oracle-check", str(fixture_dir / "fictitious.csv"),

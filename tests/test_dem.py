@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +52,33 @@ class TestDemType:
         with pytest.raises(ValueError):
             dem.values[0, 0] = 5
 
+    @pytest.mark.parametrize("values", [[[1.5, 2.7]], [[1.0, np.nan]], [[1.0, np.inf]],
+                                        [[1.0, 1e30]], [[1.0, 2.0**63]], [[1.0, -1e30]],
+                                        [[1.0, 2 + 1j]]])
+    def test_present_value_must_be_a_finite_integer(self, values):
+        # [[1.5, 2.7]] used to become [[1, 2]]
+        with pytest.raises(DemError, match="finite integers"):
+            Dem(np.array(values), np.ones((1, 2), dtype=bool))
+
+    @pytest.mark.parametrize("value", [Fraction(3, 2), 2**70, None, "4"])
+    def test_present_object_must_be_an_integer(self, value):
+        with pytest.raises(DemError, match="finite integers"):
+            Dem(np.array([[1, value]], dtype=object), np.ones((1, 2), dtype=bool))
+
+    def test_from_rows_refuses_a_fraction(self):
+        with pytest.raises(DemError, match="finite integers"):
+            Dem.from_rows([[1, 2.5]])
+
+    def test_whole_floats_and_masked_nan_accepted(self):
+        values = np.array([[1.0, np.nan, 3.0], [np.inf, -7.5, 2.0]])
+        mask = np.isfinite(values) & (values >= 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # NaN used to be cast, and warn
+            dem = Dem(values, mask)
+        assert dem.values.tolist() == [[1, 0, 3], [0, 0, 2]]
+        assert dem == Dem.from_rows([[1, None, 3], [None, None, 2.0]])
+        assert Dem(values.astype(complex), mask) == dem
+
     def test_callers_mask_stays_writeable(self):
         # the raster seals a copy of the mask, never the caller's array
         mask = np.ones((2, 2), dtype=bool)
@@ -96,6 +124,12 @@ class TestQuantize:
         # either would map every present cell to level 1
         with pytest.raises(ValueError):
             quantize(np.array([[1.0, 5.0]]), step=step, datum=datum)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 2), (2,)])
+    def test_mask_of_another_shape_rejected(self, shape):
+        # a (1, 2) mask used to be broadcast over the (2, 2) grid
+        with pytest.raises(DemError, match="^mask must have the grid's shape$"):
+            quantize(np.ones((2, 2)), np.ones(shape, dtype=bool))
 
     def test_non_finite_masked(self):
         dem = quantize(np.array([[1.0, np.nan, np.inf]]))
@@ -545,6 +579,17 @@ class TestReflectRows:
         dem = Dem.from_rows([[1, None, 2]])
         with pytest.raises(DemError):
             reflect_rows(dem, {0})
+
+    @pytest.mark.parametrize("row", [-1, 2, 5])
+    def test_row_outside_the_raster_rejected(self, row):
+        # -1 used to mirror the last row, and 5 raised IndexError
+        dem = Dem.from_rows([[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match=f"^row {row} is outside 0..1$"):
+            reflect_rows(dem, {0, row})
+
+    def test_non_integer_row_rejected(self):
+        with pytest.raises(TypeError):
+            reflect_rows(Dem.from_rows([[1, 2]]), [0.0])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6), st.integers(0, 63))

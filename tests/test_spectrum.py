@@ -402,6 +402,15 @@ class TestVolumeAbove:
         with pytest.raises(ValueError):
             volume_above(Dem.from_rows([[1]]), 0)
 
+    @pytest.mark.parametrize("h0", [1.5, 2.0])
+    def test_non_integer_level_rejected(self, h0):
+        # 1.5 used to give the volume above level 1
+        with pytest.raises(TypeError):
+            volume_above(Dem.from_rows([[1, 2, 1]]), h0)
+
+    def test_numpy_integer_level(self):
+        assert volume_above(Dem.from_rows([[1, 2, 1]]), np.int64(2)) == 1
+
 
 class TestDiscreteDerivative:
     def test_fixture(self):
