@@ -13,32 +13,36 @@ Outputs are byte-identical across runs for the same configuration:
 inputs are processed in sorted order, rationals are written as "a/b"
 with the raw volume denominator, and reals carry 6 significant digits.
 
-Only ``spectrum``, ``features``, ``oracle-check`` and ``gen-fixtures``
-load numpy: they bind the numeric names they call (parsers, spectra,
-oracle, fixtures) into this module when they start. ``train-tree``,
-``classify`` and ``--version`` start without numpy.
+Each command imports only the modules it calls, and binds the names it
+calls from them into this module when it starts: ``spectrum`` and
+``features`` bind ``dem`` and ``spectrum``, ``oracle-check`` also
+``oracle``, ``gen-fixtures`` also ``oracle`` and ``synth``, and
+``train-tree`` and ``classify`` bind ``classify`` alone, so they and
+``--version`` start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import glob
 import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from importlib import import_module
 from pathlib import Path
 
 from . import __version__
 from ._base import (DIRECTIONS, SE_FOR_DIRECTION, SE_NAMES, DemError, FeatureRecord,
                     _check_step_and_datum)
-from .classify import (predict, render_tree, train_cart, training_accuracy,
-                       tree_from_json, tree_to_json)
 
-# Names from the numpy modules, bound into this module's globals by
-# _load_numeric() when a numeric command first runs.
-_NUMERIC = {
+# The names the commands call, by the module they come from; _bind()
+# puts them into this module's globals when a command starts.
+_NAMES = {
+    "classify": ("predict", "render_tree", "train_cart", "training_accuracy",
+                 "tree_from_json", "tree_to_json"),
     "dem": ("Dem", "parse_esri_ascii", "parse_fixture_csv"),
     "oracle": ("reflection_family", "run_lengths", "run_table", "spectrum_from_runs"),
     "spectrum": ("granulometric_index", "high_low_direction", "normalized_mdgi",
@@ -48,24 +52,24 @@ _NUMERIC = {
 }
 
 
-def _load_numeric() -> None:
-    """Bind every name of ``_NUMERIC`` that is not bound yet.
+def _bind(*modules: str) -> None:
+    """Import ``modules`` and bind each of their ``_NAMES`` not bound yet.
 
     The commands call these names through this module's globals, and
     ``perfbench/tracer.py`` swaps some of them for timing wrappers;
     ``setdefault`` keeps a wrapper that is already installed.
     """
     bound = globals()
-    for module, names in _NUMERIC.items():
+    for module in modules:
         mod = import_module(f".{module}", __package__)
-        for name in names:
+        for name in _NAMES[module]:
             bound.setdefault(name, getattr(mod, name))
 
 
 def __getattr__(name):
-    # module attribute access (cli.parse_esri_ascii) binds like a command does
-    if any(name in names for names in _NUMERIC.values()):
-        _load_numeric()
+    # module attribute access (cli.predict, cli.run_table) binds every name
+    if any(name in names for names in _NAMES.values()):
+        _bind(*_NAMES)
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -200,24 +204,25 @@ def _job(args):
         return None, f"{path}: {exc}"
 
 
-def _run_batch(work, cfg: RunConfig, emit) -> int:
+def _run_batch(work, cfg: RunConfig, emit, modules=("dem", "spectrum")) -> int:
     """Run ``work(ident, dem, cfg)`` on every input; return the failure count.
 
+    ``work`` calls the names of ``modules``, which are bound first.
     Inputs run in sorted order, serially or over ``cfg.parallel``
     processes, at most one per input. Each result goes to ``emit`` in
     that order, and a true return from ``emit`` counts as a failure. A
     file that fails to load or to compute prints ``error: <path>: <msg>``
     in its place and leaves the rest of the batch running.
     """
-    _load_numeric()
+    _bind(*modules)
     jobs = [(work, ident, path, cfg) for ident, path in _expand_inputs(cfg.inputs)]
     if cfg.parallel > 1 and len(jobs) > 1:
         # imported here, so serial runs never load the process pool machinery;
-        # a worker that starts from a fresh import binds the numeric names too
+        # a worker that starts from a fresh import binds the same names
         from concurrent.futures import ProcessPoolExecutor
         # the pool may fork every worker up front: no more than the inputs
         with ProcessPoolExecutor(max_workers=min(cfg.parallel, len(jobs)),
-                                 initializer=_load_numeric) as pool:
+                                 initializer=partial(_bind, *modules)) as pool:
             results = list(pool.map(_job, jobs))
     else:
         results = map(_job, jobs)
@@ -338,7 +343,7 @@ def cmd_oracle_check(cfg: RunConfig, report_path: Path | None) -> int:
             print(" ".join(filter(None, row)))
         return any(row[3] == "FAIL" for row in rows)
 
-    failures = _run_batch(_oracle_one, cfg, report)
+    failures = _run_batch(_oracle_one, cfg, report, ("dem", "spectrum", "oracle"))
     if report_path is not None:
         report_path.parent.mkdir(parents=True, exist_ok=True)
         report_path.write_text("\n".join(lines) + "\n")
@@ -387,6 +392,7 @@ def _read_feature_csv(path: Path, label_column: str | None):
 
 def cmd_train_tree(features: Path, label_column: str, max_depth: int,
                    out_dir: Path) -> int:
+    _bind("classify")
     records = _read_feature_csv(features, label_column)
     tree = train_cart(records, max_depth)
     acc = training_accuracy(tree, records)
@@ -400,6 +406,7 @@ def cmd_train_tree(features: Path, label_column: str, max_depth: int,
 
 
 def cmd_classify(tree_path: Path, features: Path, output: Path) -> int:
+    _bind("classify")
     try:
         tree = tree_from_json(tree_path.read_text())
     except ValueError as exc:  # malformed JSON included
@@ -419,7 +426,7 @@ def cmd_classify(tree_path: Path, features: Path, output: Path) -> int:
 
 
 def cmd_gen_fixtures(out_dir: Path) -> int:
-    _load_numeric()
+    _bind("dem", "oracle", "synth")
     out_dir.mkdir(parents=True, exist_ok=True)
     emitted = []
 
@@ -537,5 +544,22 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> int:
+    """``main`` on the command line: ``python -m demgranulo.cli`` and the
+    ``demgranulo`` console script start here.
+
+    Once ``main`` returns or raises (``--version`` exits inside it), the
+    collector freezes every object, so interpreter shutdown skips its
+    last pass over them. ``gc.disable()`` would leave that pass in
+    place, and ``os._exit`` would skip the atexit handlers. ``main``
+    itself leaves the collector as it found it, for callers that go on
+    running.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -1,5 +1,6 @@
 """End-to-end subcommand behavior on temp directories."""
 
+import gc
 import io
 import json
 import subprocess
@@ -650,45 +651,101 @@ class TestGenFixtures:
         assert dem.mask.any() and not dem.mask.all()
 
 
-# Runs the CLI as ``python -m demgranulo.cli`` does, then reports whether
-# numpy was imported.
-_NUMPY_PROBE = """
-import runpy, sys
+# Runs the CLI as ``python -m demgranulo.cli`` does, or, given
+# ``module:function``, as a console script does. At exit it reports the
+# exit code, whether numpy was imported, which ``demgranulo`` modules
+# were, and how many objects the collector had frozen.
+_PROBE = """
+import atexit, gc, importlib, json, runpy, sys
+
+def report():
+    modules = sorted(m.split(".")[1] for m in sys.modules if m.startswith("demgranulo."))
+    print(json.dumps({"exit": code, "numpy": "numpy" in sys.modules,
+                      "modules": modules, "frozen": gc.get_freeze_count()}))
+
+atexit.register(report)
+code = None
+target = sys.argv.pop(1)
 try:
-    runpy.run_module("demgranulo.cli", run_name="__main__", alter_sys=True)
+    if ":" in target:
+        module, function = target.split(":")
+        sys.exit(getattr(importlib.import_module(module), function)())
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(f"numpy-loaded={'numpy' in sys.modules} exit={code}")
 """
 
 
-def _run_probe(argv):
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+def _run_probe(argv, target="demgranulo.cli"):
+    proc = subprocess.run([sys.executable, "-c", _PROBE, target, *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    probe["modules"] = set(probe["modules"])
+    return probe
+
+
+def _console_script():
+    """The ``module:function`` that ``[project.scripts]`` names."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    (line,) = [ln for ln in scripts.splitlines() if ln.startswith("demgranulo ")]
+    return line.split("=", 1)[1].strip().strip('"')
+
+
+# the modules each numeric command loads, and those it must not load
+_NUMERIC_LOADS = {
+    "spectrum": ({"dem", "spectrum"}, {"oracle", "synth", "classify"}),
+    "features": ({"dem", "spectrum"}, {"oracle", "synth", "classify"}),
+    "oracle-check": ({"dem", "spectrum", "oracle"}, {"synth", "classify"}),
+    "gen-fixtures": ({"dem", "spectrum", "oracle", "synth"}, {"classify"}),
+}
 
 
 class TestStartup:
     def test_tree_commands_and_version_load_no_numpy(self, fixture_dir, tmp_path):
         features = str(fixture_dir / "features_demo.csv")
         tree = str(tmp_path / "tree" / "tree.json")
-        runs = [["--version"],
-                ["train-tree", features, "--out-dir", str(tmp_path / "tree")],
-                ["classify", features, "--tree", tree,
-                 "--output", str(tmp_path / "p.csv")]]
-        for argv in runs:
-            assert _run_probe(argv) == "numpy-loaded=False exit=0", argv
+        runs = [(["--version"], set()),
+                (["train-tree", features, "--out-dir", str(tmp_path / "tree")],
+                 {"classify"}),
+                (["classify", features, "--tree", tree,
+                  "--output", str(tmp_path / "p.csv")], {"classify"})]
+        for argv, loaded in runs:
+            probe = _run_probe(argv)
+            assert (probe["exit"], probe["numpy"]) == (0, False), argv
+            assert probe["modules"] - {"_base"} == loaded, argv
         assert (tmp_path / "p.csv").read_text().count("\n") == 139
 
-    @pytest.mark.parametrize("command", ["spectrum", "features", "oracle-check",
-                                         "gen-fixtures"])
+    @pytest.mark.parametrize("command", list(_NUMERIC_LOADS))
     def test_numeric_commands_run_from_a_cold_start(self, fixture_dir, tmp_path,
                                                     command):
-        # each binds what it calls; the probe sees the numpy they load
+        # each binds what it calls and imports no module it does not call
+        loaded, not_loaded = _NUMERIC_LOADS[command]
         inputs = [] if command == "gen-fixtures" else [str(fixture_dir / "fictitious.csv")]
         argv = [command, *inputs, "--out-dir", str(tmp_path / "out")]
-        assert _run_probe(argv) == "numpy-loaded=True exit=0"
+        probe = _run_probe(argv)
+        assert (probe["exit"], probe["numpy"]) == (0, True)
+        assert loaded <= probe["modules"]
+        assert not_loaded.isdisjoint(probe["modules"])
+
+    @pytest.mark.parametrize("bad_input", [False, True], ids=["version", "bad-input"])
+    @pytest.mark.parametrize("target", ["demgranulo.cli", "console-script"])
+    def test_program_exits_with_the_collector_frozen(self, tmp_path, bad_input, target):
+        # interpreter shutdown then skips the collector's pass over them
+        argv = (["features", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path)]
+                if bad_input else ["--version"])
+        if target == "console-script":
+            target = _console_script()
+        probe = _run_probe(argv, target)
+        assert probe["exit"] == int(bad_input)
+        assert probe["frozen"] > 0
+
+    def test_main_in_process_leaves_the_collector_alone(self, fixture_dir, tmp_path):
+        frozen = gc.get_freeze_count()
+        assert main(["features", str(fixture_dir / "fictitious.csv"),
+                     "--out-dir", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() == frozen
 
     def test_public_names_resolve_and_are_listed(self):
         listed = dir(demgranulo)
