@@ -3,23 +3,27 @@
 
 The parsers read the benchmark raster as rendered by
 ``Dem.to_fixture_csv`` and ``Dem.to_esri_ascii``, and the fixture CSV
-once more behind a leading ``+``, which sends it to the by-line pass;
-both writers are timed too.
+once more with a ``+`` before its first present cell, which sends it to
+the by-line pass (a ``+`` before an absent first cell would be a bad
+token); both writers are timed too.
 
 Every kernel is numpy code. The kernels run on the raster's levels in
 the narrowest signed dtype that holds them (int16 for up to 32767
 levels), as the spectra pass them. The offset extremum serves only
 irregular structuring elements, which the features never use; a 5-cell
-cross times it.
+cross times it. The run-length count is the independent oracle's, which
+``oracle-check`` sets against the spectra: it lays every line end to end
+in the narrowest unsigned dtype that holds the levels and walks them.
 
 Usage:
     python benchmarks/bench_kernels.py [--side N] [--levels L] [--repeats R]
 """
 
 import argparse
+import re
 import time
 
-from demgranulo import _kernels
+from demgranulo import _kernels, oracle
 from demgranulo._base import DIRECTIONS
 from demgranulo.dem import parse_esri_ascii, parse_fixture_csv
 from demgranulo.spectrum import _levels, normalized_mdgi
@@ -42,9 +46,10 @@ def run(side, levels, repeats):
     dem = synthetic_terrain(side, levels=levels, seed=3)
     arr = _levels(dem)
     csv_text, esri_text = dem.to_fixture_csv(), dem.to_esri_ascii()
+    signed_csv = re.sub(r"\d", r"+\g<0>", csv_text, count=1)
     cases = [
         ("parse fixture CSV", lambda: parse_fixture_csv(csv_text)),
-        ("parse fixture CSV by line", lambda: parse_fixture_csv("+" + csv_text)),
+        ("parse fixture CSV by line", lambda: parse_fixture_csv(signed_csv)),
         ("parse ESRI ASCII", lambda: parse_esri_ascii(esri_text)),
         ("write fixture CSV", dem.to_fixture_csv),
         ("write ESRI ASCII", dem.to_esri_ascii),
@@ -56,6 +61,8 @@ def run(side, levels, repeats):
          lambda: _kernels.offset_extremum(arr, CROSS, True)),
         ("spectrum sweep (4 dirs)",
          lambda: [_kernels.directional_loss(arr, d) for d in DIRECTIONS]),
+        ("run-length count (4 dirs)",
+         lambda: [oracle.run_lengths(dem, d) for d in DIRECTIONS]),
         ("full features (5 elements)", lambda: normalized_mdgi(dem)),
     ]
 

@@ -6,13 +6,13 @@ every directional spectrum without a single morphological operation.
 The agreement between this route and the streaming operators in
 :mod:`spectrum` is the central cross-validation of the package, so
 nothing here is shared with the fast path, its structuring elements
-included: a count's direction names its element. The lattice lines come
-from ``dem._line_starts`` and are laid end to end in one flat array,
-each behind one 0, and one level walk finds the runs, thresholding that
-array at a block of levels at once. :func:`run_lengths` keeps only how
-many runs have each length, which is all a spectrum needs;
-:func:`run_table` keeps each run's line and level too, for the
-run-profile and single-peak tests.
+included: a count's direction names its element. The lattice lines are
+laid end to end in one flat array, each behind one 0, in the narrowest
+unsigned dtype that holds the raster's top level, and one level walk
+finds the runs, thresholding that array in that dtype at a block of
+levels at once. :func:`run_lengths` keeps only how many runs have each
+length, which is all a spectrum needs; :func:`run_table` keeps each
+run's line and level too, for the run-profile and single-peak tests.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dem import (_I64_MAX, DIRECTION_STEPS, SE_FOR_DIRECTION, Dem, _line_starts,
-                  reflect_rows, row_interval, scan_lines, volume)
+from .dem import (_I64_MAX, SE_FOR_DIRECTION, Dem, reflect_rows, row_interval,
+                  scan_lines, volume)
 from .spectrum import PatternSpectrum, discrete_volume_derivative, granulometric_index
 
 
@@ -142,37 +142,71 @@ def _flat_lines(dem: Dem, direction: str) -> tuple[np.ndarray, np.ndarray, np.nd
     """Every lattice line of ``direction`` in one flat array, each behind a 0.
 
     Returns the line indices, the position in the array of each line's
-    leading 0, and the array itself, which ends in one more 0. Masked
-    cells already hold 0 in ``dem.values``, so a masked cell, a present
-    0 and the 0 between two lines all break every run at levels >= 1.
+    leading 0, and the array itself, which ends in one more 0 and holds
+    the levels in the narrowest unsigned dtype that holds the top one.
+    Masked cells already hold 0 in ``dem.values``, so a masked cell, a
+    present 0 and the 0 between two lines all break every run at levels
+    >= 1.
+
+    Rows and columns all have one length, so the raster is written into
+    a ``(lines, length + 1)`` view of the array by one slice assignment.
+    Diagonals run from 1 to ``min(h, w)`` cells: each cell is scattered to
+    its line and its place on the line in a zero ``(lines + 1,
+    min(h, w) + 1)`` matrix, whose last row gives the trailing 0, and one
+    boolean selection drops the padding behind each line's last cell.
+    A diag-down line runs from top left to bottom right and is numbered
+    ``c - r + h - 1``; a diag-up line runs from top right to bottom left
+    and is numbered ``r + c``.
     """
-    dr, dc = DIRECTION_STEPS[direction]
-    index, r0, c0, length = np.array(
-        list(_line_starts(dem.height, dem.width, direction)), dtype=np.int64).T
-    first = np.cumsum(length) - length  # cells on the lines before each line
-    step = np.arange(int(length.sum())) - np.repeat(first, length)
-    cell = np.repeat(r0 * dem.width + c0, length) + step * (dr * dem.width + dc)
-    starts = first + np.arange(index.size)  # one leading 0 per earlier line
-    flat = np.zeros(step.size + index.size + 1, dtype=np.int64)
-    flat[np.repeat(starts + 1, length) + step] = dem.values.ravel()[cell]
-    return index, starts, flat
+    values = dem.values
+    h, w = values.shape
+    dtype = np.min_scalar_type(int(values.max()))
+    if direction in ("row", "column"):
+        grid = values if direction == "row" else values.T
+        lines, length = grid.shape
+        flat = np.zeros(lines * (length + 1) + 1, dtype=dtype)
+        flat[:-1].reshape(lines, length + 1)[:, 1:] = grid
+        starts = np.arange(lines, dtype=np.int64) * (length + 1)
+    elif direction in ("diag-down", "diag-up"):
+        lines, span = h + w - 1, min(h, w)
+        r, c = np.ogrid[:h, :w]
+        # each cell's line, and its place on the line, which starts on the
+        # top row or on the first (diag-down) or last (diag-up) column
+        if direction == "diag-down":
+            at, place = c - r + h - 1, np.minimum(r, c)
+        else:
+            at, place = r + c, np.minimum(r, w - 1 - c)
+        at *= span + 1
+        at += place
+        at += 1  # behind the line's leading 0
+        padded = np.zeros((lines + 1, span + 1), dtype=dtype)
+        padded.reshape(-1)[at] = values
+        i = np.arange(lines, dtype=np.int64)
+        length = np.minimum(np.minimum(i + 1, lines - i), span)
+        flat = padded[np.arange(span + 1) <= np.append(length, 0)[:, None]]
+        starts = np.cumsum(length + 1) - (length + 1)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    return np.arange(lines, dtype=np.int64), starts, flat
 
 
 def _level_runs(flat: np.ndarray):
     """Every maximal run at levels 1..max of ``flat``, a block of levels at once.
 
     A block thresholds the whole array at ``>= h`` for each of its levels,
-    as one ``(levels, cells)`` boolean matrix. Every row starts and ends
-    with a 0, so the places where a row changes pair up within the row:
-    the cell before a run, then the run's last cell. Yields, block by
-    block in level order, the block's first level, the position of the
-    cell before each run in the row-major ``(levels, flat.size - 1)``
-    matrix of changes, and each run's length.
+    as one ``(levels, cells)`` boolean matrix, comparing in the array's
+    own dtype. Every row starts and ends with a 0, so the places where a
+    row changes pair up within the row: the cell before a run, then the
+    run's last cell. Yields, block by block in level order, the block's
+    first level, the position of the cell before each run in the
+    row-major ``(levels, flat.size - 1)`` matrix of changes, and each
+    run's length.
     """
     top = int(flat.max())
     per = max(1, _BLOCK_CELLS // flat.size)
     for h0 in range(1, top + 1, per):
-        above = flat >= np.arange(h0, min(h0 + per, top + 1))[:, None]
+        levels = np.arange(h0, min(h0 + per, top + 1), dtype=flat.dtype)
+        above = flat >= levels[:, None]
         change = np.flatnonzero(above[:, 1:] != above[:, :-1])
         before = change[0::2]
         yield h0, before, change[1::2] - before

@@ -5,9 +5,10 @@ package's compute paths: windowed extrema via numpy sliding windows,
 offset extrema via a per-cell loop, openings via explicit translate
 enumeration, slab losses via a stack sweep over lines walked cell by
 cell, per-level run counting via direct thresholding (per sequence, and
-per segment of every scan line for whole run tables), and the entropy
-via exact ``Fraction`` probabilities, the ESRI and fixture-CSV
-parsers as per-token loops, their writers as per-cell loops, and
+per segment of every scan line for whole run tables), the oracle's flat
+line layout via per-cell index arithmetic, and the entropy via exact
+``Fraction`` probabilities, the ESRI and fixture-CSV parsers as
+per-token loops, their writers as per-cell loops, and
 quantization with one new array per step. Expected values frozen in the test modules were produced with
 these. The one exception is the length-family spectrum reference, which
 loops the package's own ``opening_by_segment`` over every length; its
@@ -20,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from demgranulo.dem import (_ESRI_HEADER_KEYS, _I64_MAX, Dem, DemError, DemParseError,
-                            quantize, scan_lines, volume)
+from demgranulo.dem import (_ESRI_HEADER_KEYS, _I64_MAX, DIRECTION_STEPS, Dem, DemError,
+                            DemParseError, _line_starts, quantize, scan_lines, volume)
 from demgranulo.morphology import nse, opening_by_segment
 
 
@@ -266,6 +267,24 @@ def naive_run_table(dem, direction):
                     key = (line.index, h, t)
                     counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def reference_flat_lines(dem, direction):
+    """``oracle._flat_lines`` as it was before it built its array by slicing
+    and scatter: every line from ``dem._line_starts``, laid end to end by
+    per-cell int64 index arithmetic, each behind one 0, with one more 0
+    at the end. Returns (line indices, position of each line's leading 0,
+    the int64 array)."""
+    dr, dc = DIRECTION_STEPS[direction]
+    index, r0, c0, length = np.array(
+        list(_line_starts(dem.height, dem.width, direction)), dtype=np.int64).T
+    first = np.cumsum(length) - length  # cells on the lines before each line
+    step = np.arange(int(length.sum())) - np.repeat(first, length)
+    cell = np.repeat(r0 * dem.width + c0, length) + step * (dr * dem.width + dc)
+    starts = first + np.arange(index.size)  # one leading 0 per earlier line
+    flat = np.zeros(step.size + index.size + 1, dtype=np.int64)
+    flat[np.repeat(starts + 1, length) + step] = dem.values.ravel()[cell]
+    return index, starts, flat
 
 
 def reference_quantize(raw, mask=None, *, step=1.0, datum=0.0):

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 
-from conftest import brute_runs_per_line, naive_run_table
+from conftest import brute_runs_per_line, naive_run_table, reference_flat_lines
 from demgranulo import oracle
 from demgranulo.dem import Dem, reflect_rows, scan_lines, volume
 from demgranulo.oracle import (RunLengths, RunTable, is_unipeak, reflection_family,
@@ -199,8 +199,9 @@ class TestRunLengths:
             counted.runs[0] = 1
 
     def test_memory_on_a_large_terrain(self):
-        # measured 0.8 MiB: the flat lines and one block of levels; the
-        # run table of the same terrain peaks at 4-5 MiB
+        # measured 0.37-0.45 MiB: the one-byte flat lines, a diagonal's
+        # int64 scatter index and one block of levels; the run table of
+        # the same terrain peaks at 4-5 MiB
         dem = synthetic_terrain(128, levels=64, hole_fraction=0.15, seed=3)
         for direction in DIRECTIONS:
             tracemalloc.start()
@@ -211,7 +212,52 @@ class TestRunLengths:
                 tracemalloc.stop()
             assert counted.total_volume() == volume(dem)
             assert retained <= 64 * 2**10, direction
-            assert peak <= 1.5 * 2**20, direction
+            assert peak <= 1 * 2**20, direction
+
+
+class TestFlatLines:
+    @settings(max_examples=200, deadline=None)
+    @given(masked_rasters(), st.sampled_from(DIRECTIONS))
+    def test_equals_index_arithmetic_layout(self, dem, direction):
+        index, starts, flat = oracle._flat_lines(dem, direction)
+        want_index, want_starts, want_flat = reference_flat_lines(dem, direction)
+        assert index.dtype == starts.dtype == np.int64
+        assert flat.dtype == np.min_scalar_type(int(dem.values.max()))
+        assert np.array_equal(index, want_index)
+        assert np.array_equal(starts, want_starts)
+        assert np.array_equal(flat, want_flat)
+
+    @pytest.mark.parametrize("shape", [(20000, 3), (3, 20000), (50000, 1)])
+    def test_memory_on_long_thin_rasters(self, shape):
+        # reference_flat_lines peaks at 21.7-25.7 int64 rasters on
+        # 50000x1; a diagonal's padded matrix has min(h, w) + 1 columns, and
+        # one sized by the longer side would take thousands of rasters
+        rng = np.random.default_rng(7)
+        dem = Dem(rng.integers(0, 64, shape), rng.random(shape) < 0.85)
+        for direction in DIRECTIONS:
+            tracemalloc.start()
+            try:
+                oracle._flat_lines(dem, direction)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 10 * dem.values.nbytes, direction
+
+    @pytest.mark.parametrize("top", [255, 256, 65535, 65536])
+    def test_counts_at_dtype_edges(self, top):
+        # the level walk compares in uint8 up to 255, uint16 up to 65535
+        # and uint32 beyond: a top level on either side of each edge
+        dem = Dem.from_rows([[top, 1, top - 1, None], [0, top, 2, top]])
+        for direction in DIRECTIONS:
+            assert (oracle._flat_lines(dem, direction)[2].dtype
+                    == np.min_scalar_type(top))
+            want = naive_run_table(dem, direction)
+            assert run_table(dem, direction).counts == want
+            summed = {}
+            for (_, _, t), c in want.items():
+                summed[t] = summed.get(t, 0) + c
+            counted = run_lengths(dem, direction)
+            assert dict(zip(counted.length.tolist(), counted.runs.tolist())) == summed
 
 
 class TestSpectrumFromRuns:
