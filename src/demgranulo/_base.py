@@ -5,7 +5,10 @@ the feature record live here rather than in ``dem``, ``morphology`` and
 ``spectrum``, which re-export them; so does the step/datum check that
 ``dem`` and the CLI's ``RunConfig`` share. ``classify`` and the CLI's
 ``train-tree``, ``classify`` and ``--version`` paths import only this
-module, so they start without loading numpy.
+module, so they start without loading numpy. The record classes are
+plain classes over :class:`Record` rather than dataclasses, so this
+module loads ``math`` alone: ``dataclasses`` would bring in ``inspect``
+and its own imports, and compile each class's methods at import.
 
 A direction is passed around by its name only; ``DIRECTION_STEPS`` is the
 one table of what a name means, the unit lattice step ``(drow, dcol)``
@@ -15,7 +18,6 @@ from one cell of a scan line to the next.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 # Scan directions and their unit steps (drow, dcol), and the directional
 # structuring element whose scans run along each one.
@@ -61,13 +63,46 @@ def _check_step_and_datum(step: float, datum: float) -> None:
         raise ValueError(f"datum must be finite, got {datum}")
 
 
-@dataclass(frozen=True)
-class FeatureRecord:
-    """Per-watershed feature bundle derived from the five spectra."""
+class Record:
+    """Equality by fields and a readable repr for a plain class.
 
-    watershed_id: str
-    x: tuple[float, ...]
-    gi: dict = field(default_factory=dict)
-    z: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0)
-    degenerate: bool = False
-    label: str | None = None
+    A subclass names its fields in ``_fields``; two records are equal
+    when they are of the same class and their fields are equal, and the
+    repr reads like the constructor call.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FeatureRecord(Record):
+    """Per-watershed feature bundle derived from the five spectra.
+
+    Immutable: assigning or deleting an attribute raises
+    ``AttributeError``. ``gi`` defaults to a fresh empty dict.
+    """
+
+    _fields = ("watershed_id", "x", "gi", "z", "degenerate", "label")
+
+    def __init__(self, watershed_id: str, x: tuple[float, ...], gi: dict | None = None,
+                 z: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0), degenerate: bool = False,
+                 label: str | None = None):
+        vars(self).update(watershed_id=watershed_id, x=x, gi={} if gi is None else gi,
+                          z=z, degenerate=degenerate, label=label)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -7,38 +7,47 @@ lowest label. Split quality is compared in exact integer arithmetic so
 no float noise can flip a tie across platforms. Training and evaluation
 use the same records (no held-out split), matching the small-sample
 protocol this feeds.
+
+The two functions that build a ``Fraction`` import ``fractions``
+themselves, so importing this module, and applying a stored tree
+(``demgranulo classify``), loads only ``json``, ``math`` and
+``collections.abc`` of the standard library.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from collections.abc import Sequence
 
-from ._base import FeatureRecord
+from ._base import FeatureRecord, Record
 
 
-@dataclass
-class TreeNode:
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    label: str | None = None
-    counts: dict | None = None
+class TreeNode(Record):
+    _fields = ("feature", "threshold", "left", "right", "label", "counts")
+
+    def __init__(self, feature: int | None = None, threshold: float | None = None,
+                 left: TreeNode | None = None, right: TreeNode | None = None,
+                 label: str | None = None, counts: dict | None = None):
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+        self.label = label
+        self.counts = counts
 
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
 
 
-@dataclass
-class DecisionTree:
-    root: TreeNode
-    max_depth: int
-    classes: tuple[str, ...]
+class DecisionTree(Record):
+    _fields = ("root", "max_depth", "classes")
+
+    def __init__(self, root: TreeNode, max_depth: int, classes: tuple[str, ...]):
+        self.root = root
+        self.max_depth = max_depth
+        self.classes = classes
 
     def depth(self) -> int:
         def walk(node, d):
@@ -70,6 +79,7 @@ def _split_cost(left: dict, right: dict) -> tuple[int, int, int]:
 
 def _best_split(xs, labels, indices, n_features):
     """Best (feature, threshold) by Gini, None when nothing improves."""
+    from fractions import Fraction
     total: dict[str, int] = {}
     for i in indices:
         total[labels[i]] = total.get(labels[i], 0) + 1
@@ -155,6 +165,7 @@ def predict(tree: DecisionTree, record) -> str:
 
 def training_accuracy(tree: DecisionTree, records: Sequence[FeatureRecord]) -> Fraction:
     """Exact fraction of records the tree labels correctly."""
+    from fractions import Fraction
     records = list(records)
     if not records:
         raise ValueError("no records to score")

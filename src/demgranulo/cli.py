@@ -19,6 +19,17 @@ calls from them into this module when it starts: ``spectrum`` and
 ``oracle``, ``gen-fixtures`` also ``oracle`` and ``synth``, and
 ``train-tree`` and ``classify`` bind ``classify`` alone, so they and
 ``--version`` start without numpy.
+
+The standard library is imported the same way: ``json`` by the two
+functions here that use it (``--config`` and the ``spectrum`` summaries)
+and by ``classify`` for tree files, ``fractions`` by tree training
+alone, and ``dataclasses`` by none of the modules numpy-free commands
+load. So ``classify`` and ``--version`` load no ``dataclasses``,
+``fractions`` or ``typing``, ``train-tree`` no ``dataclasses`` or
+``typing``, and the batch commands no ``fractions`` (nor, but for
+``spectrum``, ``json``).
+
+Every file is read and written as UTF-8, whatever the locale.
 """
 
 from __future__ import annotations
@@ -26,17 +37,15 @@ from __future__ import annotations
 import argparse
 import gc
 import glob
-import json
 import math
 import sys
-from dataclasses import dataclass, fields
 from functools import partial
 from importlib import import_module
 from pathlib import Path
 
 from . import __version__
 from ._base import (DIRECTIONS, SE_FOR_DIRECTION, SE_NAMES, DemError, FeatureRecord,
-                    _check_step_and_datum)
+                    Record, _check_step_and_datum)
 
 # The names the commands call, by the module they come from; _bind()
 # puts them into this module's globals when a command starts.
@@ -92,29 +101,38 @@ def _metadata(cfg) -> dict:
     }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     """The options of one batch run, checked.
 
-    A field's default is the option's only default. ``directions`` may
-    be a comma-separated string or a list (``None`` for all four),
-    ``out_dir`` a string, and a number anything ``float`` or ``int``
-    takes but a bool or, for a count, a fraction; each is stored as its
-    field's type. The first fault raises ``ValueError``, checked in this
-    order: directions, out_dir, the number types, step and datum values,
-    parallel, max_oracle_work, inputs.
+    ``OPTIONS`` holds each option's name and its only default; every
+    option is a keyword after ``inputs``, and an unknown one raises
+    ``TypeError``. ``directions`` may be a comma-separated string or a
+    list (``None`` for all four), ``out_dir`` a string, and a number
+    anything ``float`` or ``int`` takes but a bool or, for a count, a
+    fraction; each is stored as its default's type. The first fault
+    raises ``ValueError``, checked in this order: directions, out_dir,
+    the number types, step and datum values, parallel, max_oracle_work,
+    inputs.
     """
 
-    inputs: list[str]
-    out_dir: Path = Path("out")
-    step: float = 1.0
-    datum: float = 0.0
-    parallel: int = 1
-    directions: tuple[str, ...] = DIRECTIONS
-    max_oracle_work: int = 2_000_000
-    corrupt_hook: bool = False
+    OPTIONS = {
+        "out_dir": Path("out"),
+        "step": 1.0,
+        "datum": 0.0,
+        "parallel": 1,
+        "directions": DIRECTIONS,
+        "max_oracle_work": 2_000_000,
+        "corrupt_hook": False,
+    }
+    _fields = ("inputs", *OPTIONS)
 
-    def __post_init__(self):
+    def __init__(self, inputs: list[str], **options):
+        for name in options:
+            if name not in self.OPTIONS:
+                raise TypeError(f"RunConfig got an unexpected keyword argument {name!r}")
+        self.inputs = inputs
+        for name, default in self.OPTIONS.items():
+            setattr(self, name, options.get(name, default))
         directions = self.directions
         if directions is None:  # a config's null keeps the default
             directions = DIRECTIONS
@@ -194,7 +212,7 @@ def _job(args):
     """Load one raster and run the command's work on it: (result, error)."""
     work, ident, path, cfg = args
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         if path.suffix.lower() == ".csv":
             dem = parse_fixture_csv(text)
         else:
@@ -255,6 +273,7 @@ def _spectrum_csv(ps) -> str:
 
 def _spectrum_one(ident, dem, cfg) -> dict[str, str]:
     """Text of every file the raster gets, by name."""
+    import json
     outputs = {}
     gi = {}
     n0 = {}
@@ -274,7 +293,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
     def write(outputs):
         for name, text in sorted(outputs.items()):
-            (cfg.out_dir / name).write_text(text)
+            (cfg.out_dir / name).write_text(text, encoding="utf-8")
 
     return 1 if _run_batch(_spectrum_one, cfg, write) else 0
 
@@ -302,7 +321,7 @@ def cmd_features(cfg: RunConfig, output: Path | None = None) -> int:
     output.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(_FEATURE_COLUMNS)]
     failures = _run_batch(_features_one, cfg, lines.append)
-    output.write_text("\n".join(lines) + "\n")
+    output.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 1 if failures else 0
 
 
@@ -346,7 +365,7 @@ def cmd_oracle_check(cfg: RunConfig, report_path: Path | None) -> int:
     failures = _run_batch(_oracle_one, cfg, report, ("dem", "spectrum", "oracle"))
     if report_path is not None:
         report_path.parent.mkdir(parents=True, exist_ok=True)
-        report_path.write_text("\n".join(lines) + "\n")
+        report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 1 if failures else 0
 
 
@@ -357,8 +376,8 @@ def cmd_oracle_check(cfg: RunConfig, report_path: Path | None) -> int:
 
 def _read_feature_csv(path: Path, label_column: str | None):
     # blank lines are skipped but keep their place in the numbering
-    lines = [(lineno, ln) for lineno, ln in enumerate(path.read_text().splitlines(), 1)
-             if ln.strip()]
+    text = path.read_text(encoding="utf-8")
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty feature CSV")
     header = lines[0][1].split(",")
@@ -398,8 +417,8 @@ def cmd_train_tree(features: Path, label_column: str, max_depth: int,
     acc = training_accuracy(tree, records)
     hits = int(acc * len(records))
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "tree.json").write_text(tree_to_json(tree))
-    (out_dir / "tree.txt").write_text(render_tree(tree))
+    (out_dir / "tree.json").write_text(tree_to_json(tree), encoding="utf-8")
+    (out_dir / "tree.txt").write_text(render_tree(tree), encoding="utf-8")
     print(f"records {len(records)} depth {tree.depth()} "
           f"accuracy {hits}/{len(records)} ({_fmt(float(acc))})")
     return 0
@@ -408,7 +427,7 @@ def cmd_train_tree(features: Path, label_column: str, max_depth: int,
 def cmd_classify(tree_path: Path, features: Path, output: Path) -> int:
     _bind("classify")
     try:
-        tree = tree_from_json(tree_path.read_text())
+        tree = tree_from_json(tree_path.read_text(encoding="utf-8"))
     except ValueError as exc:  # malformed JSON included
         raise ValueError(f"{tree_path}: {exc}") from None
     records = _read_feature_csv(features, None)
@@ -416,7 +435,7 @@ def cmd_classify(tree_path: Path, features: Path, output: Path) -> int:
     lines = ["id,label"]
     for rec in records:
         lines.append(f"{rec.watershed_id},{predict(tree, rec)}")
-    output.write_text("\n".join(lines) + "\n")
+    output.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 
@@ -431,7 +450,7 @@ def cmd_gen_fixtures(out_dir: Path) -> int:
     emitted = []
 
     def emit(name: str, text: str):
-        (out_dir / name).write_text(text)
+        (out_dir / name).write_text(text, encoding="utf-8")
         emitted.append(name)
 
     fict = fictitious_dem()
@@ -477,10 +496,11 @@ def _add_batch_args(sub):
 
 def _build_config(args) -> RunConfig:
     """Explicit flags over the ``--config`` file over ``RunConfig``'s defaults."""
-    options = {f.name for f in fields(RunConfig)} - {"inputs"}
+    options = RunConfig.OPTIONS
     given = {}
     if args.config is not None:
-        file_cfg = json.loads(args.config.read_text())
+        import json
+        file_cfg = json.loads(args.config.read_text(encoding="utf-8"))
         if not isinstance(file_cfg, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         # the test hook is a flag only

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -69,6 +68,7 @@ class PatternSpectrum:
 
     @property
     def probs(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction  # the batch commands build none
         v0 = self.volumes[0]
         return tuple(Fraction(a - b, v0) for a, b in zip(self.volumes, self.volumes[1:]))
 

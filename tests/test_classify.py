@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from demgranulo.classify import (predict, render_tree, train_cart,
-                                 training_accuracy, tree_from_json,
+from demgranulo.classify import (DecisionTree, TreeNode, predict, render_tree,
+                                 train_cart, training_accuracy, tree_from_json,
                                  tree_to_json)
 from demgranulo.spectrum import FeatureRecord
 from demgranulo.synth import synthetic_watershed_features
@@ -160,3 +160,47 @@ class TestSerialization:
         text = render_tree(train_cart(records, 1))
         assert "x[0] <= 0.5" in text
         assert "leaf -> a" in text
+
+
+class TestRecords:
+    def test_feature_record_keywords_and_defaults(self):
+        r = FeatureRecord("w", (1.0,))
+        assert (r.watershed_id, r.x, r.gi, r.z, r.degenerate, r.label) == (
+            "w", (1.0,), {}, (0.0, 0.0, 0.0, 0.0), False, None)
+        r = FeatureRecord(watershed_id="w", x=(), gi={"B": 1.0}, z=(1.0,) * 4,
+                          degenerate=True, label="a")
+        assert (r.gi, r.z, r.degenerate, r.label) == ({"B": 1.0}, (1.0,) * 4, True, "a")
+        assert FeatureRecord("a", ()).gi is not FeatureRecord("a", ()).gi
+
+    def test_feature_record_is_immutable(self):
+        r = FeatureRecord("w", (1.0,))
+        with pytest.raises(AttributeError):
+            r.label = "a"
+        with pytest.raises(AttributeError):
+            del r.x
+        with pytest.raises(AttributeError):
+            r.new_field = 1
+        assert r.label is None
+
+    def test_feature_record_equality_and_repr(self):
+        r = FeatureRecord("w", (1.0,), label="a")
+        assert r == FeatureRecord("w", (1.0,), label="a")
+        assert r != FeatureRecord("w", (1.0,), label="b")
+        assert r != ("w", (1.0,), {}, (0.0, 0.0, 0.0, 0.0), False, "a")
+        assert repr(r) == ("FeatureRecord(watershed_id='w', x=(1.0,), gi={}, "
+                           "z=(0.0, 0.0, 0.0, 0.0), degenerate=False, label='a')")
+
+    def test_tree_classes_keywords_defaults_equality_and_repr(self):
+        leaf = TreeNode(label="a", counts={"a": 2})
+        assert (leaf.feature, leaf.threshold, leaf.left, leaf.right) == (None,) * 4
+        assert leaf.is_leaf
+        node = TreeNode(3, 0.5, leaf, TreeNode(label="b", counts={"b": 1}))
+        assert (node.feature, node.threshold, node.left) == (3, 0.5, leaf)
+        assert repr(leaf) == ("TreeNode(feature=None, threshold=None, left=None, "
+                              "right=None, label='a', counts={'a': 2})")
+        tree = DecisionTree(node, max_depth=1, classes=("a", "b"))
+        assert tree == DecisionTree(node, 1, ("a", "b"))
+        assert tree != DecisionTree(node, 2, ("a", "b"))
+        assert repr(tree) == f"DecisionTree(root={node!r}, max_depth=1, classes=('a', 'b'))"
+        # a split node stores no counts, so this tree reads back equal
+        assert tree_from_json(tree_to_json(tree)) == tree

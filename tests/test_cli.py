@@ -1,8 +1,10 @@
 """End-to-end subcommand behavior on temp directories."""
 
+import functools
 import gc
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -226,6 +228,23 @@ class TestRunConfig:
         assert main(["oracle-check", str(src), "--config", str(cfg)]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert [r.split()[1] for r in rows[::2]] == ["row", "column", "diag-down", "diag-up"]
+
+    def test_options_are_keywords_with_their_declared_defaults(self):
+        assert list(RunConfig.OPTIONS) == ["out_dir", "step", "datum", "parallel",
+                                           "directions", "max_oracle_work", "corrupt_hook"]
+        cfg = RunConfig(inputs=["a.csv"], corrupt_hook=True)
+        assert (cfg.inputs, cfg.corrupt_hook) == (["a.csv"], True)
+        with pytest.raises(TypeError, match="'stepp'"):
+            RunConfig(["a.csv"], stepp=2)
+
+    def test_equality_and_repr_by_fields(self):
+        cfg = RunConfig(["a.csv"], step=2)
+        assert cfg == RunConfig(["a.csv"], step=2.0)
+        assert cfg != RunConfig(["a.csv"])
+        assert repr(cfg) == (
+            f"RunConfig(inputs=['a.csv'], out_dir={Path('out')!r}, step=2.0, datum=0.0, "
+            "parallel=1, directions=('row', 'column', 'diag-down', 'diag-up'), "
+            "max_oracle_work=2000000, corrupt_hook=False)")
 
 
 class TestFeaturesCommand:
@@ -654,14 +673,18 @@ class TestGenFixtures:
 # Runs the CLI as ``python -m demgranulo.cli`` does, or, given
 # ``module:function``, as a console script does. At exit it reports the
 # exit code, whether numpy was imported, which ``demgranulo`` modules
-# were, and how many objects the collector had frozen.
+# and which top-level standard-library modules were, and how many objects
+# the collector had frozen. It imports json only after it has listed them.
 _PROBE = """
-import atexit, gc, importlib, json, runpy, sys
+import atexit, gc, importlib, runpy, sys
 
 def report():
-    modules = sorted(m.split(".")[1] for m in sys.modules if m.startswith("demgranulo."))
-    print(json.dumps({"exit": code, "numpy": "numpy" in sys.modules,
-                      "modules": modules, "frozen": gc.get_freeze_count()}))
+    loaded = set(sys.modules)
+    import json
+    modules = sorted(m.split(".")[1] for m in loaded if m.startswith("demgranulo."))
+    stdlib = sorted({m.split(".")[0] for m in loaded} & sys.stdlib_module_names)
+    print(json.dumps({"exit": code, "numpy": "numpy" in loaded, "modules": modules,
+                      "stdlib": stdlib, "frozen": gc.get_freeze_count()}))
 
 atexit.register(report)
 code = None
@@ -682,7 +705,26 @@ def _run_probe(argv, target="demgranulo.cli"):
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
     probe["modules"] = set(probe["modules"])
+    probe["stdlib"] = set(probe["stdlib"])
     return probe
+
+
+@functools.cache
+def _bare_interpreter_modules() -> frozenset:
+    """Top-level modules a bare interpreter holds once its site has run."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; print(*{m.split('.')[0] for m in sys.modules})"],
+        capture_output=True, text=True, timeout=120, check=True)
+    return frozenset(proc.stdout.split())
+
+
+def _unused_stdlib_loaded(command, probe) -> set:
+    """The modules of ``_STDLIB_UNUSED[command]`` the probed child loaded.
+
+    A module the bare interpreter already holds is no fault of the
+    program's; this site may preload ``typing``, for one.
+    """
+    return (_STDLIB_UNUSED[command] - _bare_interpreter_modules()) & probe["stdlib"]
 
 
 def _console_script():
@@ -701,6 +743,18 @@ _NUMERIC_LOADS = {
     "gen-fixtures": ({"dem", "spectrum", "oracle", "synth"}, {"classify"}),
 }
 
+# standard-library modules each command never calls and must not load;
+# numpy loads typing, and inspect (which dataclasses adds to), by itself
+_STDLIB_UNUSED = {
+    "--version": {"dataclasses", "fractions", "json", "typing"},
+    "train-tree": {"dataclasses", "typing"},
+    "classify": {"dataclasses", "fractions", "typing"},
+    "spectrum": {"fractions"},
+    "features": {"fractions", "json"},
+    "oracle-check": {"fractions", "json"},
+    "gen-fixtures": {"fractions", "json"},
+}
+
 
 class TestStartup:
     def test_tree_commands_and_version_load_no_numpy(self, fixture_dir, tmp_path):
@@ -715,6 +769,7 @@ class TestStartup:
             probe = _run_probe(argv)
             assert (probe["exit"], probe["numpy"]) == (0, False), argv
             assert probe["modules"] - {"_base"} == loaded, argv
+            assert not _unused_stdlib_loaded(argv[0], probe), argv
         assert (tmp_path / "p.csv").read_text().count("\n") == 139
 
     @pytest.mark.parametrize("command", list(_NUMERIC_LOADS))
@@ -728,6 +783,7 @@ class TestStartup:
         assert (probe["exit"], probe["numpy"]) == (0, True)
         assert loaded <= probe["modules"]
         assert not_loaded.isdisjoint(probe["modules"])
+        assert not _unused_stdlib_loaded(command, probe)
 
     @pytest.mark.parametrize("bad_input", [False, True], ids=["version", "bad-input"])
     @pytest.mark.parametrize("target", ["demgranulo.cli", "console-script"])
@@ -755,3 +811,46 @@ class TestStartup:
         assert demgranulo.Dem is demgranulo.dem.Dem
         with pytest.raises(AttributeError):
             demgranulo.no_such_name
+
+
+def _run_child(argv, *, env=None, flags=()):
+    return subprocess.run([sys.executable, *flags, "-m", "demgranulo.cli", *argv],
+                          capture_output=True, timeout=120,
+                          env=None if env is None else {**os.environ, **env})
+
+
+class TestEncoding:
+    """Every file is UTF-8 whatever the locale's encoding."""
+
+    def test_non_ascii_digits_parse_under_an_ascii_locale(self, tmp_path):
+        src = tmp_path / "arabic.csv"
+        # Arabic-Indic digits, which int() reads; the file is UTF-8
+        src.write_bytes(",\u0662,\u0663\n\u0661,\u0665,\u0662\n".encode("utf-8"))
+        outputs = []
+        for locale in ("C", "C.UTF-8"):
+            out = tmp_path / locale
+            env = {"LC_ALL": locale, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+            proc = _run_child(["features", str(src), "--out-dir", str(out)], env=env)
+            assert (proc.returncode, proc.stderr) == (0, b""), locale
+            outputs.append((out / "features.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[1].startswith(b"arabic,")
+
+    def test_no_command_opens_a_file_in_the_locale_encoding(self, fixture_dir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"step": 1}', encoding="utf-8")
+        features = str(fixture_dir / "features_demo.csv")
+        tree = str(tmp_path / "tree" / "tree.json")
+        batch = [str(fixture_dir / "fictitious.csv"), str(fixture_dir / "fictitious.asc"),
+                 "--config", str(config)]
+        runs = [["--version"],
+                ["gen-fixtures", "--out-dir", str(tmp_path / "fx")],
+                ["spectrum", *batch, "--out-dir", str(tmp_path / "spectra")],
+                ["features", *batch, "--out-dir", str(tmp_path / "features")],
+                ["oracle-check", *batch, "--report", str(tmp_path / "report.csv")],
+                ["train-tree", features, "--out-dir", str(tmp_path / "tree")],
+                ["classify", features, "--tree", tree, "--output", str(tmp_path / "p.csv")]]
+        for argv in runs:
+            proc = _run_child(argv, flags=("-X", "warn_default_encoding",
+                                           "-W", "error::EncodingWarning"))
+            assert (proc.returncode, proc.stderr) == (0, b""), argv

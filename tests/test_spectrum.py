@@ -1,6 +1,7 @@
 """Pattern spectra, indices, normalization and features."""
 
 import dataclasses
+import fractions
 import math
 import tracemalloc
 from fractions import Fraction
@@ -314,7 +315,8 @@ class TestGranulometricIndex:
     def test_features_build_no_fraction(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("Fraction built")
-        monkeypatch.setattr(spectrum, "Fraction", refuse)
+        # probs imports Fraction when it runs, so patch it at its source
+        monkeypatch.setattr(fractions, "Fraction", refuse)
         dem = random_dem(0, 10, 10, 6, hole_fraction=0.1)
         for name in ALL_NAMES:
             granulometric_index(pattern_spectrum(dem, name))
