@@ -9,7 +9,10 @@ token); both writers are timed too.
 
 Every kernel is numpy code. The kernels run on the raster's levels in
 the narrowest signed dtype that holds them (int16 for up to 32767
-levels), as the spectra pass them. The offset extremum serves only
+levels), as the spectra pass them. The square spectrum B is the
+divisor of every feature; it reads each scale's erosion from one table
+of square minima and dilates it with a row and a column pass. The
+offset extremum serves only
 irregular structuring elements, which the features never use; a 5-cell
 cross times it. The run-length count is the independent oracle's, which
 ``oracle-check`` sets against the spectra: it lays every line end to end
@@ -26,7 +29,7 @@ import time
 from demgranulo import _kernels, oracle
 from demgranulo._base import DIRECTIONS
 from demgranulo.dem import parse_esri_ascii, parse_fixture_csv
-from demgranulo.spectrum import _levels, normalized_mdgi
+from demgranulo.spectrum import _levels, normalized_mdgi, pattern_spectrum
 from demgranulo.synth import synthetic_terrain
 
 
@@ -59,6 +62,7 @@ def run(side, levels, repeats):
          lambda: _kernels.directional_extremum(arr, "diag-up", 8, False)),
         ("offset min (5-cell cross)",
          lambda: _kernels.offset_extremum(arr, CROSS, True)),
+        ("square spectrum (B)", lambda: pattern_spectrum(dem, "B")),
         ("spectrum sweep (4 dirs)",
          lambda: [_kernels.directional_loss(arr, d) for d in DIRECTIONS]),
         ("run-length count (4 dirs)",

@@ -1,18 +1,24 @@
-"""Hot numeric kernels: windowed extrema and peak-slab sweeps.
+"""Hot numeric kernels: windowed extrema, square erosions and peak-slab sweeps.
 
 Every kernel is numpy code. Directional kernels take a scan direction by
 its name (``"row"``, ``"column"``, ``"diag-down"``, ``"diag-up"``; see
-``_base.DIRECTION_STEPS``) and read the scan lines a block at a time as
-a zero-padded matrix (:func:`_line_blocks`): rows and columns are
-slices, diagonals follow the flat-index layout of :func:`line_layout`.
+``_base.DIRECTION_STEPS``).
 
 * the windowed extremum along scan lines (:func:`directional_extremum`)
-  builds windows of 1, 2, 4, ... cells by doubling, so a window of any
-  width costs ceil(log2 width) binary ufunc calls per block;
+  builds windows of 1, 2, 4, ... cells by doubling (:func:`_doubling`),
+  so a window of any width costs ceil(log2 width) binary ufunc calls per
+  block. Rows and columns go by slabs of consecutive rows, columns as
+  whole-row steps down the slab; diagonals are gathered a block of lines
+  at a time (:func:`_line_blocks`) in the flat-index layout of
+  :func:`line_layout`;
+* the square erosions (:func:`square_erosions`) read the erosion by the
+  square of every scale from one table of square minima, which doubles
+  in place as the squares grow: three binary ufunc calls per scale;
 * the slab sweep (:func:`directional_loss`) finds, for every cell, its
   nearest smaller neighbours on both sides by binary lifting over a
   sparse table of range minima, which gives every maximal slab of every
-  line at once.
+  line at once. It reads the lines a block at a time from
+  :func:`_line_blocks`.
 
 Structuring elements that are neither a line nor a square go through
 :func:`offset_extremum`, which folds one shifted view of a zero-padded
@@ -74,17 +80,22 @@ def line_layout(shape, direction):
 # memory a pass needs beyond its output does not grow with the raster;
 # a line longer than a block makes a block of its own.
 _BLOCK_CELLS = 1 << 14
+# The row and column passes and the square table work on slabs of as
+# many bytes as a block of int64 cells: narrow levels take more cells
+# per slab, and so fewer numpy calls, for the same cache footprint.
+_SLAB_BYTES = 8 * _BLOCK_CELLS
 
 
 def _line_blocks(arr, direction, before, after):
     """The scan lines of ``arr`` a block at a time, zero-padded.
 
-    Yields ``(padded, put)`` per block of about ``_BLOCK_CELLS`` padded
-    cells. Row ``l`` of ``padded`` holds one line from column ``before``
-    on, with zeros before it and at least ``after`` zeros after it;
-    ``put(out, res)`` writes ``res[l, i]`` to cell ``i`` of line ``l`` of
-    ``out``. Rows and columns are slices of ``arr`` and of ``arr.T``, read
-    and written back by slice; diagonals are gathered by flat index.
+    Yields ``(padded, index, inside)`` per block of about ``_BLOCK_CELLS``
+    padded cells. Row ``l`` of ``padded`` holds one line from column
+    ``before`` on, with zeros before it and at least ``after`` zeros
+    after it. Rows and columns are slices of ``arr`` and of ``arr.T``,
+    and their ``index`` and ``inside`` are ``None``; diagonals are
+    gathered by flat index, and cell ``i`` of line ``l`` is the flat cell
+    ``index[l, i]`` where ``inside[l, i]`` holds.
     """
     starts, lengths, step = line_layout(arr.shape, direction)
     per_block = max(1, _BLOCK_CELLS // max(1, before + int(lengths.max(initial=0)) + after))
@@ -95,47 +106,199 @@ def _line_blocks(arr, direction, before, after):
         padded = np.zeros((lens.shape[0], before + n + after), dtype=arr.dtype)
         if direction in ("row", "column"):
             padded[:, before:before + n] = lines[j:j + per_block]
-            def put(out, res, rows=slice(j, j + per_block)):
-                (out if direction == "row" else out.T)[rows] = res
-        else:
-            pos = np.arange(n)
-            index = starts[j:j + per_block, None] + pos * step
-            # past a line's end the index can leave the raster or land on
-            # another line: the read is clipped, then masked to the 0 pad
-            inside = pos < lens[:, None]
-            np.copyto(padded[:, before:before + n],
-                      arr.ravel().take(index, mode="clip"), where=inside)
-            def put(out, res, index=index, inside=inside):
-                out.ravel()[index[inside]] = res[inside]
-        yield padded, put
+            yield padded, None, None
+            continue
+        pos = np.arange(n)
+        index = starts[j:j + per_block, None] + pos * step
+        # past a line's end the index can leave the raster or land on
+        # another line: the read is clipped, then masked to the 0 pad
+        inside = pos < lens[:, None]
+        np.copyto(padded[:, before:before + n],
+                  arr.ravel().take(index, mode="clip"), where=inside)
+        yield padded, index, inside
 
 
-def directional_extremum(values, direction, k, minimum, after=None):
+def _doubling(p, width, step, ufunc, bufs):
+    """Windows of ``width`` cells ``step`` apart along the flat array ``p``.
+
+    Cell ``i`` of the result folds ``p[i], p[i + step], ...,
+    p[i + (width - 1) * step]`` with ``ufunc``, for the first
+    ``p.size - (width - 1) * step`` cells. Doubling builds windows of 1,
+    2, 4, ... cells up to the largest power of two ``s`` within the
+    width; two of them, one at each end, cover a full window (min and max
+    are idempotent). The steps alternate between the two buffers of
+    ``bufs``, each at least ``p.size`` long, and ``p`` is left as it was.
+    Returns ``p`` or one of ``bufs``; its leading cells hold the result.
+    """
+    src, (dst, spare) = p, bufs
+    size, s = p.shape[0], 1
+    while 2 * s <= width:
+        size -= s * step
+        ufunc(src[:size], src[s * step:s * step + size], out=dst[:size])
+        src, dst, spare = dst, spare, dst
+        s *= 2
+    if s < width:
+        size = p.shape[0] - (width - 1) * step
+        shift = (width - s) * step
+        ufunc(src[:size], src[shift:shift + size], out=dst[:size])
+        src = dst
+    return src
+
+
+def _row_pass(arr, out, k, after, ufunc):
+    """Windows along rows, by slabs of consecutive rows.
+
+    Each slab is laid out flat, with ``k`` zeros before every row and
+    ``after`` zeros after it, so a window starts at its cell's padded
+    index and never reaches into the next row. A slab is read whole
+    before its rows are written, so ``out`` may be ``arr``.
+    """
+    h, w = arr.shape
+    stride = k + w + after
+    rows = max(1, _SLAB_BYTES // arr.itemsize // stride)
+    slab = np.zeros((rows, stride), dtype=arr.dtype)
+    bufs = (np.empty(rows * stride, dtype=arr.dtype), np.empty(rows * stride, dtype=arr.dtype))
+    for r0 in range(0, h, rows):
+        n = min(rows, h - r0)
+        slab[:n, k:k + w] = arr[r0:r0 + n]
+        res = _doubling(slab[:n].ravel(), k + after + 1, 1, ufunc, bufs)
+        out[r0:r0 + n] = res[:n * stride].reshape(n, stride)[:, :w]
+
+
+def _column_pass(arr, out, k, after, ufunc):
+    """Windows down columns, by tiles of consecutive rows.
+
+    The raster is cut into strips of whole columns, and each strip is
+    walked down by tiles of rows. The tile for rows ``r0:r1`` holds rows
+    ``r0 - k`` to ``r1 + after``, zero past the raster, and a window is a
+    step of whole tile rows down it. Its first ``k`` rows are the last
+    ``k`` rows the previous tile of the strip read, carried over rather
+    than read again, so ``out`` may be ``arr``: the rows above ``r0`` are
+    written before the next tile is read.
+    """
+    h, w = arr.shape
+    # at least as many rows as the halo, so a tile does at most twice
+    # the work of its own rows; about a slab of output
+    cells = _SLAB_BYTES // arr.itemsize
+    rows = min(h, max(1, cells // w, k + after))
+    cols = min(w, max(1, cells // rows))
+    tile = np.zeros((k + rows + after, cols), dtype=arr.dtype)
+    bufs = (np.empty(tile.size, dtype=arr.dtype), np.empty(tile.size, dtype=arr.dtype))
+    for c0 in range(0, w, cols):
+        c = min(cols, w - c0)
+        part = tile if c == cols else np.zeros((k + rows + after, c), dtype=arr.dtype)
+        part[:k] = 0
+        n = 0
+        for r0 in range(0, h, rows):
+            # rows r0 - k .. r0 - 1 of the strip, the zeros above it at first
+            part[:k] = part[n:n + k]
+            n = min(rows, h - r0)
+            m = min(n + after, h - r0)
+            part[k:k + m] = arr[r0:r0 + m, c0:c0 + c]
+            part[k + m:k + n + after] = 0
+            res = _doubling(part[:k + n + after].ravel(), k + after + 1, c, ufunc, bufs)
+            out[r0:r0 + n, c0:c0 + c] = res[:n * c].reshape(n, c)
+
+
+def directional_extremum(values, direction, k, minimum, after=None, out=None):
     """Windowed min/max along one scan direction.
 
     The window covers the ``k`` cells before each cell and the ``after``
     cells following it (``k`` when not given, i.e. centred half-width k).
+    The result goes to ``out`` when given, a C-contiguous array of the
+    values' shape and dtype, which may be ``values`` itself.
 
-    Lines are padded with ``k`` zeros before them, so a window starts at
-    its cell's index. Doubling builds windows of 1, 2, 4, ... cells up to
-    the largest power of two ``s`` within the width; two of them, one at
-    each end, cover a full window (min and max are idempotent).
+    ``k`` and ``after`` are cut to the longest line's length: past it a
+    window reads only zeros. Rows and columns go by slabs of consecutive
+    rows (:func:`_row_pass`, :func:`_column_pass`); diagonals by blocks
+    of gathered lines, padded with ``k`` zeros before them so a window
+    starts at its cell's index.
     """
     arr = _as_int_2d(values)
-    after = k if after is None else after
-    width = k + after + 1
+    if out is None:
+        out = np.empty_like(arr)
+    if arr.size == 0:
+        return out
+    h, w = arr.shape
+    longest = {"row": w, "column": h}.get(direction, min(h, w))
+    k = min(k, longest)
+    after = k if after is None else min(after, longest)
     ufunc = np.minimum if minimum else np.maximum
-    out = np.empty_like(arr)
-    for padded, put in _line_blocks(arr, direction, k, after):
-        n = padded.shape[1] - width + 1
-        m, s = padded, 1
-        while 2 * s <= width:
-            m = ufunc(m[:, :-s], m[:, s:])
-            s *= 2
-        if s < width:
-            m = ufunc(m[:, :n], m[:, width - s:width - s + n])
-        put(out, m[:, :n])
+    if direction in ("row", "column"):
+        (_row_pass if direction == "row" else _column_pass)(arr, out, k, after, ufunc)
+        return out
+    width = k + after + 1
+    flat = out.ravel()
+    for padded, index, inside in _line_blocks(arr, direction, k, after):
+        lines, stride = padded.shape
+        bufs = (np.empty(padded.size, dtype=arr.dtype), np.empty(padded.size, dtype=arr.dtype))
+        res = _doubling(padded.ravel(), width, 1, ufunc, bufs)
+        res = res[:lines * stride].reshape(lines, stride)
+        flat[index[inside]] = res[:, :index.shape[1]][inside]
     return out
+
+
+def square_erosions(levels, k):
+    """Erosions by the (2nk+1)x(2nk+1) square, for n = 1, 2, ....
+
+    Yields one array per scale, the same array every time: each scale
+    overwrites it, and the caller may change it in between. The scales
+    stop before the first whose square is wider or taller than the
+    raster, whose erosion is 0 everywhere.
+
+    All scales read one table ``T``, built in place from a copy of the
+    levels (a square sparse table; Amir, Fischer & Lewenstein, CPM 2007):
+    ``T[i, j]`` is the minimum of the ``s`` x ``s`` square whose top-left
+    cell is ``(i, j)``, for every such square inside the raster, and ``s``
+    doubles, by one step along rows and one down columns, whenever ``2s``
+    fits the window. The erosion of width ``W = 2nk + 1`` is 0 outside
+    ``[nk, h - nk) x [nk, w - nk)``, where the window leaves the raster;
+    inside, it is the minimum of the four ``s``-squares at its corners,
+    which cover it.
+
+    Both the table and the erosion are computed on the flat raster: a
+    cell whose square would wrap into the next row reads what its flat
+    neighbours hold, and is left out (table) or overwritten with the 0
+    of the frame (erosion).
+    """
+    if k < 1:
+        raise ValueError("half-width must be >= 1")
+    table = _as_int_2d(levels).copy()
+    h, w = table.shape
+    flat = table.ravel()
+    eroded = np.empty_like(table)
+    s, n = 1, 1
+    while 2 * n * k + 1 <= min(h, w):
+        r, width = n * k, 2 * n * k + 1
+        while 2 * s <= width:
+            _fold_ahead(flat, s)  # along rows
+            _fold_ahead(flat, s * w)  # down columns
+            s *= 2
+        # cell (i, j) of the interior reads T at (i - r, j - r) and at
+        # d cells down, across or both
+        d = width - s
+        size = (h - 2 * r) * w - 2 * r
+        inner = eroded.ravel()[r * w + r:r * w + r + size]
+        np.minimum(flat[:size], flat[d * w:d * w + size], out=inner)
+        np.minimum(inner, flat[d:d + size], out=inner)
+        np.minimum(inner, flat[d * w + d:d * w + d + size], out=inner)
+        eroded[:r] = eroded[h - r:] = 0
+        eroded[:, :r] = eroded[:, w - r:] = 0
+        yield eroded
+        n += 1
+
+
+def _fold_ahead(flat, shift):
+    """``flat[i] = min(flat[i], flat[i + shift])`` in place, by blocks.
+
+    The blocks run from the start of the array, so each reads cells past
+    its end that no block has written yet.
+    """
+    end = flat.shape[0] - shift
+    cells = max(1, _SLAB_BYTES // flat.itemsize)
+    for i in range(0, end, cells):
+        j = min(i + cells, end)
+        np.minimum(flat[i:j], flat[i + shift:j + shift], out=flat[i:j])
 
 
 def offset_extremum(values, offsets_rc, minimum):
@@ -173,7 +336,7 @@ def directional_loss(values, direction):
     arr = _as_int_2d(values)
     lengths = line_layout(arr.shape, direction)[1]
     loss = np.zeros(int(lengths.max(initial=0)) + 2, dtype=np.int64)
-    for padded, _ in _line_blocks(arr, direction, 1, 1):
+    for padded, _, _ in _line_blocks(arr, direction, 1, 1):
         _add_slabs(padded.ravel(), padded.shape[1] - 2, loss)
     return loss
 

@@ -29,7 +29,10 @@ load. So ``classify`` and ``--version`` load no ``dataclasses``,
 ``typing``, and the batch commands no ``fractions`` (nor, but for
 ``spectrum``, ``json``).
 
-Every file is read and written as UTF-8, whatever the locale.
+Every file is read and written as UTF-8, whatever the locale. A file
+name the locale cannot decode reaches ``sys.argv`` with lone surrogates
+in it; its id keeps them, and they are written out as the name's own
+bytes.
 """
 
 from __future__ import annotations
@@ -85,6 +88,10 @@ def __getattr__(name):
 
 PAD_CONVENTION = "zero-outside-domain"
 ENTROPY_LOG = "natural"
+
+
+def _write_text(path: Path, text: str) -> None:
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
 def _fmt(x: float) -> str:
@@ -293,7 +300,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
     def write(outputs):
         for name, text in sorted(outputs.items()):
-            (cfg.out_dir / name).write_text(text, encoding="utf-8")
+            _write_text(cfg.out_dir / name, text)
 
     return 1 if _run_batch(_spectrum_one, cfg, write) else 0
 
@@ -321,7 +328,7 @@ def cmd_features(cfg: RunConfig, output: Path | None = None) -> int:
     output.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(_FEATURE_COLUMNS)]
     failures = _run_batch(_features_one, cfg, lines.append)
-    output.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(output, "\n".join(lines) + "\n")
     return 1 if failures else 0
 
 
@@ -365,7 +372,7 @@ def cmd_oracle_check(cfg: RunConfig, report_path: Path | None) -> int:
     failures = _run_batch(_oracle_one, cfg, report, ("dem", "spectrum", "oracle"))
     if report_path is not None:
         report_path.parent.mkdir(parents=True, exist_ok=True)
-        report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_text(report_path, "\n".join(lines) + "\n")
     return 1 if failures else 0
 
 
@@ -417,8 +424,8 @@ def cmd_train_tree(features: Path, label_column: str, max_depth: int,
     acc = training_accuracy(tree, records)
     hits = int(acc * len(records))
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "tree.json").write_text(tree_to_json(tree), encoding="utf-8")
-    (out_dir / "tree.txt").write_text(render_tree(tree), encoding="utf-8")
+    _write_text(out_dir / "tree.json", tree_to_json(tree))
+    _write_text(out_dir / "tree.txt", render_tree(tree))
     print(f"records {len(records)} depth {tree.depth()} "
           f"accuracy {hits}/{len(records)} ({_fmt(float(acc))})")
     return 0
@@ -435,7 +442,7 @@ def cmd_classify(tree_path: Path, features: Path, output: Path) -> int:
     lines = ["id,label"]
     for rec in records:
         lines.append(f"{rec.watershed_id},{predict(tree, rec)}")
-    output.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -450,7 +457,7 @@ def cmd_gen_fixtures(out_dir: Path) -> int:
     emitted = []
 
     def emit(name: str, text: str):
-        (out_dir / name).write_text(text, encoding="utf-8")
+        _write_text(out_dir / name, text)
         emitted.append(name)
 
     fict = fictitious_dem()

@@ -8,12 +8,15 @@ entirely inside the domain (0 where none fits), structures touching the
 mask boundary are genuinely removed, and opening volumes decay to zero.
 Operators never create or destroy domain cells.
 
-Every operator and the per-scale spectrum loop go through one raw
-extremum and the one raw opening built on it. Line and square elements
-run through the doubling scan-line window kernel (O(log width) per
-cell) at the scaled half-width, so no scaled element is ever built for
-them; any other element folds in one shifted view of the zero-padded
-raster per offset of its n-fold sum.
+Every operator goes through one raw extremum and the one raw opening
+built on it. Line and square elements run through the doubling
+scan-line window kernel (O(log width) per cell) at the scaled
+half-width, so no scaled element is ever built for them; any other
+element folds in one shifted view of the zero-padded raster per offset
+of its n-fold sum. The spectra take their own paths for lines (one slab
+sweep) and squares (every erosion from one table of square minima, in
+``_kernels.square_erosions``); only the spectrum of any other element
+opens the raster here, once per scale.
 
 Linear elements derive from ``_base.DIRECTION_STEPS``, the one table of
 scan directions: B1-B4, :meth:`StructuringElement.as_line` and the scaled
@@ -75,6 +78,11 @@ class StructuringElement:
         The single point is the 0-length segment of the first direction,
         ``("row", 0)``.
         """
+        return self._line
+
+    @cached_property
+    def _line(self) -> tuple[str, int] | None:
+        # cached, so each element builds the candidate segments once
         k = len(self.offsets) // 2
         for direction in DIRECTION_STEPS:
             if self.offsets == _segment(direction, k):
@@ -112,13 +120,18 @@ class StructuringElement:
 
 
 # B1-B4 are the unit segments of their scan directions, B the 3x3 square
-_NAMED = {se: _segment(d, 1) for d, se in SE_FOR_DIRECTION.items()} | {"B": _square(1)}
+_NAMED = {se: StructuringElement(_segment(d, 1), name=se) for d, se in SE_FOR_DIRECTION.items()}
+_NAMED["B"] = StructuringElement(_square(1), name="B")
 
 
 def named_se(name: str) -> StructuringElement:
-    """One of the five canonical elements: B1-B4 (directional) or B (3x3)."""
+    """One of the five canonical elements: B1-B4 (directional) or B (3x3).
+
+    Each name has one element, built once and shared by every caller; it
+    is frozen, and it keeps the shape it detected for the next call.
+    """
     try:
-        return StructuringElement(_NAMED[name], name=name)
+        return _NAMED[name]
     except KeyError:
         raise ValueError(f"unknown structuring element {name!r}") from None
 
@@ -163,10 +176,11 @@ def _raw_extremum(values: np.ndarray, se: StructuringElement, n: int,
                   minimum: bool) -> np.ndarray:
     """Erosion/dilation of the raw value array (0 at masked cells) by n·se.
 
-    The only place an element becomes kernel calls. A line or square of
-    half-width k runs at half-width k*n, so no scaled element is built;
-    any other element folds the offsets of ``nse(se, n)``. An all-zero
-    array dilates to itself, with no kernel call.
+    The one place the operators turn an element into kernel calls (the
+    spectra of lines and squares call the kernels themselves). A line or
+    square of half-width k runs at half-width k*n, so no scaled element
+    is built; any other element folds the offsets of ``nse(se, n)``. An
+    all-zero array dilates to itself, with no kernel call.
     """
     if n < 0:
         raise ValueError("n must be non-negative")

@@ -10,8 +10,11 @@ cancels in the normalized features).
 
 Each spectrum has one code path, :func:`pattern_spectra`. A linear
 element takes the slab sweep, one pass that yields every scale of every
-family asked for in the call; every other element opens the raster once
-per scale through ``morphology.opening_raw`` until the volume reaches 0.
+family asked for in the call. A square reads the erosion of every scale
+from one table of square minima (``_kernels.square_erosions``) and
+dilates it in place with one row and one column pass. Any other element
+opens the raster once per scale through ``morphology.opening_raw``. The
+scales run until the volume reaches 0.
 """
 
 from __future__ import annotations
@@ -104,8 +107,9 @@ def pattern_spectrum(dem: Dem, se, *, family: str = "nse") -> PatternSpectrum:
     """Spectrum of a raster under one structuring element family.
 
     Linear elements take the single-pass slab sweep, which yields every
-    scale at once; any other element (the square B included) opens the
-    raster once per scale until the volume reaches 0.
+    scale at once; squares (B among them) read every scale's erosion from
+    one table of square minima; any other element opens the raster once
+    per scale. The scales run until the volume reaches 0.
 
     Args:
         dem: the raster; its volume must be positive.
@@ -124,7 +128,7 @@ def pattern_spectra(dem: Dem, se, families) -> tuple[PatternSpectrum, ...]:
     """Spectra of one element, one per entry of ``families``, from one sweep.
 
     Every argument is checked before the work starts; an element that is
-    not a line takes only "nse", from one per-scale openings loop.
+    not a line takes only "nse", from one loop over the scales.
     """
     se = resolve_se(se)
     v0 = volume(dem)
@@ -160,10 +164,32 @@ def _nse_spectrum_sweep(se, line, curve):
 
 
 def _nse_spectrum_square(dem, se, v0):
-    # per-scale openings of any non-linear element, the square B included
-    # (perfbench/tracer.py times it under this name); only the volume
-    # needs the mask, so the per-scale raster wrapping is skipped
+    # every non-linear element (perfbench/tracer.py times it under this
+    # name); only the volume needs the mask, so no opening is wrapped
+    # in a raster
     levels = _levels(dem)
+    k = se.as_square()
+    if k is None:
+        return _nse_spectrum_openings(dem, se, v0, levels)
+    # a square's erosions all come from one table, and each is dilated
+    # in place in the one buffer they share: beyond its levels, B holds
+    # two rasters
+    vols = [v0]
+    mask = dem.mask
+    for n, eroded in enumerate(_kernels.square_erosions(levels, k), 1):
+        if not eroded.any():  # its opening is 0, and so is every later one
+            break
+        _kernels.directional_extremum(eroded, "row", n * k, False, out=eroded)
+        _kernels.directional_extremum(eroded, "column", n * k, False, out=eroded)
+        np.multiply(eroded, mask, out=eroded)
+        vols.append(int(eroded.sum(dtype=np.int64)))
+    vols.append(0)
+    return _spectrum_from_points(se.name, "nse", vols)
+
+
+def _nse_spectrum_openings(dem, se, v0, levels):
+    """The spectrum of an element that is neither a line nor a square,
+    from one opening per scale."""
     vols = [v0]
     n = 1
     limit = dem.height + dem.width + 2

@@ -836,6 +836,23 @@ class TestEncoding:
         assert outputs[0] == outputs[1]
         assert outputs[0].splitlines()[1].startswith(b"arabic,")
 
+    def test_undecodable_input_name_under_an_ascii_locale(self, fixture_dir, tmp_path):
+        # the locale cannot decode the name, so its id holds lone
+        # surrogates; both outputs carry the name's own bytes
+        src = os.path.join(os.fsencode(tmp_path), "\u00e9t\u00e9.csv".encode("utf-8"))
+        with open(src, "wb") as f:
+            f.write((fixture_dir / "fictitious.csv").read_bytes())
+        stem = os.fsencode(Path(os.fsdecode(src)).stem)
+        env = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        features, report = tmp_path / "features.csv", tmp_path / "report.csv"
+        for argv in (["features", src, "--output", str(features)],
+                     ["oracle-check", src, "--report", str(report)]):
+            proc = _run_child(argv, env=env)
+            assert (proc.returncode, proc.stderr) == (0, b""), argv
+        rows = features.read_bytes().splitlines()[1:] + report.read_bytes().splitlines()[1:]
+        assert len(rows) == 9
+        assert {row.split(b",")[0] for row in rows} == {stem}
+
     def test_no_command_opens_a_file_in_the_locale_encoding(self, fixture_dir, tmp_path):
         config = tmp_path / "config.json"
         config.write_text('{"step": 1}', encoding="utf-8")

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -319,6 +320,79 @@ class TestNarrowDtypes:
                         axis=1)[:, :w].astype(dtype)
         got = _kernels.directional_loss(arr, direction)
         assert got.tolist() == naive_slab_loss(arr, UNIT[direction]).tolist()
+
+
+@st.composite
+def slab_rasters(draw, max_side=14):
+    """A masked raster in any signed dtype: 1 x n, n x 1, h x w, or one
+    with no cells at all."""
+    dtype = draw(st.sampled_from([*NARROW, np.int64]))
+    n = draw(st.integers(1, max_side))
+    shape = draw(st.sampled_from([(1, n), (n, 1), (n, draw(st.integers(1, max_side))),
+                                  (0, 5), (5, 0), (1, 0)]))
+    top = draw(st.sampled_from([3, int(np.iinfo(dtype).max)]))
+    return _narrow_raster(draw(st.integers(0, 10**6)), shape, dtype, top)
+
+
+# slabs this many bytes wide: one cell (or none) of a row per slab, a
+# few rows, and the default
+SLAB_SIZES = [1, 16, 64, _kernels._SLAB_BYTES]
+
+
+class TestSlabPasses:
+    """Rows and columns go by slabs of consecutive rows, columns in strips
+    of tiles that carry their halo down; narrow slabs make a small raster
+    span many of each. Every direction may write over its own input."""
+
+    # k and after up to 16 reach past every line of a 14 x 14 raster
+    @settings(max_examples=400, deadline=None)
+    @given(slab_rasters(), st.integers(0, 16), st.integers(0, 16), st.booleans(),
+           st.sampled_from(DIRECTIONS), st.sampled_from(SLAB_SIZES))
+    def test_matches_naive_directional(self, arr, k, after, minimum, direction, slab):
+        want = naive_directional_extremum(arr, UNIT[direction], k, after, minimum)
+        buf = arr.copy()
+        with mock.patch.object(_kernels, "_SLAB_BYTES", slab):
+            got = _kernels.directional_extremum(arr, direction, k, minimum, after=after)
+            in_place = _kernels.directional_extremum(buf, direction, k, minimum,
+                                                     after=after, out=buf)
+        assert got.dtype == arr.dtype and got.shape == arr.shape
+        assert got.tolist() == want.tolist()
+        assert in_place is buf and buf.tolist() == want.tolist()
+
+
+class TestSquareErosions:
+    @settings(max_examples=200, deadline=None)
+    @given(slab_rasters(max_side=20), st.integers(1, 3), st.sampled_from(SLAB_SIZES))
+    def test_matches_separable_erosion(self, arr, k, slab):
+        # one erosion per scale whose square fits the raster, each equal
+        # to a row pass then a column pass of the naive window
+        with mock.patch.object(_kernels, "_SLAB_BYTES", slab):
+            got = [e.tolist() for e in _kernels.square_erosions(arr, k)]
+        want = []
+        while 2 * (len(want) + 1) * k + 1 <= min(arr.shape):
+            r = (len(want) + 1) * k
+            rows = naive_directional_extremum(arr, UNIT["row"], r, r, True)
+            want.append(naive_directional_extremum(rows, UNIT["column"], r, r, True).tolist())
+        assert got == want
+
+    def test_caller_may_write_over_the_buffer(self):
+        # one buffer for every scale, each overwritten whole, and the
+        # levels themselves are left as they were
+        arr = _raster(3, 9, 11)
+        before = arr.copy()
+        want = [e.tolist() for e in _kernels.square_erosions(arr, 1)]
+        got, seen = [], set()
+        for eroded in _kernels.square_erosions(arr, 1):
+            got.append(eroded.tolist())
+            seen.add(id(eroded))
+            eroded[:] = 7
+        assert got == want and len(want) == 4
+        assert len(seen) == 1
+        assert (arr == before).all()
+
+    def test_half_width_must_be_positive(self):
+        with pytest.raises(ValueError, match="half-width"):
+            next(_kernels.square_erosions(np.ones((3, 3), dtype=np.int64), 0))
 
 
 def test_import_leaves_numba_unloaded():

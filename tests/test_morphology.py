@@ -38,6 +38,19 @@ class TestStructuringElements:
         with pytest.raises(ValueError):
             named_se("B9")
 
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_one_shared_element_per_name(self, name):
+        # built once: a spectrum call neither rebuilds it nor detects its
+        # shape again, and it compares and prints as a fresh one does
+        se = named_se(name)
+        assert named_se(name) is se
+        fresh = StructuringElement(se.offsets, name=name)
+        assert se.as_line() == fresh.as_line()
+        assert se == fresh and hash(se) == hash(fresh)
+        assert repr(se) == repr(fresh)
+        with pytest.raises(AttributeError):
+            se.name = "changed"
+
     def test_origin_required(self):
         with pytest.raises(ValueError):
             StructuringElement(frozenset({(1, 0), (-1, 0)}))

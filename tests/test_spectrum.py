@@ -74,18 +74,20 @@ class TestPatternSpectrum:
         assert ps.volumes == opening_spectrum_volumes(dem, named_se(name))
         assert ps.scales == tuple(range(len(ps.volumes)))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**6),
            st.one_of(st.tuples(st.just(1), st.integers(1, 40)),
                      st.tuples(st.integers(1, 40), st.just(1)),
                      st.tuples(st.integers(1, 16), st.integers(1, 16))),
-           st.sampled_from((0.0, 0.02, 0.2)))
-    def test_square_equals_openings_loop_on_strips_and_masks(self, seed, shape, holes):
-        # one-wide strips and masked rasters up to 16 x 16; with few holes
+           st.sampled_from((0.0, 0.02, 0.2, 0.95)),
+           st.sampled_from((named_se("B"), nse("B", 2))))
+    def test_square_equals_openings_loop_on_strips_and_masks(self, seed, shape, holes, se):
+        # one-wide strips, rasters narrower than the window and masked
+        # rasters up to 16 x 16, down to one present cell; with few holes
         # the square grows to half-widths past the raster's lines
         dem = _masked_raster(seed, shape, holes)
-        ps = pattern_spectrum(dem, "B")
-        assert ps.volumes == opening_spectrum_volumes(dem, named_se("B"))
+        ps = pattern_spectrum(dem, se)
+        assert ps.volumes == opening_spectrum_volumes(dem, se)
 
     @settings(max_examples=40, deadline=None)
     @given(dems(7, 5), st.sampled_from(("B1", "B2", "B3", "B4")))
@@ -218,6 +220,7 @@ class TestPatternSpectra:
             raise AssertionError("ran before the arguments were checked")
 
         monkeypatch.setattr(_kernels, "directional_loss", no_work)
+        monkeypatch.setattr(_kernels, "square_erosions", no_work)
         monkeypatch.setattr(spectrum, "opening_raw", no_work)
         with pytest.raises(ValueError, match=match):
             pattern_spectra(Dem.from_rows(rows), se, families)
