@@ -7,10 +7,10 @@ its name (``"row"``, ``"column"``, ``"diag-down"``, ``"diag-up"``; see
 * the windowed extremum along scan lines (:func:`directional_extremum`)
   builds windows of 1, 2, 4, ... cells by doubling (:func:`_doubling`),
   so a window of any width costs ceil(log2 width) binary ufunc calls per
-  block. Rows and columns go by slabs of consecutive rows, columns as
-  whole-row steps down the slab; diagonals are gathered a block of lines
-  at a time (:func:`_line_blocks`) in the flat-index layout of
-  :func:`line_layout`;
+  block. Rows and columns share one pass over tiles of consecutive rows
+  (:func:`_slab_pass`), a column window stepping whole rows down its
+  tile; diagonals are gathered a block of lines at a time
+  (:func:`_line_blocks`) in the flat-index layout of :func:`line_layout`;
 * the square erosions (:func:`square_erosions`) read the erosion by the
   square of every scale from one table of square minima, which doubles
   in place as the squares grow: three binary ufunc calls per scale;
@@ -80,9 +80,9 @@ def line_layout(shape, direction):
 # memory a pass needs beyond its output does not grow with the raster;
 # a line longer than a block makes a block of its own.
 _BLOCK_CELLS = 1 << 14
-# The row and column passes and the square table work on slabs of as
-# many bytes as a block of int64 cells: narrow levels take more cells
-# per slab, and so fewer numpy calls, for the same cache footprint.
+# The slab pass and the square table work on slabs of as many bytes as
+# a block of int64 cells: narrow levels take more cells per slab, and so
+# fewer numpy calls, for the same cache footprint.
 _SLAB_BYTES = 8 * _BLOCK_CELLS
 
 
@@ -145,59 +145,46 @@ def _doubling(p, width, step, ufunc, bufs):
     return src
 
 
-def _row_pass(arr, out, k, after, ufunc):
-    """Windows along rows, by slabs of consecutive rows.
+def _slab_pass(arr, out, k, after, ufunc, down):
+    """Windows along rows, or down columns when ``down``, by tiles of rows.
 
-    Each slab is laid out flat, with ``k`` zeros before every row and
-    ``after`` zeros after it, so a window starts at its cell's padded
-    index and never reaches into the next row. A slab is read whole
-    before its rows are written, so ``out`` may be ``arr``.
+    Each strip of whole columns (rows take one strip) is walked down by
+    tiles of consecutive rows, laid out flat. A row tile frames each row
+    with ``k`` zeros before and ``after`` zeros after it; a column tile
+    for rows ``r0:r1`` holds rows ``r0 - k`` to ``r1 + after``, zero past
+    the raster, so a column window is a step of whole tile rows. The
+    ``k`` rows above a column tile are carried over from the previous
+    tile, not read again, so ``out`` may be ``arr``: no row is written
+    before every tile that reads it has read it.
     """
     h, w = arr.shape
-    stride = k + w + after
-    rows = max(1, _SLAB_BYTES // arr.itemsize // stride)
-    slab = np.zeros((rows, stride), dtype=arr.dtype)
-    bufs = (np.empty(rows * stride, dtype=arr.dtype), np.empty(rows * stride, dtype=arr.dtype))
-    for r0 in range(0, h, rows):
-        n = min(rows, h - r0)
-        slab[:n, k:k + w] = arr[r0:r0 + n]
-        res = _doubling(slab[:n].ravel(), k + after + 1, 1, ufunc, bufs)
-        out[r0:r0 + n] = res[:n * stride].reshape(n, stride)[:, :w]
-
-
-def _column_pass(arr, out, k, after, ufunc):
-    """Windows down columns, by tiles of consecutive rows.
-
-    The raster is cut into strips of whole columns, and each strip is
-    walked down by tiles of rows. The tile for rows ``r0:r1`` holds rows
-    ``r0 - k`` to ``r1 + after``, zero past the raster, and a window is a
-    step of whole tile rows down it. Its first ``k`` rows are the last
-    ``k`` rows the previous tile of the strip read, carried over rather
-    than read again, so ``out`` may be ``arr``: the rows above ``r0`` are
-    written before the next tile is read.
-    """
-    h, w = arr.shape
-    # at least as many rows as the halo, so a tile does at most twice
-    # the work of its own rows; about a slab of output
     cells = _SLAB_BYTES // arr.itemsize
-    rows = min(h, max(1, cells // w, k + after))
-    cols = min(w, max(1, cells // rows))
-    tile = np.zeros((k + rows + after, cols), dtype=arr.dtype)
+    if down:
+        # at least as many rows as the halo, so a tile does at most twice
+        # the work of its own rows; about a slab of output
+        rows = min(h, max(1, cells // w, k + after))
+        cols = min(w, max(1, cells // rows))
+        top, bottom, left, right = k, after, 0, 0
+    else:
+        rows, cols = min(h, max(1, cells // (k + w + after))), w
+        top, bottom, left, right = 0, 0, k, after
+    tile = np.zeros((top + rows + bottom, left + cols + right), dtype=arr.dtype)
     bufs = (np.empty(tile.size, dtype=arr.dtype), np.empty(tile.size, dtype=arr.dtype))
     for c0 in range(0, w, cols):
         c = min(cols, w - c0)
-        part = tile if c == cols else np.zeros((k + rows + after, c), dtype=arr.dtype)
-        part[:k] = 0
-        n = 0
+        part = tile if c == cols else np.zeros((top + rows + bottom, c), dtype=arr.dtype)
+        stride = part.shape[1]
+        part[:top] = 0  # the zeros above the strip
         for r0 in range(0, h, rows):
-            # rows r0 - k .. r0 - 1 of the strip, the zeros above it at first
-            part[:k] = part[n:n + k]
             n = min(rows, h - r0)
-            m = min(n + after, h - r0)
-            part[k:k + m] = arr[r0:r0 + m, c0:c0 + c]
-            part[k + m:k + n + after] = 0
-            res = _doubling(part[:k + n + after].ravel(), k + after + 1, c, ufunc, bufs)
-            out[r0:r0 + n, c0:c0 + c] = res[:n * c].reshape(n, c)
+            m = min(n + bottom, h - r0)
+            part[top:top + m, left:left + c] = arr[r0:r0 + m, c0:c0 + c]
+            part[top + m:top + n + bottom] = 0
+            res = _doubling(part[:top + n + bottom].ravel(), k + after + 1,
+                            stride if down else 1, ufunc, bufs)
+            out[r0:r0 + n, c0:c0 + c] = res[:n * stride].reshape(n, stride)[:, :c]
+            # the strip's last k rows so far go above the next tile
+            part[:top] = part[n:n + top]
 
 
 def directional_extremum(values, direction, k, minimum, after=None, out=None):
@@ -209,10 +196,10 @@ def directional_extremum(values, direction, k, minimum, after=None, out=None):
     values' shape and dtype, which may be ``values`` itself.
 
     ``k`` and ``after`` are cut to the longest line's length: past it a
-    window reads only zeros. Rows and columns go by slabs of consecutive
-    rows (:func:`_row_pass`, :func:`_column_pass`); diagonals by blocks
-    of gathered lines, padded with ``k`` zeros before them so a window
-    starts at its cell's index.
+    window reads only zeros. Rows and columns go by tiles of consecutive
+    rows (:func:`_slab_pass`); diagonals by blocks of gathered lines,
+    padded with ``k`` zeros before them so a window starts at its cell's
+    index.
     """
     arr = _as_int_2d(values)
     if out is None:
@@ -225,7 +212,7 @@ def directional_extremum(values, direction, k, minimum, after=None, out=None):
     after = k if after is None else min(after, longest)
     ufunc = np.minimum if minimum else np.maximum
     if direction in ("row", "column"):
-        (_row_pass if direction == "row" else _column_pass)(arr, out, k, after, ufunc)
+        _slab_pass(arr, out, k, after, ufunc, direction == "column")
         return out
     width = k + after + 1
     flat = out.ravel()

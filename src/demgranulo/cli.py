@@ -32,7 +32,8 @@ load. So ``classify`` and ``--version`` load no ``dataclasses``,
 Every file is read and written as UTF-8, whatever the locale. A file
 name the locale cannot decode reaches ``sys.argv`` with lone surrogates
 in it; its id keeps them, and they are written out as the name's own
-bytes.
+bytes, but for the ``spectrum`` summary's JSON text, which holds the
+name's bytes decoded as UTF-8.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import argparse
 import gc
 import glob
 import math
+import os
 import sys
 from functools import partial
 from importlib import import_module
@@ -289,7 +291,9 @@ def _spectrum_one(ident, dem, cfg) -> dict[str, str]:
         outputs[f"{ident}.spectrum.{se}.csv"] = _spectrum_csv(ps)
         gi[se] = float(_fmt(granulometric_index(ps)))
         n0[se] = ps.n0
-    summary = {"id": ident, "gi": gi, "n0": n0, "metadata": _metadata(cfg)}
+    # lone surrogates name no character in JSON text
+    text_id = os.fsencode(ident).decode("utf-8", "surrogateescape")
+    summary = {"id": text_id, "gi": gi, "n0": n0, "metadata": _metadata(cfg)}
     outputs[f"{ident}.summary.json"] = (
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return outputs
@@ -492,7 +496,6 @@ def cmd_gen_fixtures(out_dir: Path) -> int:
 
 def _add_batch_args(sub):
     sub.add_argument("inputs", nargs="+", help="input rasters (.asc/.csv), globs allowed")
-    sub.add_argument("--out-dir", type=Path, help="output directory (default out)")
     sub.add_argument("--step", type=float,
                      help="quantization level width for .asc inputs (default 1)")
     sub.add_argument("--datum", type=float,
@@ -532,6 +535,8 @@ def main(argv=None) -> int:
     ft.set_defaults(run=lambda args: cmd_features(_build_config(args), args.output))
     ft.add_argument("--output", type=Path,
                     help="feature CSV path (default <out-dir>/features.csv)")
+    for batch in (sp, ft):  # oracle-check writes only its --report
+        batch.add_argument("--out-dir", type=Path, help="output directory (default out)")
 
     oc = subs.add_parser("oracle-check",
                          help="compare streaming and run-counted spectra")

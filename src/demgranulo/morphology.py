@@ -9,14 +9,16 @@ mask boundary are genuinely removed, and opening volumes decay to zero.
 Operators never create or destroy domain cells.
 
 Every operator goes through one raw extremum and the one raw opening
-built on it. Line and square elements run through the doubling
-scan-line window kernel (O(log width) per cell) at the scaled
-half-width, so no scaled element is ever built for them; any other
-element folds in one shifted view of the zero-padded raster per offset
-of its n-fold sum. The spectra take their own paths for lines (one slab
-sweep) and squares (every erosion from one table of square minima, in
-``_kernels.square_erosions``); only the spectrum of any other element
-opens the raster here, once per scale.
+built on it, which asks the element what it is: a line
+(:meth:`StructuringElement.as_line`) is one pass of the doubling
+scan-line window kernel (O(log width) per cell) along its direction, a
+square (:meth:`StructuringElement.as_square`) a row pass then a column
+pass, each at the scaled half-width, so no scaled element is ever built
+for them; any other element folds in one shifted view of the
+zero-padded raster per offset of its n-fold sum. The spectra take their
+own paths for lines (one slab sweep) and squares (every erosion from
+one table of square minima, in ``_kernels.square_erosions``); only the
+spectrum of any other element opens the raster here, once per scale.
 
 Linear elements derive from ``_base.DIRECTION_STEPS``, the one table of
 scan directions: B1-B4, :meth:`StructuringElement.as_line` and the scaled
@@ -98,22 +100,6 @@ class StructuringElement:
             return k
         return None
 
-    @cached_property
-    def _line_passes(self) -> tuple[tuple[str, ...], int]:
-        """Directions and half-width of the line passes that make up the
-        element: one for a line, row then column for a square (separable
-        and exact under the zero-pad convention), none for any other
-        element. Cached, so a spectrum detects the shape once.
-        """
-        line = self.as_line()
-        if line is not None:
-            direction, k = line
-            return (direction,), k
-        square = self.as_square()
-        if square is not None:
-            return ("row", "column"), square
-        return (), 0
-
     def offset_rc(self) -> np.ndarray:
         """Offsets as an (m, 2) array of (row, col) steps."""
         return np.array(sorted((dy, dx) for dx, dy in self.offsets), dtype=np.int64)
@@ -128,7 +114,7 @@ def named_se(name: str) -> StructuringElement:
     """One of the five canonical elements: B1-B4 (directional) or B (3x3).
 
     Each name has one element, built once and shared by every caller; it
-    is frozen, and it keeps the shape it detected for the next call.
+    is frozen, and it keeps the line it detected for the next call.
     """
     try:
         return _NAMED[name]
@@ -186,12 +172,17 @@ def _raw_extremum(values: np.ndarray, se: StructuringElement, n: int,
         raise ValueError("n must be non-negative")
     if not (minimum or values.any()):
         return values
-    passes, k = se._line_passes
-    if not passes:
+    line = se.as_line()
+    if line is not None:
+        direction, k = line
+        return _kernels.directional_extremum(values, direction, k * n, minimum)
+    k = se.as_square()
+    if k is None:
         return _kernels.offset_extremum(values, nse(se, n).offset_rc(), minimum)
-    for direction in passes:
-        values = _kernels.directional_extremum(values, direction, k * n, minimum)
-    return values
+    # a square is separable, and exactly so under the zero-pad convention;
+    # the input is dropped once the row pass has read it
+    values = _kernels.directional_extremum(values, "row", k * n, minimum)
+    return _kernels.directional_extremum(values, "column", k * n, minimum)
 
 
 def opening_raw(values: np.ndarray, se: StructuringElement, n: int) -> np.ndarray:

@@ -347,6 +347,16 @@ class TestOracleCheckCommand:
         assert len(lines) == 1 + 8  # 4 directions x 2 families
         assert all(ln.split(",")[3] == "PASS" for ln in lines[1:])
 
+    def test_out_dir_is_a_usage_error(self, fixture_dir, tmp_path, capsys):
+        # its one file is the --report; an --out-dir would be checked and
+        # never written to
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-check", str(fixture_dir / "fictitious.csv"),
+                  "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out-dir" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_corrupt_hook_fails_with_index(self, fixture_dir, capsys):
         code = main(["oracle-check", str(fixture_dir / "fictitious.csv"),
                      "--self-test-corrupt"])
@@ -467,8 +477,9 @@ class TestOracleCheckCommand:
         write_row_fixture(ok)
         out = tmp_path / "out"
         report = out / "report.csv"
-        extra = ["--report", str(report)] if command == "oracle-check" else []
-        code = main([command, str(bad), str(ok), "--out-dir", str(out), *extra])
+        extra = (["--report", str(report)] if command == "oracle-check"
+                 else ["--out-dir", str(out)])
+        code = main([command, str(bad), str(ok), *extra])
         assert code == 1
         assert "zero" in capsys.readouterr().err
         if command == "spectrum":
@@ -527,13 +538,13 @@ class TestBatchPolicy:
                   ("a_ok.csv", "b_missing.csv", "c_cell.csv", "d_zero.csv", "e_ok.csv")]
         out = tmp_path / "out"
         report = out / "report.csv"
-        extra = ["--report", str(report)] if command == "oracle-check" else []
+        extra = (["--report", str(report)] if command == "oracle-check"
+                 else ["--out-dir", str(out)])
         # one buffer for both streams shows where each error line falls
         both = io.StringIO()
         monkeypatch.setattr(sys, "stdout", both)
         monkeypatch.setattr(sys, "stderr", both)
-        code = main([command, *inputs, "--out-dir", str(out), "--parallel", parallel,
-                     *extra])
+        code = main([command, *inputs, "--parallel", parallel, *extra])
         monkeypatch.undo()
         assert code == 1
 
@@ -778,8 +789,9 @@ class TestStartup:
         # each binds what it calls and imports no module it does not call
         loaded, not_loaded = _NUMERIC_LOADS[command]
         inputs = [] if command == "gen-fixtures" else [str(fixture_dir / "fictitious.csv")]
-        argv = [command, *inputs, "--out-dir", str(tmp_path / "out")]
-        probe = _run_probe(argv)
+        output = (["--report", str(tmp_path / "out" / "report.csv")]
+                  if command == "oracle-check" else ["--out-dir", str(tmp_path / "out")])
+        probe = _run_probe([command, *inputs, *output])
         assert (probe["exit"], probe["numpy"]) == (0, True)
         assert loaded <= probe["modules"]
         assert not_loaded.isdisjoint(probe["modules"])
@@ -852,6 +864,25 @@ class TestEncoding:
         rows = features.read_bytes().splitlines()[1:] + report.read_bytes().splitlines()[1:]
         assert len(rows) == 9
         assert {row.split(b",")[0] for row in rows} == {stem}
+
+    def test_summary_id_is_the_name_as_text_under_either_locale(self, fixture_dir,
+                                                                 tmp_path):
+        # the summary's id is the name's bytes read as UTF-8, not the lone
+        # surrogates an ASCII locale decodes them to
+        name = "\u00e9t\u00e9".encode("utf-8")
+        src = os.path.join(os.fsencode(tmp_path), name + b".csv")
+        with open(src, "wb") as f:
+            f.write((fixture_dir / "fictitious.csv").read_bytes())
+        summaries = []
+        for locale in ("C", "C.UTF-8"):
+            out = os.path.join(os.fsencode(tmp_path), locale.encode())
+            env = {"LC_ALL": locale, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+            proc = _run_child(["spectrum", src, "--out-dir", out], env=env)
+            assert (proc.returncode, proc.stderr) == (0, b""), locale
+            with open(os.path.join(out, name + b".summary.json"), "rb") as f:
+                summaries.append(f.read())
+        assert summaries[0] == summaries[1]
+        assert b'"id": "\\u00e9t\\u00e9"' in summaries[0]
 
     def test_no_command_opens_a_file_in_the_locale_encoding(self, fixture_dir, tmp_path):
         config = tmp_path / "config.json"

@@ -119,6 +119,19 @@ class TestWindowExtremum:
         assert (out == naive_directional_extremum(arr, UNIT[direction], 6, 6, True)).all()
         assert peak <= out.nbytes + 4 * 2**20
 
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_small_raster_working_memory_bounded(self, direction):
+        # a tile is never taller than the raster, so a small raster gets
+        # small working arrays, not a slab sized for a large one
+        arr = _raster(4, 5, 5)
+        tracemalloc.start()
+        try:
+            out = _kernels.directional_extremum(arr, direction, 2, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 16 * 2**10
+
 
 def _adversarial_line(name, n=4000):
     """One n-cell line that a slab sweep finds hard."""
@@ -340,9 +353,10 @@ SLAB_SIZES = [1, 16, 64, _kernels._SLAB_BYTES]
 
 
 class TestSlabPasses:
-    """Rows and columns go by slabs of consecutive rows, columns in strips
-    of tiles that carry their halo down; narrow slabs make a small raster
-    span many of each. Every direction may write over its own input."""
+    """Rows and columns share one pass over tiles of consecutive rows,
+    columns in strips of tiles that carry their halo down; narrow slabs
+    make a small raster span many of each. Every direction may write over
+    its own input."""
 
     # k and after up to 16 reach past every line of a 14 x 14 raster
     @settings(max_examples=400, deadline=None)
