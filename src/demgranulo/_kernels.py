@@ -288,14 +288,16 @@ def _fold_ahead(flat, shift):
         np.minimum(flat[i:j], flat[i + shift:j + shift], out=flat[i:j])
 
 
-def offset_extremum(values, offsets_rc, minimum):
+def offset_extremum(values, offsets_rc, minimum, out=None):
     """Windowed min/max over an explicit (row, col) offset list.
 
     The raster is zero-padded once and one shifted view of the pad is
     folded in per offset. An offset is clipped to the raster's own
     height and width before it sizes the pad: one that leaves the raster
     reads only zeros either way, and the pad stays at most three times
-    the raster's height and width however large the offset.
+    the raster's height and width however large the offset. The result
+    goes to ``out`` when given, which may be ``values``: every view reads
+    the pad.
     """
     arr = _as_int_2d(values)
     off = np.asarray(offsets_rc, dtype=np.int64).reshape(-1, 2)
@@ -306,7 +308,9 @@ def offset_extremum(values, offsets_rc, minimum):
     padded = np.pad(arr, ((top, max(0, int(dr.max()))), (left, max(0, int(dc.max())))))
     views = [padded[top + r:top + r + h, left + c:left + c + w] for r, c in zip(dr, dc)]
     ufunc = np.minimum if minimum else np.maximum
-    out = views[0].copy()
+    if out is None:
+        out = np.empty_like(arr)
+    np.copyto(out, views[0])
     for view in views[1:]:
         ufunc(out, view, out=out)
     return out

@@ -291,8 +291,9 @@ def _spectrum_one(ident, dem, cfg) -> dict[str, str]:
         outputs[f"{ident}.spectrum.{se}.csv"] = _spectrum_csv(ps)
         gi[se] = float(_fmt(granulometric_index(ps)))
         n0[se] = ps.n0
-    # lone surrogates name no character in JSON text
-    text_id = os.fsencode(ident).decode("utf-8", "surrogateescape")
+    # the name's bytes read as UTF-8; a byte that is not UTF-8 reads as
+    # the text \xNN, since a lone surrogate would not encode back
+    text_id = os.fsencode(ident).decode("utf-8", "backslashreplace")
     summary = {"id": text_id, "gi": gi, "n0": n0, "metadata": _metadata(cfg)}
     outputs[f"{ident}.summary.json"] = (
         json.dumps(summary, indent=2, sort_keys=True) + "\n")

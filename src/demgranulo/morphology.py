@@ -8,17 +8,19 @@ entirely inside the domain (0 where none fits), structures touching the
 mask boundary are genuinely removed, and opening volumes decay to zero.
 Operators never create or destroy domain cells.
 
-Every operator goes through one raw extremum and the one raw opening
-built on it, which asks the element what it is: a line
+Every operator goes through one raw extremum, :func:`_raw_extremum`,
+and the one raw opening built on it. It is the one place an element
+turns into kernel passes, and it asks the element what it is: a line
 (:meth:`StructuringElement.as_line`) is one pass of the doubling
 scan-line window kernel (O(log width) per cell) along its direction, a
 square (:meth:`StructuringElement.as_square`) a row pass then a column
 pass, each at the scaled half-width, so no scaled element is ever built
 for them; any other element folds in one shifted view of the
-zero-padded raster per offset of its n-fold sum. The spectra take their
-own paths for lines (one slab sweep) and squares (every erosion from
-one table of square minima, in ``_kernels.square_erosions``); only the
-spectrum of any other element opens the raster here, once per scale.
+zero-padded raster per offset of its n-fold sum. A line element's
+spectrum takes the slab sweep instead; every other element's spectrum
+runs one loop over the scales through these passes, a square taking
+its erosions from one table of square minima
+(``_kernels.square_erosions``) and dilating each in place.
 
 Linear elements derive from ``_base.DIRECTION_STEPS``, the one table of
 scan directions: B1-B4, :meth:`StructuringElement.as_line` and the scaled
@@ -159,30 +161,35 @@ def nse(se: StructuringElement, n: int) -> StructuringElement:
 
 
 def _raw_extremum(values: np.ndarray, se: StructuringElement, n: int,
-                  minimum: bool) -> np.ndarray:
+                  minimum: bool, out: np.ndarray | None = None) -> np.ndarray:
     """Erosion/dilation of the raw value array (0 at masked cells) by n·se.
 
-    The one place the operators turn an element into kernel calls (the
-    spectra of lines and squares call the kernels themselves). A line or
-    square of half-width k runs at half-width k*n, so no scaled element
-    is built; any other element folds the offsets of ``nse(se, n)``. An
-    all-zero array dilates to itself, with no kernel call.
+    The one place an element turns into kernel passes, for the operators
+    and the spectra alike. A line or square of half-width k runs at
+    half-width k*n, so no scaled element is built; any other element
+    folds the offsets of ``nse(se, n)``. The result goes to ``out`` when
+    given, a C-contiguous array of the values' shape and dtype, which may
+    be ``values`` itself. An all-zero array dilates to itself, with no
+    kernel call.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if not (minimum or values.any()):
-        return values
+        if out is None:
+            return values
+        np.copyto(out, values)
+        return out
     line = se.as_line()
     if line is not None:
         direction, k = line
-        return _kernels.directional_extremum(values, direction, k * n, minimum)
+        return _kernels.directional_extremum(values, direction, k * n, minimum, out=out)
     k = se.as_square()
     if k is None:
-        return _kernels.offset_extremum(values, nse(se, n).offset_rc(), minimum)
+        return _kernels.offset_extremum(values, nse(se, n).offset_rc(), minimum, out=out)
     # a square is separable, and exactly so under the zero-pad convention;
-    # the input is dropped once the row pass has read it
-    values = _kernels.directional_extremum(values, "row", k * n, minimum)
-    return _kernels.directional_extremum(values, "column", k * n, minimum)
+    # the column pass writes over the row pass's result
+    values = _kernels.directional_extremum(values, "row", k * n, minimum, out=out)
+    return _kernels.directional_extremum(values, "column", k * n, minimum, out=values)
 
 
 def opening_raw(values: np.ndarray, se: StructuringElement, n: int) -> np.ndarray:

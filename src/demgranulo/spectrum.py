@@ -10,11 +10,12 @@ cancels in the normalized features).
 
 Each spectrum has one code path, :func:`pattern_spectra`. A linear
 element takes the slab sweep, one pass that yields every scale of every
-family asked for in the call. A square reads the erosion of every scale
-from one table of square minima (``_kernels.square_erosions``) and
-dilates it in place with one row and one column pass. Any other element
-opens the raster once per scale through ``morphology.opening_raw``. The
-scales run until the volume reaches 0.
+family asked for in the call. Every other element runs one loop over the
+scales, through the passes ``morphology._raw_extremum`` makes of it: a
+square reads each scale's erosion from one table of square minima
+(``_kernels.square_erosions``), any other element erodes the raster
+anew, and the erosion is dilated in place. The scales run until the
+erosion, and so the volume, reaches 0.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import _kernels
 from ._base import SE_NAMES, FeatureRecord
 from .dem import Dem, volume
-from .morphology import opening_raw, resolve_se
+from .morphology import _raw_extremum, resolve_se
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,9 @@ def pattern_spectrum(dem: Dem, se, *, family: str = "nse") -> PatternSpectrum:
     """Spectrum of a raster under one structuring element family.
 
     Linear elements take the single-pass slab sweep, which yields every
-    scale at once; squares (B among them) read every scale's erosion from
-    one table of square minima; any other element opens the raster once
-    per scale. The scales run until the volume reaches 0.
+    scale at once; every other element opens the raster once per scale,
+    a square (B among them) reading every scale's erosion from one table
+    of square minima. The scales run until the volume reaches 0.
 
     Args:
         dem: the raster; its volume must be positive.
@@ -164,42 +165,39 @@ def _nse_spectrum_sweep(se, line, curve):
 
 
 def _nse_spectrum_square(dem, se, v0):
-    # every non-linear element (perfbench/tracer.py times it under this
-    # name); only the volume needs the mask, so no opening is wrapped
-    # in a raster
+    """The spectrum of every element that is not a line, one scale at a time.
+
+    A square reads each scale's erosion from one table
+    (``_kernels.square_erosions``), so beyond its levels B holds two
+    rasters, the table and the erosion; any other element erodes the
+    levels anew. Each erosion is dilated in place. Only the volume needs
+    the mask, so no opening is wrapped in a raster. (perfbench/tracer.py
+    times this function by name.)
+    """
     levels = _levels(dem)
     k = se.as_square()
     if k is None:
-        return _nse_spectrum_openings(dem, se, v0, levels)
-    # a square's erosions all come from one table, and each is dilated
-    # in place in the one buffer they share: beyond its levels, B holds
-    # two rasters
+        # a growing element empties the raster long before this bound,
+        # which guards a stall
+        scales = range(1, dem.height + dem.width + 3)
+        erosions = (_raw_extremum(levels, se, n, True) for n in scales)
+    else:
+        erosions = _kernels.square_erosions(levels, k)
     vols = [v0]
-    mask = dem.mask
-    for n, eroded in enumerate(_kernels.square_erosions(levels, k), 1):
-        if not eroded.any():  # its opening is 0, and so is every later one
-            break
-        _kernels.directional_extremum(eroded, "row", n * k, False, out=eroded)
-        _kernels.directional_extremum(eroded, "column", n * k, False, out=eroded)
-        np.multiply(eroded, mask, out=eroded)
+    for n, eroded in enumerate(erosions, 1):
+        # an erosion is 0 off the mask and the dilation keeps each cell's
+        # own value, so the volume is 0 exactly when the erosion is: that
+        # scale ends the spectrum, and its erosion is not dilated
+        _raw_extremum(eroded, se, n, False, out=eroded)
+        np.multiply(eroded, dem.mask, out=eroded)
         vols.append(int(eroded.sum(dtype=np.int64)))
-    vols.append(0)
-    return _spectrum_from_points(se.name, "nse", vols)
-
-
-def _nse_spectrum_openings(dem, se, v0, levels):
-    """The spectrum of an element that is neither a line nor a square,
-    from one opening per scale."""
-    vols = [v0]
-    n = 1
-    limit = dem.height + dem.width + 2
-    while vols[-1] > 0:
-        arr = opening_raw(levels, se, n)
-        vols.append(int(arr.sum(where=dem.mask, dtype=np.int64)))
-        del arr  # not held while the next opening runs: peak stays 2 rasters
-        n += 1
-        if n > limit:  # cannot happen for a growing element; guards a stall
+        if vols[-1] == 0:
+            break
+        del eroded  # a new erosion is built without this one held
+    else:
+        if k is None:
             raise RuntimeError("opening volumes failed to reach zero")
+        vols.append(0)  # the next square is wider or taller than the raster
     return _spectrum_from_points(se.name, "nse", vols)
 
 

@@ -1,8 +1,9 @@
 """Deterministic fixtures and synthetic rasters for tests and demos.
 
 The fictitious rasters here are constructed within this project; none
-of them is copied from an external source. All random builders take an
-explicit numpy Generator (or seed) so fixtures stay reproducible.
+of them is copied from an external source. The random builders take an
+explicit seed so fixtures stay reproducible; the random rasters the
+tests draw live in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -41,68 +42,6 @@ def run_profile_pair() -> tuple[Dem, Dem]:
 def unipeak_demo_dem() -> Dem:
     """Single-peak row whose per-level run lengths are all distinct."""
     return Dem.from_rows([[1, 2, 3, 2, 1]])
-
-
-# ---------------------------------------------------------------------------
-# Random builders
-# ---------------------------------------------------------------------------
-
-
-def _rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
-def random_dem(rng, max_height: int = 12, max_width: int = 12,
-               levels: int = 8, hole_fraction: float = 0.2) -> Dem:
-    """Random masked raster with at least one present cell."""
-    rng = _rng(rng)
-    h = int(rng.integers(1, max_height + 1))
-    w = int(rng.integers(1, max_width + 1))
-    values = rng.integers(1, levels + 1, size=(h, w)).astype(np.int64)
-    mask = rng.random((h, w)) >= hole_fraction
-    if not mask.any():
-        mask[rng.integers(0, h), rng.integers(0, w)] = True
-    return Dem(values, mask)  # Dem stores 0 at the absent cells
-
-
-def random_interval_dem(rng, max_rows: int = 6, max_width: int = 10,
-                        levels: int = 6) -> Dem:
-    """Random raster whose every row is one unbroken interval."""
-    rng = _rng(rng)
-    h = int(rng.integers(1, max_rows + 1))
-    w = int(rng.integers(1, max_width + 1))
-    values = np.zeros((h, w), dtype=np.int64)
-    mask = np.zeros((h, w), dtype=bool)
-    for r in range(h):
-        lo = int(rng.integers(0, w))
-        hi = int(rng.integers(lo, w))
-        mask[r, lo:hi + 1] = True
-        values[r, lo:hi + 1] = rng.integers(1, levels + 1, size=hi - lo + 1)
-    return Dem(values, mask)
-
-
-def random_unipeak_dem(rng, max_levels: int = 6, max_base: int = 24) -> Dem:
-    """Random single-peak row with strictly shrinking per-level runs.
-
-    Level h carries exactly one run, each nested strictly inside the one
-    below, so the run lengths are pairwise distinct and the volume-drop
-    multiset matches the length-spectrum multiset exactly.
-    """
-    rng = _rng(rng)
-    m = int(rng.integers(1, max_levels + 1))
-    lengths = sorted(rng.choice(np.arange(1, max_base + 1), size=m, replace=False),
-                     reverse=True)
-    base = lengths[0]
-    values = np.zeros(base, dtype=np.int64)
-    lo, hi = 0, base  # current run is [lo, hi)
-    for h, t in enumerate(lengths, start=1):
-        if h > 1:
-            lo = lo + int(rng.integers(0, (hi - lo) - t + 1))
-            hi = lo + t
-        values[lo:hi] += 1
-    return Dem(values.reshape(1, -1), np.ones((1, base), dtype=bool))
 
 
 def synthetic_terrain(side: int, levels: int = 256, hole_fraction: float = 0.02,

@@ -456,9 +456,58 @@ def reference_to_fixture_csv(dem):
 
 
 # ---------------------------------------------------------------------------
-# Generators (plain rng; hypothesis strategies live in the test modules)
+# Random rasters (plain rng; hypothesis strategies live in the test modules)
+#
+# Each builder takes a seed or a numpy Generator, which
+# ``np.random.default_rng`` hands back as it is, so a test can draw many
+# rasters from one stream.
 # ---------------------------------------------------------------------------
 
 
-def rng_for(seed):
-    return np.random.default_rng(seed)
+def random_dem(rng, max_height=12, max_width=12, levels=8, hole_fraction=0.2):
+    """Random masked raster with at least one present cell."""
+    rng = np.random.default_rng(rng)
+    h = int(rng.integers(1, max_height + 1))
+    w = int(rng.integers(1, max_width + 1))
+    values = rng.integers(1, levels + 1, size=(h, w)).astype(np.int64)
+    mask = rng.random((h, w)) >= hole_fraction
+    if not mask.any():
+        mask[rng.integers(0, h), rng.integers(0, w)] = True
+    return Dem(values, mask)  # Dem stores 0 at the absent cells
+
+
+def random_interval_dem(rng, max_rows=6, max_width=10, levels=6):
+    """Random raster whose every row is one unbroken interval."""
+    rng = np.random.default_rng(rng)
+    h = int(rng.integers(1, max_rows + 1))
+    w = int(rng.integers(1, max_width + 1))
+    values = np.zeros((h, w), dtype=np.int64)
+    mask = np.zeros((h, w), dtype=bool)
+    for r in range(h):
+        lo = int(rng.integers(0, w))
+        hi = int(rng.integers(lo, w))
+        mask[r, lo:hi + 1] = True
+        values[r, lo:hi + 1] = rng.integers(1, levels + 1, size=hi - lo + 1)
+    return Dem(values, mask)
+
+
+def random_unipeak_dem(rng, max_levels=6, max_base=24):
+    """Random single-peak row with strictly shrinking per-level runs.
+
+    Level h carries exactly one run, each nested strictly inside the one
+    below, so the run lengths are pairwise distinct and the volume-drop
+    multiset matches the length-spectrum multiset exactly.
+    """
+    rng = np.random.default_rng(rng)
+    m = int(rng.integers(1, max_levels + 1))
+    lengths = sorted(rng.choice(np.arange(1, max_base + 1), size=m, replace=False),
+                     reverse=True)
+    base = lengths[0]
+    values = np.zeros(base, dtype=np.int64)
+    lo, hi = 0, base  # current run is [lo, hi)
+    for h, t in enumerate(lengths, start=1):
+        if h > 1:
+            lo = lo + int(rng.integers(0, (hi - lo) - t + 1))
+            hi = lo + t
+        values[lo:hi] += 1
+    return Dem(values.reshape(1, -1), np.ones((1, base), dtype=bool))

@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import naive_erode, naive_window_extremum
+from conftest import (naive_erode, naive_window_extremum, random_dem,
+                      random_interval_dem, random_unipeak_dem)
 from demgranulo import _kernels
 from demgranulo.classify import train_cart, training_accuracy
 from demgranulo.dem import SE_FOR_DIRECTION, Dem, scale_heights, volume
@@ -23,9 +24,7 @@ from demgranulo.oracle import (reflection_family, run_table,
 from demgranulo.spectrum import (discrete_volume_derivative,
                                  high_low_direction, normalized_mdgi,
                                  pattern_spectrum)
-from demgranulo.synth import (random_dem, random_interval_dem,
-                              random_unipeak_dem, synthetic_terrain,
-                              synthetic_watershed_features)
+from demgranulo.synth import synthetic_terrain, synthetic_watershed_features
 
 DIRECTIONS = ("row", "column", "diag-down", "diag-up")
 ALL_SES = ("B1", "B2", "B3", "B4", "B")

@@ -884,6 +884,26 @@ class TestEncoding:
         assert summaries[0] == summaries[1]
         assert b'"id": "\\u00e9t\\u00e9"' in summaries[0]
 
+    def test_summary_id_of_a_name_that_is_not_utf8_encodes(self, fixture_dir, tmp_path):
+        # byte 0xff is no UTF-8: the summary's id spells it as the text
+        # \xff, which encodes back as UTF-8, and the file names keep the byte
+        src = os.path.join(os.fsencode(tmp_path), b"a\xff.csv")
+        with open(src, "wb") as f:
+            f.write((fixture_dir / "fictitious.csv").read_bytes())
+        summaries = []
+        for locale in ("C", "C.UTF-8"):
+            out = os.path.join(os.fsencode(tmp_path), locale.encode())
+            env = {"LC_ALL": locale, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+            proc = _run_child(["spectrum", src, "--out-dir", out], env=env)
+            assert (proc.returncode, proc.stderr) == (0, b""), locale
+            assert os.path.exists(os.path.join(out, b"a\xff.spectrum.B.csv"))
+            with open(os.path.join(out, b"a\xff.summary.json"), "rb") as f:
+                summaries.append(f.read())
+        assert summaries[0] == summaries[1]
+        text_id = json.loads(summaries[0])["id"]
+        assert text_id == "a\\xff"
+        assert text_id.encode("utf-8") == b"a\\xff"
+
     def test_no_command_opens_a_file_in_the_locale_encoding(self, fixture_dir, tmp_path):
         config = tmp_path / "config.json"
         config.write_text('{"step": 1}', encoding="utf-8")

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (reference_parse_esri_ascii, reference_parse_fixture_csv,
-                      reference_quantize, reference_to_esri_ascii,
-                      reference_to_fixture_csv)
+from conftest import (random_dem, random_interval_dem, reference_parse_esri_ascii,
+                      reference_parse_fixture_csv, reference_quantize,
+                      reference_to_esri_ascii, reference_to_fixture_csv)
 from demgranulo.dem import (Dem, DemError, DemParseError, parse_esri_ascii,
                             parse_fixture_csv, quantize, reflect_rows,
                             scale_heights, scan_lines, volume)
-from demgranulo.synth import random_dem, random_interval_dem, synthetic_terrain
+from demgranulo.synth import synthetic_terrain
 
 GRID_2X2 = "ncols 2\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\n3 4\n"
 

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import (brute_runs_per_line, naive_directional_extremum,
                       naive_lines, naive_offset_extremum, naive_slab_loss,
-                      naive_window_extremum)
+                      naive_window_extremum, random_dem)
 from demgranulo import _kernels
-from demgranulo.synth import random_dem
 
 DIRECTIONS = ["row", "column", "diag-down", "diag-up"]
 

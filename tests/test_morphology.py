@@ -9,21 +9,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (binary_open_set, naive_erode, naive_window_extremum,
-                      threshold_cells, translate_fit_opening)
+                      random_dem, threshold_cells, translate_fit_opening)
 from demgranulo import _kernels
 from demgranulo._base import DIRECTIONS, SE_FOR_DIRECTION
 from demgranulo.dem import Dem
-from demgranulo.morphology import (StructuringElement, dilate, erode,
+from demgranulo.morphology import (StructuringElement, _raw_extremum, dilate, erode,
                                    multiscale_opening, named_se, nse,
-                                   open_square_separable, opening, opening_raw)
-from demgranulo.synth import random_dem, synthetic_terrain
+                                   open_square_separable, opening, opening_raw,
+                                   resolve_se)
+from demgranulo.synth import synthetic_terrain
 
 ALL_NAMES = ("B1", "B2", "B3", "B4", "B")
 CROSS = StructuringElement(frozenset({(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}))
 
 
+def dems_of_shape(max_height, max_width, levels=6):
+    """Masked rasters up to the given shape: (1, n) gives one-row rasters."""
+    return st.integers(0, 10**6).map(lambda s: random_dem(s, max_height, max_width, levels))
+
+
 def dems(max_side=8, levels=6):
-    return st.integers(0, 10**6).map(lambda s: random_dem(s, max_side, max_side, levels))
+    return dems_of_shape(max_side, max_side, levels)
 
 
 class TestStructuringElements:
@@ -127,6 +133,26 @@ class TestErodeDilate:
         assert CROSS.as_line() is None and CROSS.as_square() is None
         fast = erode(dem, CROSS) if minimum else dilate(dem, CROSS)
         assert fast == naive_erode(dem, CROSS, minimum)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(dems(), dems_of_shape(1, 9), dems_of_shape(9, 1)),
+           st.sampled_from([named_se("B4"), named_se("B3"), named_se("B"), CROSS]),
+           st.integers(1, 2), st.booleans(), st.sampled_from([np.int64, np.int16]))
+    def test_in_place_matches_out_of_place(self, dem, se, n, minimum, dtype):
+        # the spectra dilate each erosion in its own buffer
+        values = dem.values.astype(dtype)
+        expected = _raw_extremum(values, se, n, minimum)
+        got = _raw_extremum(values, se, n, minimum, out=values)
+        assert got is values
+        assert values.dtype == expected.dtype
+        assert values.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("se", ["B4", "B", CROSS])
+    def test_all_zero_dilation_fills_out(self, se):
+        values = np.zeros((3, 4), dtype=np.int64)
+        out = np.full((3, 4), 7, dtype=np.int64)
+        got = _raw_extremum(values, resolve_se(se), 2, False, out=out)
+        assert got is out and not out.any()
 
     def test_cross_minkowski_growth(self):
         diamond = nse(CROSS, 2)

@@ -12,16 +12,15 @@ import tracemalloc
 
 import numpy as np
 
-from conftest import brute_runs_per_line, naive_run_table, reference_flat_lines
+from conftest import (brute_runs_per_line, naive_run_table, random_dem,
+                      random_interval_dem, random_unipeak_dem, reference_flat_lines)
 from demgranulo import oracle
 from demgranulo.dem import Dem, reflect_rows, scan_lines, volume
 from demgranulo.oracle import (RunLengths, RunTable, is_unipeak, reflection_family,
                                run_lengths, run_profile_equal, run_table,
                                spectrum_from_runs, unipeak_entropy_equivalence)
 from demgranulo.spectrum import (discrete_volume_derivative, pattern_spectrum)
-from demgranulo.synth import (random_dem, random_interval_dem,
-                              random_unipeak_dem, run_profile_pair,
-                              synthetic_terrain)
+from demgranulo.synth import run_profile_pair, synthetic_terrain
 
 DIRECTIONS = ("row", "column", "diag-down", "diag-up")
 

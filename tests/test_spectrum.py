@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fraction_entropy, opening_spectrum_volumes
+from conftest import (fraction_entropy, opening_spectrum_volumes, random_dem,
+                      random_interval_dem)
 from demgranulo import _kernels, spectrum
 from demgranulo.dem import Dem, parse_esri_ascii, scale_heights, volume
 from demgranulo.morphology import StructuringElement, named_se, nse, resolve_se
@@ -20,7 +21,7 @@ from demgranulo.spectrum import (PatternSpectrum, discrete_volume_derivative,
                                  granulometric_index, high_low_direction,
                                  normalized_mdgi, order_stat_features,
                                  pattern_spectra, pattern_spectrum, volume_above)
-from demgranulo.synth import random_dem, random_interval_dem, synthetic_terrain
+from demgranulo.synth import synthetic_terrain
 
 ALL_NAMES = ("B1", "B2", "B3", "B4", "B")
 CROSS = StructuringElement(frozenset({(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}))
@@ -221,7 +222,7 @@ class TestPatternSpectra:
 
         monkeypatch.setattr(_kernels, "directional_loss", no_work)
         monkeypatch.setattr(_kernels, "square_erosions", no_work)
-        monkeypatch.setattr(spectrum, "opening_raw", no_work)
+        monkeypatch.setattr(spectrum, "_raw_extremum", no_work)
         with pytest.raises(ValueError, match=match):
             pattern_spectra(Dem.from_rows(rows), se, families)
 

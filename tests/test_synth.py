@@ -4,12 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_dem, random_interval_dem, random_unipeak_dem
 from demgranulo.dem import row_interval, volume
 from demgranulo.oracle import is_unipeak, run_profile_equal, run_table
-from demgranulo.synth import (fictitious_dem, random_dem, random_interval_dem,
-                              random_unipeak_dem, reflection_demo_dem,
-                              run_profile_pair, synthetic_terrain,
-                              synthetic_watershed_features, unipeak_demo_dem)
+from demgranulo.synth import (fictitious_dem, reflection_demo_dem, run_profile_pair,
+                              synthetic_terrain, synthetic_watershed_features,
+                              unipeak_demo_dem)
 
 
 class TestFixedFixtures:
