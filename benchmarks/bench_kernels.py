@@ -12,11 +12,9 @@ the narrowest signed dtype that holds them (int16 for up to 32767
 levels), as the spectra pass them. The square spectrum B is the
 divisor of every feature; it reads each scale's erosion from one table
 of square minima and dilates it with a row and a column pass. The
-offset extremum serves only
-irregular structuring elements, which the features never use; a 5-cell
-cross times it. The run-length count is the independent oracle's, which
-``oracle-check`` sets against the spectra: it lays every line end to end
-in the narrowest unsigned dtype that holds the levels and walks them.
+run-length count is the independent oracle's, which ``oracle-check``
+sets against the spectra: it lays every line end to end in the
+narrowest unsigned dtype that holds the levels and walks them.
 
 Usage:
     python benchmarks/bench_kernels.py [--side N] [--levels L] [--repeats R]
@@ -42,9 +40,6 @@ def time_call(fn, repeats):
     return best
 
 
-CROSS = [(0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)]
-
-
 def run(side, levels, repeats):
     dem = synthetic_terrain(side, levels=levels, seed=3)
     arr = _levels(dem)
@@ -60,8 +55,6 @@ def run(side, levels, repeats):
          lambda: _kernels.directional_extremum(arr, "row", 8, True)),
         ("windowed max (k=8, diag)",
          lambda: _kernels.directional_extremum(arr, "diag-up", 8, False)),
-        ("offset min (5-cell cross)",
-         lambda: _kernels.offset_extremum(arr, CROSS, True)),
         ("square spectrum (B)", lambda: pattern_spectrum(dem, "B")),
         ("spectrum sweep (4 dirs)",
          lambda: [_kernels.directional_loss(arr, d) for d in DIRECTIONS]),

@@ -20,10 +20,6 @@ its name (``"row"``, ``"column"``, ``"diag-down"``, ``"diag-up"``; see
   line at once. It reads the lines a block at a time from
   :func:`_line_blocks`.
 
-Structuring elements that are neither a line nor a square go through
-:func:`offset_extremum`, which folds one shifted view of a zero-padded
-raster per offset.
-
 Conventions baked into every kernel:
 
 * elevation arrays are signed integers with ``0`` stored at masked
@@ -286,34 +282,6 @@ def _fold_ahead(flat, shift):
     for i in range(0, end, cells):
         j = min(i + cells, end)
         np.minimum(flat[i:j], flat[i + shift:j + shift], out=flat[i:j])
-
-
-def offset_extremum(values, offsets_rc, minimum, out=None):
-    """Windowed min/max over an explicit (row, col) offset list.
-
-    The raster is zero-padded once and one shifted view of the pad is
-    folded in per offset. An offset is clipped to the raster's own
-    height and width before it sizes the pad: one that leaves the raster
-    reads only zeros either way, and the pad stays at most three times
-    the raster's height and width however large the offset. The result
-    goes to ``out`` when given, which may be ``values``: every view reads
-    the pad.
-    """
-    arr = _as_int_2d(values)
-    off = np.asarray(offsets_rc, dtype=np.int64).reshape(-1, 2)
-    h, w = arr.shape
-    dr = np.clip(off[:, 0], -h, h)
-    dc = np.clip(off[:, 1], -w, w)
-    top, left = max(0, -int(dr.min())), max(0, -int(dc.min()))
-    padded = np.pad(arr, ((top, max(0, int(dr.max()))), (left, max(0, int(dc.max())))))
-    views = [padded[top + r:top + r + h, left + c:left + c + w] for r, c in zip(dr, dc)]
-    ufunc = np.minimum if minimum else np.maximum
-    if out is None:
-        out = np.empty_like(arr)
-    np.copyto(out, views[0])
-    for view in views[1:]:
-        ufunc(out, view, out=out)
-    return out
 
 
 def directional_loss(values, direction):

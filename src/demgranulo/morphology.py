@@ -8,19 +8,22 @@ entirely inside the domain (0 where none fits), structures touching the
 mask boundary are genuinely removed, and opening volumes decay to zero.
 Operators never create or destroy domain cells.
 
+A structuring element is one of the shapes the paper's index uses: a
+centred segment of one scan direction (B1-B4 and their n-fold sums) or a
+centred square (B and its sums); the single point is both. Any other
+offset set, such as a cross or a diamond, is refused when the element is
+built, so every n-fold sum is a line or a square again.
+
 Every operator goes through one raw extremum, :func:`_raw_extremum`,
 and the one raw opening built on it. It is the one place an element
-turns into kernel passes, and it asks the element what it is: a line
-(:meth:`StructuringElement.as_line`) is one pass of the doubling
-scan-line window kernel (O(log width) per cell) along its direction, a
-square (:meth:`StructuringElement.as_square`) a row pass then a column
-pass, each at the scaled half-width, so no scaled element is ever built
-for them; any other element folds in one shifted view of the
-zero-padded raster per offset of its n-fold sum. A line element's
-spectrum takes the slab sweep instead; every other element's spectrum
-runs one loop over the scales through these passes, a square taking
-its erosions from one table of square minima
-(``_kernels.square_erosions``) and dilating each in place.
+turns into kernel passes: a line (:meth:`StructuringElement.as_line`) is
+one pass of the doubling scan-line window kernel (O(log width) per cell)
+along its direction, a square (:meth:`StructuringElement.as_square`) a
+row pass then a column pass, each at the scaled half-width, so no scaled
+element is ever built for them. A line element's spectrum takes the
+slab sweep instead; a square's runs one loop over the scales, taking its
+erosions from one table of square minima (``_kernels.square_erosions``)
+and dilating each in place through these passes.
 
 Linear elements derive from ``_base.DIRECTION_STEPS``, the one table of
 scan directions: B1-B4, :meth:`StructuringElement.as_line` and the scaled
@@ -30,7 +33,6 @@ segments of :func:`nse` all step by the unit ``(dx, dy) = (dcol, drow)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,9 +58,13 @@ def _square(k: int) -> frozenset[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class StructuringElement:
-    """Finite symmetric offset set containing the origin.
+    """A centred segment of one scan direction or a centred square.
 
     Offsets are (dx, dy) pairs: dx moves along columns, dy along rows.
+    The set must hold the origin and be symmetric, and its shape is
+    classified once, when the element is built; the answer is kept
+    outside the fields, so equality, hash and repr read the offsets and
+    the name alone.
     """
 
     offsets: frozenset[tuple[int, int]]
@@ -72,6 +78,15 @@ class StructuringElement:
             if (-dx, -dy) not in offsets:
                 raise ValueError("structuring element must be symmetric")
         object.__setattr__(self, "offsets", offsets)
+        k = max(max(abs(dx), abs(dy)) for dx, dy in offsets)
+        line = next(((d, k) for d in DIRECTION_STEPS if offsets == _segment(d, k)), None)
+        # every offset lies within k of the origin, so (2k+1)^2 of them
+        # fill the square
+        square = k if len(offsets) == (2 * k + 1) ** 2 else None
+        if line is None and square is None:
+            raise ValueError("structuring element must be a centred segment of one "
+                             "scan direction or a centred square")
+        object.__setattr__(self, "_shape", (line, square))
 
     def __len__(self):
         return len(self.offsets)
@@ -82,29 +97,14 @@ class StructuringElement:
         The single point is the 0-length segment of the first direction,
         ``("row", 0)``.
         """
-        return self._line
-
-    @cached_property
-    def _line(self) -> tuple[str, int] | None:
-        # cached, so each element builds the candidate segments once
-        k = len(self.offsets) // 2
-        for direction in DIRECTION_STEPS:
-            if self.offsets == _segment(direction, k):
-                return direction, k
-        return None
+        return self._shape[0]
 
     def as_square(self) -> int | None:
-        """Half-width when the offsets form a centred square block."""
-        k = 0
-        for dx, dy in self.offsets:
-            k = max(k, abs(dx), abs(dy))
-        if len(self.offsets) == (2 * k + 1) ** 2:
-            return k
-        return None
+        """Half-width when the offsets form a centred square block.
 
-    def offset_rc(self) -> np.ndarray:
-        """Offsets as an (m, 2) array of (row, col) steps."""
-        return np.array(sorted((dy, dx) for dx, dy in self.offsets), dtype=np.int64)
+        The single point is the 1x1 square, half-width 0.
+        """
+        return self._shape[1]
 
 
 # B1-B4 are the unit segments of their scan directions, B the 3x3 square
@@ -116,7 +116,7 @@ def named_se(name: str) -> StructuringElement:
     """One of the five canonical elements: B1-B4 (directional) or B (3x3).
 
     Each name has one element, built once and shared by every caller; it
-    is frozen, and it keeps the line it detected for the next call.
+    is frozen, and its shape is classified once, when it is built.
     """
     try:
         return _NAMED[name]
@@ -133,9 +133,10 @@ def resolve_se(se) -> StructuringElement:
 def nse(se: StructuringElement, n: int) -> StructuringElement:
     """n-fold Minkowski self-sum; n = 0 gives the single-point identity.
 
-    The telescoping definition (n - 1 dilations of the element with
-    itself) leaves n = 0 open; the identity element is the one choice
-    under which a 0-scale opening leaves the raster untouched.
+    The sum of a line or square of half-width k has half-width nk. The
+    telescoping definition (n - 1 dilations of the element with itself)
+    leaves n = 0 open; the identity element is the one choice under
+    which a 0-scale opening leaves the raster untouched.
     """
     se = resolve_se(se)
     if n < 0:
@@ -146,13 +147,7 @@ def nse(se: StructuringElement, n: int) -> StructuringElement:
     if line is not None:
         direction, k = line
         return StructuringElement(_segment(direction, n * k), name=f"{n}{se.name or 'L'}")
-    square = se.as_square()
-    if square is not None:
-        return StructuringElement(_square(n * square), name=f"{n}{se.name or 'SQ'}")
-    acc = se.offsets
-    for _ in range(n - 1):
-        acc = frozenset((ax + bx, ay + by) for ax, ay in acc for bx, by in se.offsets)
-    return StructuringElement(acc, name=f"{n}{se.name}")
+    return StructuringElement(_square(n * se.as_square()), name=f"{n}{se.name or 'SQ'}")
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +161,10 @@ def _raw_extremum(values: np.ndarray, se: StructuringElement, n: int,
 
     The one place an element turns into kernel passes, for the operators
     and the spectra alike. A line or square of half-width k runs at
-    half-width k*n, so no scaled element is built; any other element
-    folds the offsets of ``nse(se, n)``. The result goes to ``out`` when
-    given, a C-contiguous array of the values' shape and dtype, which may
-    be ``values`` itself. An all-zero array dilates to itself, with no
-    kernel call.
+    half-width k*n, so no scaled element is built. The result goes to
+    ``out`` when given, a C-contiguous array of the values' shape and
+    dtype, which may be ``values`` itself. An all-zero array dilates to
+    itself, with no kernel call.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -184,8 +178,6 @@ def _raw_extremum(values: np.ndarray, se: StructuringElement, n: int,
         direction, k = line
         return _kernels.directional_extremum(values, direction, k * n, minimum, out=out)
     k = se.as_square()
-    if k is None:
-        return _kernels.offset_extremum(values, nse(se, n).offset_rc(), minimum, out=out)
     # a square is separable, and exactly so under the zero-pad convention;
     # the column pass writes over the row pass's result
     values = _kernels.directional_extremum(values, "row", k * n, minimum, out=out)

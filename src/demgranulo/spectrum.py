@@ -8,14 +8,14 @@ the final entropy is evaluated in floating point, with the natural
 logarithm (a base change rescales every index by the same constant and
 cancels in the normalized features).
 
-Each spectrum has one code path, :func:`pattern_spectra`. A linear
+Each spectrum has one code path, :func:`pattern_spectra`. An element
+is a line or a square (``morphology`` refuses any other shape). A linear
 element takes the slab sweep, one pass that yields every scale of every
-family asked for in the call. Every other element runs one loop over the
-scales, through the passes ``morphology._raw_extremum`` makes of it: a
-square reads each scale's erosion from one table of square minima
-(``_kernels.square_erosions``), any other element erodes the raster
-anew, and the erosion is dilated in place. The scales run until the
-erosion, and so the volume, reaches 0.
+family asked for in the call. A square runs one loop over the scales: it
+reads each scale's erosion from one table of square minima
+(``_kernels.square_erosions``) and dilates it in place through the
+passes ``morphology._raw_extremum`` makes of it. The scales run until
+the erosion, and so the volume, reaches 0.
 """
 
 from __future__ import annotations
@@ -108,9 +108,9 @@ def pattern_spectrum(dem: Dem, se, *, family: str = "nse") -> PatternSpectrum:
     """Spectrum of a raster under one structuring element family.
 
     Linear elements take the single-pass slab sweep, which yields every
-    scale at once; every other element opens the raster once per scale,
-    a square (B among them) reading every scale's erosion from one table
-    of square minima. The scales run until the volume reaches 0.
+    scale at once; a square (B among them) opens the raster once per
+    scale, reading every scale's erosion from one table of square
+    minima. The scales run until the volume reaches 0.
 
     Args:
         dem: the raster; its volume must be positive.
@@ -128,8 +128,8 @@ def pattern_spectrum(dem: Dem, se, *, family: str = "nse") -> PatternSpectrum:
 def pattern_spectra(dem: Dem, se, families) -> tuple[PatternSpectrum, ...]:
     """Spectra of one element, one per entry of ``families``, from one sweep.
 
-    Every argument is checked before the work starts; an element that is
-    not a line takes only "nse", from one loop over the scales.
+    Every argument is checked before the work starts; a square takes
+    only "nse", from one loop over the scales.
     """
     se = resolve_se(se)
     v0 = volume(dem)
@@ -165,24 +165,15 @@ def _nse_spectrum_sweep(se, line, curve):
 
 
 def _nse_spectrum_square(dem, se, v0):
-    """The spectrum of every element that is not a line, one scale at a time.
+    """The spectrum of a square element, one scale at a time.
 
-    A square reads each scale's erosion from one table
+    Each scale's erosion comes from one table
     (``_kernels.square_erosions``), so beyond its levels B holds two
-    rasters, the table and the erosion; any other element erodes the
-    levels anew. Each erosion is dilated in place. Only the volume needs
-    the mask, so no opening is wrapped in a raster. (perfbench/tracer.py
-    times this function by name.)
+    rasters, the table and the erosion. Each erosion is dilated in
+    place. Only the volume needs the mask, so no opening is wrapped in a
+    raster. (perfbench/tracer.py times this function by name.)
     """
-    levels = _levels(dem)
-    k = se.as_square()
-    if k is None:
-        # a growing element empties the raster long before this bound,
-        # which guards a stall
-        scales = range(1, dem.height + dem.width + 3)
-        erosions = (_raw_extremum(levels, se, n, True) for n in scales)
-    else:
-        erosions = _kernels.square_erosions(levels, k)
+    erosions = _kernels.square_erosions(_levels(dem), se.as_square())
     vols = [v0]
     for n, eroded in enumerate(erosions, 1):
         # an erosion is 0 off the mask and the dilation keeps each cell's
@@ -193,10 +184,7 @@ def _nse_spectrum_square(dem, se, v0):
         vols.append(int(eroded.sum(dtype=np.int64)))
         if vols[-1] == 0:
             break
-        del eroded  # a new erosion is built without this one held
     else:
-        if k is None:
-            raise RuntimeError("opening volumes failed to reach zero")
         vols.append(0)  # the next square is wider or taller than the raster
     return _spectrum_from_points(se.name, "nse", vols)
 

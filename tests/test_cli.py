@@ -14,6 +14,7 @@ import pytest
 import demgranulo
 from demgranulo.cli import RunConfig, main
 from demgranulo.dem import Dem
+from demgranulo.synth import synthetic_terrain
 
 
 @pytest.fixture()
@@ -200,7 +201,7 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig(["a.csv"])
         assert (cfg.out_dir, cfg.step, cfg.datum, cfg.parallel, cfg.max_oracle_work,
-                cfg.corrupt_hook) == (Path("out"), 1.0, 0.0, 1, 2_000_000, False)
+                cfg.corrupt_hook) == (Path("out"), 1.0, 0.0, 1, 300_000_000, False)
         assert cfg.directions == ("row", "column", "diag-down", "diag-up")
 
     def test_values_take_their_field_types(self):
@@ -244,7 +245,7 @@ class TestRunConfig:
         assert repr(cfg) == (
             f"RunConfig(inputs=['a.csv'], out_dir={Path('out')!r}, step=2.0, datum=0.0, "
             "parallel=1, directions=('row', 'column', 'diag-down', 'diag-up'), "
-            "max_oracle_work=2000000, corrupt_hook=False)")
+            "max_oracle_work=300000000, corrupt_hook=False)")
 
 
 class TestFeaturesCommand:
@@ -388,6 +389,32 @@ class TestOracleCheckCommand:
                      "--max-oracle-work", "1"])
         assert code == 0
         assert "SKIP" in capsys.readouterr().out
+
+    @pytest.fixture()
+    def terrain128(self, tmp_path):
+        # 128 x 128 cells of 256 levels: work 4210688 once parsed, over
+        # the old cap of 2000000
+        path = tmp_path / "t128.asc"
+        path.write_text(synthetic_terrain(128).to_esri_ascii())
+        return path
+
+    def test_default_cap_checks_a_terrain(self, terrain128, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        assert main(["oracle-check", str(terrain128), "--report", str(report)]) == 0
+        rows = [ln.split(",")[1:4] for ln in report.read_text().splitlines()[1:]]
+        assert rows == [[d, family, "PASS"] for d in ("row", "column", "diag-down", "diag-up")
+                        for family in ("nse", "length")]
+
+    def test_default_cap_corrupt_hook_fails_on_a_terrain(self, terrain128, capsys):
+        assert main(["oracle-check", str(terrain128), "--self-test-corrupt"]) == 1
+        assert "t128 row nse FAIL first mismatch at index 0\n" in capsys.readouterr().out
+
+    def test_default_cap_skips_work_beyond_it(self, tmp_path, capsys):
+        # 4 cells of top level 10**8: work 4 * 10**8
+        src = tmp_path / "tall.csv"
+        src.write_text(Dem.from_rows([[10**8, 1], [1, 10**8]]).to_fixture_csv())
+        assert main(["oracle-check", str(src)]) == 0
+        assert capsys.readouterr().out == "tall - - SKIP work 400000000 exceeds cap 300000000\n"
 
     def test_empty_input_set_ok(self, tmp_path, capsys):
         empty = tmp_path / "none"

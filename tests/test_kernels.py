@@ -15,6 +15,8 @@ from conftest import (brute_runs_per_line, naive_directional_extremum,
                       naive_lines, naive_offset_extremum, naive_slab_loss,
                       naive_window_extremum, random_dem)
 from demgranulo import _kernels
+from demgranulo._base import SE_NAMES
+from demgranulo.morphology import _raw_extremum, named_se, nse
 
 DIRECTIONS = ["row", "column", "diag-down", "diag-up"]
 
@@ -22,11 +24,12 @@ DIRECTIONS = ["row", "column", "diag-down", "diag-up"]
 UNIT = {"row": (0, 1), "column": (1, 0), "diag-down": (1, 1), "diag-up": (1, -1)}
 
 
-def _raster(seed, h, w):
-    """h x w raster of levels 1..7 with about 20 % masked (0) cells."""
+def _raster(seed, h, w, holes=0.2):
+    """h x w raster of levels 1..7 with about a ``holes`` share of masked
+    (0) cells."""
     rng = np.random.default_rng(seed)
     values = rng.integers(1, 8, size=(h, w), dtype=np.int64)
-    return np.where(rng.random((h, w)) >= 0.2, values, 0)
+    return np.where(rng.random((h, w)) >= holes, values, 0)
 
 
 # non-square and one-wide shapes included: a one-wide raster is where
@@ -213,33 +216,28 @@ class TestDirectionalLoss:
         assert peak <= loss.nbytes + 3 * 2**20
 
 
-class TestOffsetExtremum:
-    # offsets in +-15 reach past every side of a 12 x 12 raster
-    @settings(max_examples=300, deadline=None)
-    @given(arrays_2d,
-           st.lists(st.tuples(st.integers(-15, 15), st.integers(-15, 15)),
-                    min_size=1, max_size=8),
-           st.booleans())
-    def test_matches_naive_loop(self, arr, offsets, minimum):
-        got = _kernels.offset_extremum(arr, offsets, minimum)
-        assert got.tolist() == naive_offset_extremum(arr, offsets, minimum).tolist()
+def _offsets_rc(se):
+    """An element's offsets as (row, col) steps."""
+    return [(dy, dx) for dx, dy in se.offsets]
 
-    @pytest.mark.parametrize("shape", [(3, 3), (200, 200)])
-    def test_huge_offset_pads_one_raster(self, shape):
-        # (10**9, 0) reads only zeros; a pad sized by the offset itself
-        # would need 10**9 rows. The pad, the output and numpy's fixed
-        # buffers fit in 4 rasters plus 128 KiB.
-        arr = _raster(8, *shape)
-        offsets = [(0, 0), (10**9, 0)]
-        for minimum in (True, False):
-            tracemalloc.start()
-            try:
-                got = _kernels.offset_extremum(arr, offsets, minimum)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert got.tolist() == naive_offset_extremum(arr, offsets, minimum).tolist()
-            assert peak <= 4 * arr.nbytes + 2**17
+
+class TestRawExtremum:
+    """``morphology._raw_extremum`` turns a line or a square into kernel
+    passes at the scaled half-width; a per-cell loop over the offsets of
+    the n-fold element sum must read the same."""
+
+    # whole rasters too: with a fifth of the cells at 0, nearly every
+    # square wider than 3x3 holds a 0 and erodes to it
+    @settings(max_examples=40, deadline=None)
+    @given(st.builds(_raster, st.integers(0, 10**6), st.integers(1, 12), st.integers(1, 12),
+                     st.sampled_from([0.0, 0.2])))
+    def test_matches_naive_offset_extremum(self, arr):
+        for name in SE_NAMES:
+            se = named_se(name)
+            for n in range(5):
+                for minimum in (True, False):
+                    want = naive_offset_extremum(arr, _offsets_rc(nse(se, n)), minimum)
+                    assert _raw_extremum(arr, se, n, minimum).tolist() == want.tolist()
 
 
 NARROW = [np.int8, np.int16, np.int32]
@@ -281,14 +279,16 @@ class TestNarrowDtypes:
         assert got.tolist() == want.tolist()
 
     @settings(max_examples=100, deadline=None)
-    @given(narrow_rasters(),
-           st.lists(st.tuples(st.integers(-15, 15), st.integers(-15, 15)),
-                    min_size=1, max_size=8),
+    @given(narrow_rasters(), st.sampled_from(SE_NAMES), st.integers(0, 4), st.booleans(),
            st.booleans())
-    def test_offset_extremum(self, arr, offsets, minimum):
-        got = _kernels.offset_extremum(arr, offsets, minimum)
-        want = _kernels.offset_extremum(arr.astype(np.int64), offsets, minimum)
+    def test_raw_extremum(self, arr, name, n, minimum, in_place):
+        # the spectra dilate each erosion in place, in the levels' dtype
+        se = named_se(name)
+        want = naive_offset_extremum(arr, _offsets_rc(nse(se, n)), minimum)
+        got = _raw_extremum(arr, se, n, minimum, out=arr if in_place else None)
         assert got.dtype == arr.dtype
+        if in_place:
+            assert got is arr
         assert got.tolist() == want.tolist()
 
     @settings(max_examples=150, deadline=None)

@@ -15,7 +15,7 @@ from conftest import (fraction_entropy, opening_spectrum_volumes, random_dem,
                       random_interval_dem)
 from demgranulo import _kernels, spectrum
 from demgranulo.dem import Dem, parse_esri_ascii, scale_heights, volume
-from demgranulo.morphology import StructuringElement, named_se, nse, resolve_se
+from demgranulo.morphology import named_se, nse, resolve_se
 from demgranulo.oracle import RunTable, run_table, spectrum_from_runs
 from demgranulo.spectrum import (PatternSpectrum, discrete_volume_derivative,
                                  granulometric_index, high_low_direction,
@@ -24,7 +24,6 @@ from demgranulo.spectrum import (PatternSpectrum, discrete_volume_derivative,
 from demgranulo.synth import synthetic_terrain
 
 ALL_NAMES = ("B1", "B2", "B3", "B4", "B")
-CROSS = StructuringElement(frozenset({(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}))
 
 
 def dems(max_side=8, levels=6):
@@ -96,14 +95,6 @@ class TestPatternSpectrum:
         ps = pattern_spectrum(dem, name, family="length")
         assert ps.volumes == opening_spectrum_volumes(dem, named_se(name), "length")
         assert ps.scales == tuple(range(1, len(ps.volumes) + 1))
-
-    @settings(max_examples=30, deadline=None)
-    @given(dems(7, 5))
-    def test_cross_element_openings_loop(self, dem):
-        # neither a line nor a square: the generic offset path
-        ps = pattern_spectrum(dem, CROSS)
-        assert ps.volumes == opening_spectrum_volumes(dem, CROSS)
-        assert ps.scales == tuple(range(len(ps.volumes)))
 
     def test_square_spectrum_memory(self):
         # the two rasters of one opening and the kernel blocks; a loop
