@@ -223,11 +223,10 @@ def _job(args):
     """Load one raster and run the command's work on it: (result, error)."""
     work, ident, path, cfg = args
     try:
-        text = path.read_text(encoding="utf-8")
         if path.suffix.lower() == ".csv":
-            dem = parse_fixture_csv(text)
+            dem = parse_fixture_csv(path.read_text(encoding="utf-8"))
         else:
-            dem = parse_esri_ascii(text, step=cfg.step, datum=cfg.datum)
+            dem = parse_esri_ascii(path, step=cfg.step, datum=cfg.datum)
         return work(ident, dem, cfg), None
     except _FILE_ERRORS as exc:
         return None, f"{path}: {exc}"

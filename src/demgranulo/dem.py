@@ -7,12 +7,23 @@ over a possibly non-rectangular domain. Cells outside the domain are
 which is why the type itself only requires non-negative values.
 
 Both parsers read their cells in bulk. ``parse_esri_ascii`` hands the
-data lines to ``np.loadtxt``; when that fails, or finds a cell count
-other than the grid's, the data are read again one token at a time.
-Only that pass raises for a bad cell, so every :class:`DemParseError`
-names the line and column it always did, and tokens Python's ``float``
-accepts but ``np.loadtxt`` refuses (``1_0``, Arabic-Indic digits) still
-parse. ``parse_fixture_csv`` reads a text of ASCII digits, commas and
+data lines of a text to ``np.loadtxt``; when that fails, or finds a cell
+count other than the grid's, the data are read again one token at a
+time. Only that pass raises for a bad cell, so every
+:class:`DemParseError` names the line and column it always did, and
+tokens Python's ``float`` accepts but ``np.loadtxt`` refuses (``1_0``,
+Arabic-Indic digits) still parse. Given a path, as the CLI gives every
+``.asc`` input, ``parse_esri_ascii`` streams the file: the header line
+by line, then the data 64 lines at a time through ``np.loadtxt``, each
+block quantized straight into the raster's int64 levels and mask, so
+the file's text and a float grid are never held whole. A file holding a
+byte other than printable ASCII, a tab or a line end (or a lone
+``\\r``), or one the stream refuses (a header fault, a line of other
+than ncols cells, a token ``np.loadtxt`` refuses, other than
+nrows*ncols cells, no data cell, a level out of range), is read as text
+and parsed as above, so its result or error is that of its text.
+
+``parse_fixture_csv`` reads a text of ASCII digits, commas and
 blanks with one ``np.loadtxt`` call, its empty fields written as -1;
 any other text, or one ``np.loadtxt`` refuses, is read in one pass, each
 cell once by ``int`` and each line written into the grid as one row; the
@@ -26,7 +37,9 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -319,10 +332,22 @@ def _quantize_in_place(levels: np.ndarray, present: np.ndarray,
     """:func:`quantize` of a C-ordered float64 grid the caller owns and
     gives up, with its C-ordered ``present`` mask holding a cell.
 
-    floor((z - datum) / step) + 1 is computed step by step in the grid's
-    own buffer and clamped at 1 there, so no float outside int64 reaches
-    the one conversion to int64: the int64 levels, which the Dem adopts,
-    are the only numeric grid allocated.
+    The levels are built in the grid's own buffer (:func:`_levels_in_place`),
+    so the int64 levels, which the Dem adopts, are the only numeric grid
+    allocated.
+    """
+    _levels_in_place(levels, present, step, datum)
+    return Dem._adopt(levels.astype(np.int64), present)
+
+
+def _levels_in_place(levels: np.ndarray, present: np.ndarray,
+                     step: float, datum: float) -> None:
+    """Turn the float64 elevations ``levels`` into their quantized levels,
+    in their own buffer: 0 where ``present`` is False.
+
+    floor((z - datum) / step) + 1 is computed step by step and clamped at
+    1, so no float outside int64 reaches the caller's conversion to int64;
+    a level of 2**62 or more raises :class:`DemError`.
     """
     # a level that overflows to -inf clamps to 1, and one at +inf is refused
     with np.errstate(over="ignore"):
@@ -334,25 +359,82 @@ def _quantize_in_place(levels: np.ndarray, present: np.ndarray,
     levels[~present] = 0.0
     if np.nanmax(levels) >= 2**62:
         raise DemError("quantized levels overflow the elevation type")
-    return Dem._adopt(levels.astype(np.int64), present)
 
 
-def parse_esri_ascii(text: str, *, step: float = 1.0, datum: float = 0.0) -> Dem:
-    """Parse an ESRI ASCII grid and quantize it into a Dem.
+def parse_esri_ascii(source: str | os.PathLike, *, step: float = 1.0,
+                     datum: float = 0.0) -> Dem:
+    """Parse an ESRI ASCII grid, given as its text or as the path of a
+    UTF-8 file, and quantize it into a Dem.
 
     The header must provide ncols, nrows, xllcorner and yllcorner (or
     xllcenter and yllcenter) and cellsize (any case), optionally
     NODATA_value; data rows follow, top row first. Cells equal to the
     declared NODATA value, or non-finite, are masked out.
 
-    The data lines are read in bulk by ``np.loadtxt``. When it refuses a
-    line, or the grid holds other than nrows*ncols cells, the data are
-    read again one token at a time with ``float``: that pass reports the
-    line and column of a fault, and also takes tokens ``float`` accepts
-    and ``np.loadtxt`` does not (``1_0``, Arabic-Indic digits).
+    The data lines of a text are read in bulk by ``np.loadtxt``. When it
+    refuses a line, or the grid holds other than nrows*ncols cells, the
+    data are read again one token at a time with ``float``: that pass
+    reports the line and column of a fault, and also takes tokens
+    ``float`` accepts and ``np.loadtxt`` does not (``1_0``, Arabic-Indic
+    digits). A path (an ``os.PathLike``, not a ``str``) is streamed from
+    the file into the levels (:func:`_stream_esri`); a file the stream
+    refuses is read as text, so the result or error is its text's.
+    """
+    if isinstance(source, os.PathLike):
+        try:
+            with open(source, "rb") as f:
+                dem = _stream_esri(f, step, datum)
+        except (DemError, ValueError):
+            dem = None
+        if dem is not None:
+            return dem
+        with open(source, encoding="utf-8") as f:
+            source = f.read()
+    text = source
+    lines = text.splitlines()
+    nrows, ncols, nodata, data_start = _esri_header(lines)
+
+    # every cell needs a token and a separator: a header that claims more
+    # cells than the text can hold is short before the grid is allocated
+    if nrows * ncols > (len(text) + 1) // 2:
+        cells = sum(len(line.split()) for line in lines[data_start:])
+        raise DemParseError(f"grid ended after {cells} of {nrows * ncols} cells",
+                            line=_last_data_line(lines, data_start))
+
+    data = lines[data_start:]
+    grid = None
+    # loadtxt warns on input without data; that grid is short, and the
+    # token pass reports it
+    if any(map(str.split, data)):
+        try:
+            grid = np.loadtxt(data, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if grid is None or grid.size != nrows * ncols:
+        grid = _esri_cells_by_token(lines, data_start, nrows * ncols)
+    grid = grid.reshape(nrows, ncols)
+    present = np.isfinite(grid)
+    if nodata is not None:
+        present &= grid != nodata
+    if not present.any():
+        raise DemParseError("grid contains no data cells",
+                            line=_last_data_line(lines, data_start))
+    del lines, data  # the text's lines are not held while the levels are built
+    _check_step_and_datum(step, datum)
+    return _quantize_in_place(grid, present, step, datum)
+
+
+def _esri_header(lines: Iterable[str]) -> tuple[int, int, float | None, int]:
+    """Read an ESRI grid's header from its ``lines``, up to the first data line.
+
+    Returns nrows, ncols, the NODATA value (None when the header has
+    none) and the number of lines before the data. A line whose first
+    token is not a number (nan and inf are) is a header entry, a key and
+    a value; blank lines are skipped. A missing key, a malformed entry,
+    or a count that is not a positive integer raises
+    :class:`DemParseError`.
     """
     header: dict[str, float] = {}
-    lines = text.splitlines()
     data_start = 0
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
@@ -387,37 +469,91 @@ def parse_esri_ascii(text: str, *, step: float = 1.0, datum: float = 0.0) -> Dem
     finite = math.isfinite(ncols) and math.isfinite(nrows)
     if not finite or ncols != int(ncols) or nrows != int(nrows) or ncols < 1 or nrows < 1:
         raise DemParseError("ncols/nrows must be positive integers", line=1)
-    ncols, nrows = int(ncols), int(nrows)
-    nodata = header.get("nodata_value")
+    return int(nrows), int(ncols), header.get("nodata_value"), data_start
 
-    # every cell needs a token and a separator: a header that claims more
-    # cells than the text can hold is short before the grid is allocated
-    if nrows * ncols > (len(text) + 1) // 2:
-        cells = sum(len(line.split()) for line in lines[data_start:])
-        raise DemParseError(f"grid ended after {cells} of {nrows * ncols} cells",
-                            line=_last_data_line(lines, data_start))
 
-    data = lines[data_start:]
-    grid = None
-    # loadtxt warns on input without data; that grid is short, and the
-    # token pass reports it
-    if any(map(str.split, data)):
-        try:
-            grid = np.loadtxt(data, comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if grid is None or grid.size != nrows * ncols:
-        grid = _esri_cells_by_token(lines, data_start, nrows * ncols)
-    grid = grid.reshape(nrows, ncols)
-    present = np.isfinite(grid)
-    if nodata is not None:
-        present &= grid != nodata
-    if not present.any():
-        raise DemParseError("grid contains no data cells",
-                            line=_last_data_line(lines, data_start))
-    del lines, data  # the text's lines are not held while the levels are built
+# lines of an ESRI grid that one np.loadtxt call of the streaming reader takes
+_ESRI_BLOCK_LINES = 64
+# the bytes of a line the streaming reader takes, besides its line end:
+# str.splitlines() and str.split(), which the text parser reads by, break
+# at no other ASCII byte, and a lone \r ends a line in a file read as text
+_ESRI_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t"
+
+
+def _plain_line(raw: bytes) -> str | None:
+    """The file line ``raw`` without its ``\\n`` or ``\\r\\n``, or None unless
+    the rest is printable ASCII and tabs."""
+    raw = raw.removesuffix(b"\n").removesuffix(b"\r")
+    if raw.translate(None, _ESRI_PLAIN_BYTES):
+        return None
+    return raw.decode("ascii")
+
+
+def _stream_esri(f, step: float, datum: float) -> Dem | None:
+    """The Dem of the ESRI grid in the binary file ``f``, or None, or a
+    raised DemError or ValueError, where :func:`parse_esri_ascii` reads
+    the file as text instead.
+
+    The header is read line by line, by the text parser's rules
+    (:func:`_esri_header`), and the data a block of lines at a time:
+    each block is parsed by ``np.loadtxt`` and quantized in its own float
+    buffer straight into the raster's int64 levels and mask, so neither
+    the file's text nor a float grid is held whole. The stream refuses a
+    byte other than printable ASCII, a tab or a line end (a UTF-8 file
+    beyond ASCII, or no UTF-8 at all), a ``\\r`` not followed by ``\\n``,
+    a header fault, a data line of other than ncols cells, a token
+    ``np.loadtxt`` refuses (``1_0``), a grid of other than nrows*ncols
+    cells, a grid without data cells, and a bad step or datum or a level
+    or volume out of range; the text parser then gives the result or the
+    error, with its line, column and order.
+    """
     _check_step_and_datum(step, datum)
-    return _quantize_in_place(grid, present, step, datum)
+    starts = []  # the offset of each header line, so the data can be found again
+
+    def header_lines():
+        while True:
+            starts.append(f.tell())
+            raw = f.readline()
+            if not raw:
+                return
+            line = _plain_line(raw)
+            if line is None:
+                raise ValueError("not a plain ASCII line")
+            yield line
+
+    nrows, ncols, nodata, data_start = _esri_header(header_lines())
+    # the text parser's guard on the text's length, taken on the file's
+    # size, which is no smaller: a grid it lets through may still be short
+    if nrows * ncols > (os.fstat(f.fileno()).st_size + 1) // 2:
+        return None
+    f.seek(starts[data_start])
+    levels = np.empty((nrows, ncols), dtype=np.int64)
+    present = np.empty((nrows, ncols), dtype=bool)
+    row = 0
+    while block := list(islice(f, _ESRI_BLOCK_LINES)):
+        # np.loadtxt warns on a block without data
+        lines = [_plain_line(raw) for raw in block if not raw.isspace()]
+        del block
+        if None in lines:
+            return None
+        if not lines:
+            continue
+        grid = np.loadtxt(lines, comments=None, ndmin=2)
+        del lines
+        end = row + grid.shape[0]
+        if grid.shape[1] != ncols or end > nrows:
+            return None
+        mask = np.isfinite(grid)
+        if nodata is not None:
+            mask &= grid != nodata
+        _levels_in_place(grid, mask, step, datum)
+        levels[row:end] = grid
+        present[row:end] = mask
+        row = end
+        del grid, mask  # not held while the next block is read
+    if row < nrows or not present.any():
+        return None
+    return Dem._adopt(levels, present)
 
 
 def _last_data_line(lines: list[str], data_start: int) -> int:

@@ -193,23 +193,33 @@ def _flat_lines(dem: Dem, direction: str) -> tuple[np.ndarray, np.ndarray, np.nd
 def _level_runs(flat: np.ndarray):
     """Every maximal run at levels 1..max of ``flat``, a block of levels at once.
 
+    Only the distinct levels the array holds are thresholds: every level
+    above one of them, up to the next, has the runs of the next, so a
+    threshold's runs stand for its weight, the levels from the one below
+    it (or 0), exclusive, up to itself. The levels are found by
+    ``np.unique`` when the top one exceeds the cell count, and otherwise
+    by a count of each level's cells.
+
     A block thresholds the whole array at ``>= h`` for each of its levels,
     as one ``(levels, cells)`` boolean matrix, comparing in the array's
     own dtype. Every row starts and ends with a 0, so the places where a
     row changes pair up within the row: the cell before a run, then the
     run's last cell. Yields, block by block in level order, the block's
-    first level, the position of the cell before each run in the
-    row-major ``(levels, flat.size - 1)`` matrix of changes, and each
-    run's length.
+    levels (in the array's dtype) and their weights (int64), the
+    position of the cell before each run in the row-major
+    ``(levels, flat.size - 1)`` matrix of changes, and each run's length.
     """
     top = int(flat.max())
+    held = np.unique(flat) if top > flat.size else np.flatnonzero(np.bincount(flat))
+    held = held[held > 0].astype(flat.dtype, copy=False)
+    weight = np.diff(held.astype(np.int64), prepend=0)
     per = max(1, _BLOCK_CELLS // flat.size)
-    for h0 in range(1, top + 1, per):
-        levels = np.arange(h0, min(h0 + per, top + 1), dtype=flat.dtype)
+    for i in range(0, held.size, per):
+        levels = held[i:i + per]
         above = flat >= levels[:, None]
         change = np.flatnonzero(above[:, 1:] != above[:, :-1])
         before = change[0::2]
-        yield h0, before, change[1::2] - before
+        yield levels, weight[i:i + per], before, change[1::2] - before
 
 
 def run_lengths(dem: Dem, direction: str) -> RunLengths:
@@ -217,12 +227,19 @@ def run_lengths(dem: Dem, direction: str) -> RunLengths:
 
     The count behind every directional spectrum: the same runs as
     :func:`run_table`, found by the same level walk, with the line and
-    level of each run dropped as soon as it is found.
+    level of each run dropped as soon as it is found; a run counts once
+    for every level its threshold stands for.
     """
     _, _, flat = _flat_lines(dem, direction)
-    counts = np.zeros(max(dem.height, dem.width) + 1, dtype=np.int64)
-    for _, _, length in _level_runs(flat):
-        counts += np.bincount(length, minlength=counts.size)
+    width, tspan = flat.size - 1, max(dem.height, dem.width) + 1
+    counts = np.zeros(tspan, dtype=np.int64)
+    for levels, weight, before, length in _level_runs(flat):
+        if (weight == 1).all():  # each threshold stands for itself alone
+            counts += np.bincount(length, minlength=tspan)
+            continue
+        per_level = np.bincount(before // width * tspan + length,
+                                minlength=levels.size * tspan)
+        counts += weight @ per_level.reshape(levels.size, tspan)
     return RunLengths(direction, counts)
 
 
@@ -233,33 +250,33 @@ def run_table(dem: Dem, direction: str) -> RunTable:
     full 1..max range of the raster; lines whose peak lies below a level
     simply stop contributing. The runs come from the level walk of
     :func:`run_lengths`; each block of levels counts its runs per
-    (level, line, length) at once.
+    (level, line, length) at once, and an entry of a threshold is
+    repeated at every level it stands for.
     """
     index, starts, flat = _flat_lines(dem, direction)
     width, tspan = flat.size - 1, max(dem.height, dem.width) + 1
     # empty columns keep the joins below defined when every cell is 0
     lines, levels, lengths, runs = ([np.zeros(0, dtype=np.int64)] for _ in range(4))
-    for h0, before, length in _level_runs(flat):
-        level, at = np.divmod(before, width)
+    for held, weight, before, length in _level_runs(flat):
+        row, at = np.divmod(before, width)
         line = np.searchsorted(starts, at, side="right") - 1
-        # one key per (level, line, length), which sort in that order
-        key, count = np.unique((level * index.size + line) * tspan + length,
+        # one key per (threshold, line, length)
+        key, count = np.unique((row * index.size + line) * tspan + length,
                                return_counts=True)
-        level_line, length = np.divmod(key, tspan)
-        level, line = np.divmod(level_line, index.size)
-        lines.append(line)
-        levels.append(level + h0)
-        lengths.append(length)
-        runs.append(count)
-    line = np.concatenate(lines)
-    # blocks come in level order and each is sorted by (level, line,
-    # length), so a stable sort on the line alone leaves every line's
-    # entries sorted by (level, length)
-    order = np.argsort(line, kind="stable")
-    return RunTable._from_columns(direction, index[line[order]],
-                                  np.concatenate(levels)[order],
-                                  np.concatenate(lengths)[order],
-                                  np.concatenate(runs)[order])
+        row_line, length = np.divmod(key, tspan)
+        row, line = np.divmod(row_line, index.size)
+        # an entry stands at levels held[row] - weight[row] + 1 .. held[row]
+        repeat = weight[row]
+        entry = np.repeat(np.arange(key.size), repeat)
+        below = np.arange(entry.size) - np.repeat(np.cumsum(repeat) - repeat, repeat)
+        lines.append(line[entry])
+        levels.append(held[row].astype(np.int64)[entry] - below)
+        lengths.append(length[entry])
+        runs.append(count[entry])
+    line, level, length = (np.concatenate(col) for col in (lines, levels, lengths))
+    order = np.lexsort((length, level, line))
+    return RunTable._from_columns(direction, index[line[order]], level[order],
+                                  length[order], np.concatenate(runs)[order])
 
 
 def spectrum_from_runs(rt: RunTable | RunLengths, family: str = "nse") -> PatternSpectrum:

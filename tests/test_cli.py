@@ -949,3 +949,37 @@ class TestEncoding:
             proc = _run_child(argv, flags=("-X", "warn_default_encoding",
                                            "-W", "error::EncodingWarning"))
             assert (proc.returncode, proc.stderr) == (0, b""), argv
+
+
+# A bare interpreter spawns the CLI child and prints its exit code and max
+# RSS (KiB): Linux starts a child's high-water mark from that of the process
+# it was forked from, so a child of this test process would report this
+# process's size at least.
+_RSS_LAUNCHER = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_features_child_memory_on_a_large_grid(tmp_path):
+    # max RSS beyond that of a child on a 2x2 grid, in int64 grids of
+    # 1000x1000: measured 1.93 with the .asc streamed into its levels, 3.33
+    # with its text, the text's lines and a float grid held at once
+    def max_rss(dem, name):
+        src = tmp_path / f"{name}.asc"
+        src.write_text(dem.to_esri_ascii(), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", _RSS_LAUNCHER, "-m", "demgranulo.cli", "features",
+             str(src), "--datum", "1", "--output", str(tmp_path / f"{name}.csv")],
+            capture_output=True, text=True, timeout=120)
+        code, kib = map(int, proc.stdout.split())
+        assert code == 0, proc.stderr
+        return kib * 1024
+
+    big = max_rss(synthetic_terrain(1000, levels=256, hole_fraction=0.02, seed=1), "big")
+    small = max_rss(Dem.from_rows([[1, 2], [3, 4]]), "small")
+    grid = 1000 * 1000 * 8
+    assert big - small <= 2.5 * grid, (big - small) / grid

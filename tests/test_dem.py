@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (random_dem, random_interval_dem, reference_parse_esri_ascii,
                       reference_parse_fixture_csv, reference_quantize,
                       reference_to_esri_ascii, reference_to_fixture_csv)
+from demgranulo import dem as dem_module
 from demgranulo.dem import (Dem, DemError, DemParseError, parse_esri_ascii,
                             parse_fixture_csv, quantize, reflect_rows,
                             scale_heights, scan_lines, volume)
@@ -228,6 +229,22 @@ class TestParseMemory:
             tracemalloc.stop()
         assert peak <= bound * 320 * 320 * 8, peak / (320 * 320 * 8)
 
+    @pytest.mark.parametrize("side, bound", [(320, 1.7), (1000, 1.4)])
+    def test_file_peak(self, tmp_path, side, bound):
+        # measured 1.44 (320^2) and 1.23 (1000^2): the int64 levels, the
+        # mask and one block of lines; reading the file as text, its lines
+        # and a float grid beside the levels took 2.61 and 2.62
+        path = tmp_path / "terrain.asc"
+        path.write_text(synthetic_terrain(side, levels=256, hole_fraction=0.02,
+                                          seed=1).to_esri_ascii(), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            parse_esri_ascii(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * side * side * 8, peak / (side * side * 8)
+
     def test_by_line_csv_peak(self, monkeypatch):
         # a leading "+" sends the text to the by-line pass, which fills the
         # int64 grid and the mask a row at a time: measured 2.82 grids,
@@ -438,6 +455,27 @@ def _outcome(parse, text):
         return type(exc), str(exc)
 
 
+def _file_outcomes(path, data: bytes, parse=reference_parse_esri_ascii, **options):
+    """The outcome of ``parse_esri_ascii`` on a file of ``data``, and that of
+    ``parse`` on the file's text (an undecodable file fails as it is read)."""
+    # a new file: truncating one that holds data makes ext4 flush it to disk
+    path.unlink(missing_ok=True)
+    path.write_bytes(data)
+    return (_outcome(lambda p: parse_esri_ascii(p, **options), path),
+            _outcome(lambda p: parse(p.read_text(encoding="utf-8"), **options), path))
+
+
+ESRI_CASES = [
+    pytest.param(GRID_2X2.replace("3 4", "3 1_0"), id="underscore"),
+    pytest.param(GRID_2X2.replace("1 2\n3 4", "1\n2 3\n4"), id="ragged-rows"),
+    pytest.param(GRID_2X2.replace("1 2\n3 4", "1 2 3 4"), id="one-line"),
+    pytest.param(GRID_2X2.replace("3 4\n", "3 4\n\n\n"), id="trailing-blanks"),
+    pytest.param(GRID_2X2.replace("3 4\n", ""), id="too-few"),
+    pytest.param(GRID_2X2.replace("3 4\n", "3 4 5\n"), id="too-many"),
+    pytest.param(GRID_2X2.replace("1 2\n3 4\n", "\n \n"), id="no-data"),
+]
+
+
 # np.loadtxt warns on input without data lines; the parser must not call it there.
 # hypothesis loads libcst to write the patch file of a failing example, which
 # warns about mypy_extensions.TypedDict; turned into an error, that warning ends
@@ -457,18 +495,76 @@ class TestBulkParsersMatchTokenLoops:
         assert (_outcome(parse_fixture_csv, text)
                 == _outcome(reference_parse_fixture_csv, text))
 
-    @pytest.mark.parametrize("text", [
-        GRID_2X2.replace("3 4", "3 1_0"),
-        GRID_2X2.replace("1 2\n3 4", "1\n2 3\n4"),
-        GRID_2X2.replace("1 2\n3 4", "1 2 3 4"),
-        GRID_2X2.replace("3 4\n", "3 4\n\n\n"),
-        GRID_2X2.replace("3 4\n", ""),
-        GRID_2X2.replace("3 4\n", "3 4 5\n"),
-        GRID_2X2.replace("1 2\n3 4\n", "\n \n"),
-    ], ids=["underscore", "ragged-rows", "one-line", "trailing-blanks",
-            "too-few", "too-many", "no-data"])
+    @pytest.mark.parametrize("text", ESRI_CASES)
     def test_esri_cases(self, text):
         assert _outcome(parse_esri_ascii, text) == _outcome(reference_parse_esri_ascii, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(esri_texts(), st.sampled_from(("\n", "\r\n", "\r")))
+    def test_esri_file(self, tmp_path_factory, text, newline):
+        path = tmp_path_factory.getbasetemp() / "loader.asc"
+        got, want = _file_outcomes(path, text.replace("\n", newline).encode("utf-8"))
+        assert got == want
+
+    @pytest.mark.parametrize("text", ESRI_CASES)
+    def test_esri_file_cases(self, tmp_path, text):
+        got, want = _file_outcomes(tmp_path / "grid.asc", text.encode("utf-8"))
+        assert got == want
+
+    @pytest.mark.parametrize("data, streamed", [
+        (GRID_2X2, True),
+        (GRID_2X2.replace("\n", "\r\n"), True),
+        (GRID_2X2.rstrip("\n"), True),
+        (GRID_2X2.replace("cellsize 1", "cellsize 1\nNODATA_value -9999")
+         .replace("3 4", "-9999 4"), True),
+        (GRID_2X2.replace("1 2\n3 4", "nan 2\n-inf inf"), True),
+        (GRID_2X2.replace("3 4\n", "3 4\n\t\n  \n"), True),
+        # the text parser's guard: the grid ends before its bad token
+        (GRID_2X2.replace("ncols 2", "ncols 200").replace("3 4", "3 oops"), False),
+        (GRID_2X2.replace("3 4", "3 \u0664"), False),
+        (GRID_2X2.encode("utf-8").replace(b"3 4", b"3 \xff4"), False),
+        (GRID_2X2.replace("1 2\n", "1 2\r"), False),
+        (GRID_2X2.replace("1 2\n", "1 2\x0c"), False),
+        (GRID_2X2.replace("3 4", "3 1_0"), False),
+        (GRID_2X2.replace("1 2\n3 4", "1 2 3 4"), False),
+        (GRID_2X2.replace("1 2\n3 4", "1e300 2\n3 4"), False),
+    ], ids=["plain", "crlf", "no-final-newline", "nodata", "non-finite", "blank-lines",
+            "short-bad-token", "arabic-digit", "not-utf8", "lone-cr", "form-feed",
+            "underscore", "one-line", "level-overflow"])
+    def test_esri_file_streams_plain_grids(self, monkeypatch, tmp_path, data, streamed):
+        # every other file is read again as text, which gives its result or error
+        data = data if isinstance(data, bytes) else data.encode("utf-8")
+        stream, results = dem_module._stream_esri, []
+
+        def recorded(*args):
+            try:
+                results.append(stream(*args))
+            except (DemError, ValueError):
+                results.append(None)
+                raise
+            return results[-1]
+
+        monkeypatch.setattr(dem_module, "_stream_esri", recorded)
+        got, want = _file_outcomes(tmp_path / "grid.asc", data)
+        assert got == want
+        assert len(results) == 1 and (results[0] is not None) == streamed
+
+    @pytest.mark.parametrize("origin", ["xllcenter 0.5\nyllcenter 0.5",
+                                        "YLLCENTER 0.5\nXllCenter 0.5", "xllcenter 0"])
+    def test_esri_file_centre_origin(self, tmp_path, origin):
+        # the reference reads corner origins only: held to the text parser
+        text = GRID_2X2.replace("xllcorner 0\nyllcorner 0", origin)
+        got, want = _file_outcomes(tmp_path / "grid.asc", text.encode("utf-8"),
+                                   parse=parse_esri_ascii)
+        assert got == want
+
+    @pytest.mark.parametrize("step, datum", [(0.5, 1.0), (0.0, 0.0), (1.0, float("nan"))])
+    def test_esri_file_step_and_datum(self, tmp_path, step, datum):
+        # a bad step or datum is refused after a fault of the grid
+        for text in (GRID_2X2, GRID_2X2.replace("3 4\n", "")):
+            got, want = _file_outcomes(tmp_path / "grid.asc", text.encode("utf-8"),
+                                       step=step, datum=datum)
+            assert got == want
 
     @pytest.mark.parametrize("text", [
         "", "\n", "1,,3\n,2\n4", "1_0, 2 ,\u0661\n", "5,x\n", f"{-2**63},1\n",
