@@ -12,7 +12,7 @@ count other than the grid's, the data are read again one token at a
 time. Only that pass raises for a bad cell, so every
 :class:`DemParseError` names the line and column it always did, and
 tokens Python's ``float`` accepts but ``np.loadtxt`` refuses (``1_0``,
-Arabic-Indic digits) still parse. Given a path, as the CLI gives every
+Arabic-Indic digits) still parse. Given a path to a regular file, as the CLI gives every
 ``.asc`` input, ``parse_esri_ascii`` streams the file: the header line
 by line, then the data 64 lines at a time through ``np.loadtxt``, each
 block quantized straight into the raster's int64 levels and mask, so
@@ -20,8 +20,10 @@ the file's text and a float grid are never held whole. A file holding a
 byte other than printable ASCII, a tab or a line end (or a lone
 ``\\r``), or one the stream refuses (a header fault, a line of other
 than ncols cells, a token ``np.loadtxt`` refuses, other than
-nrows*ncols cells, no data cell, a level out of range), is read as text
-and parsed as above, so its result or error is that of its text.
+nrows*ncols cells, no data cell, a level out of range), and a path that
+is not a regular file (a pipe, ``/dev/stdin``, a FIFO), is read as text
+from the handle already open and parsed as above, so its result or error
+is that of its text.
 
 ``parse_fixture_csv`` reads a text of ASCII digits, commas and
 blanks with one ``np.loadtxt`` call, its empty fields written as -1;
@@ -35,9 +37,11 @@ from the row's Python lists of values and mask.
 
 from __future__ import annotations
 
+import io
 import math
 import operator
 import os
+import stat
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
@@ -376,20 +380,25 @@ def parse_esri_ascii(source: str | os.PathLike, *, step: float = 1.0,
     data are read again one token at a time with ``float``: that pass
     reports the line and column of a fault, and also takes tokens
     ``float`` accepts and ``np.loadtxt`` does not (``1_0``, Arabic-Indic
-    digits). A path (an ``os.PathLike``, not a ``str``) is streamed from
-    the file into the levels (:func:`_stream_esri`); a file the stream
-    refuses is read as text, so the result or error is its text's.
+    digits). A path (an ``os.PathLike``, not a ``str``) to a regular file
+    is streamed from the file into the levels (:func:`_stream_esri`); a
+    file the stream refuses, and any other file (a pipe, a FIFO), is read
+    as text from the one open handle, so the result or error is its
+    text's.
     """
     if isinstance(source, os.PathLike):
-        try:
-            with open(source, "rb") as f:
-                dem = _stream_esri(f, step, datum)
-        except (DemError, ValueError):
-            dem = None
-        if dem is not None:
-            return dem
-        with open(source, encoding="utf-8") as f:
-            source = f.read()
+        # the file is opened once: a pipe or FIFO can be read only once
+        with open(source, "rb") as f:
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                try:
+                    dem = _stream_esri(f, step, datum)
+                except (DemError, ValueError):
+                    dem = None
+                if dem is not None:
+                    return dem
+                f.seek(0)
+            with io.TextIOWrapper(f, encoding="utf-8") as text:
+                source = text.read()
     text = source
     lines = text.splitlines()
     nrows, ncols, nodata, data_start = _esri_header(lines)

@@ -234,9 +234,6 @@ def run_lengths(dem: Dem, direction: str) -> RunLengths:
     width, tspan = flat.size - 1, max(dem.height, dem.width) + 1
     counts = np.zeros(tspan, dtype=np.int64)
     for levels, weight, before, length in _level_runs(flat):
-        if (weight == 1).all():  # each threshold stands for itself alone
-            counts += np.bincount(length, minlength=tspan)
-            continue
         per_level = np.bincount(before // width * tspan + length,
                                 minlength=levels.size * tspan)
         counts += weight @ per_level.reshape(levels.size, tspan)

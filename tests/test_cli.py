@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -314,6 +315,31 @@ class TestFeaturesCommand:
         assert capsys.readouterr().err == (
             f"error: {bad}: ncols/nrows must be positive integers (line 1)\n")
         assert [ln.split(",")[0] for ln in out.read_text().splitlines()[1:]] == ["ok"]
+
+    def test_esri_grid_through_a_pipe(self, tmp_path):
+        # a pipe (as from `features <(gunzip -c dem.asc.gz)`) is read once
+        text = synthetic_terrain(40, levels=64, hole_fraction=0.05, seed=3).to_esri_ascii()
+        src = tmp_path / "grid.asc"
+        src.write_text(text, encoding="utf-8")
+        read, write = os.pipe()
+
+        def feed():
+            with open(write, "w", encoding="utf-8") as f:
+                f.write(text)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            assert main(["features", f"/dev/fd/{read}", "--datum", "1",
+                         "--output", str(tmp_path / "pipe.csv")]) == 0
+        finally:
+            writer.join()
+            os.close(read)
+        assert main(["features", str(src), "--datum", "1",
+                     "--output", str(tmp_path / "file.csv")]) == 0
+        rows = [[ln.split(",", 1)[1] for ln in (tmp_path / name).read_text().splitlines()[1:]]
+                for name in ("pipe.csv", "file.csv")]
+        assert rows[0] == rows[1] and len(rows[0]) == 1
 
     def test_colliding_fallback_ids_keep_every_input(self, tmp_path, monkeypatch):
         # a/b/x.csv and a_b/x.csv both fall back from the stem x to a_b_x.csv

@@ -1,8 +1,11 @@
 """Raster data model, ingestion, quantization and geometry."""
 
+import os
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -548,6 +551,35 @@ class TestBulkParsersMatchTokenLoops:
         got, want = _file_outcomes(tmp_path / "grid.asc", data)
         assert got == want
         assert len(results) == 1 and (results[0] is not None) == streamed
+
+    @pytest.mark.parametrize("data", [
+        GRID_2X2, GRID_2X2.replace("\n", "\r\n"),
+        GRID_2X2.replace("ncols 2", "ncols 200").replace("3 4", "3 oops"),
+        GRID_2X2.encode("utf-8").replace(b"3 4", b"3 \xff4"),
+    ], ids=["plain", "crlf", "short-bad-token", "not-utf8"])
+    def test_esri_pipe_is_read_once_as_text(self, monkeypatch, data):
+        # a pipe can be read only once: it is never streamed, and its text
+        # is read from the handle the parser opened
+        data = data if isinstance(data, bytes) else data.encode("utf-8")
+        monkeypatch.setattr(dem_module, "_stream_esri", None)
+        read, write = os.pipe()
+
+        def feed():
+            with open(write, "wb") as f:
+                f.write(data)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            got = _outcome(parse_esri_ascii, Path(f"/dev/fd/{read}"))
+        finally:
+            writer.join()
+            os.close(read)
+        try:
+            want = _outcome(reference_parse_esri_ascii, data.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            want = type(exc), str(exc)
+        assert got == want
 
     @pytest.mark.parametrize("origin", ["xllcenter 0.5\nyllcenter 0.5",
                                         "YLLCENTER 0.5\nXllCenter 0.5", "xllcenter 0"])
