@@ -2,10 +2,11 @@
 """Time the parsers, the hot kernels and the five-element features.
 
 The parsers read the benchmark raster as rendered by
-``Dem.to_fixture_csv`` and ``Dem.to_esri_ascii``, and the fixture CSV
-once more with a ``+`` before its first present cell, which sends it to
-the by-line pass (a ``+`` before an absent first cell would be a bad
-token); both writers are timed too.
+``Dem.to_fixture_csv`` and ``Dem.to_esri_ascii``, the fixture CSV once
+more with a ``+`` before its first present cell, which sends it to the
+by-line pass (a ``+`` before an absent first cell would be a bad token),
+and the ESRI grid once more from a file, the path the CLI takes for an
+``.asc`` input; both writers are timed too.
 
 Every kernel is numpy code. The kernels run on the raster's levels in
 the narrowest signed dtype that holds them (int16 for up to 32767
@@ -22,7 +23,9 @@ Usage:
 
 import argparse
 import re
+import tempfile
 import time
+from pathlib import Path
 
 from demgranulo import _kernels, oracle
 from demgranulo._base import DIRECTIONS
@@ -45,10 +48,13 @@ def run(side, levels, repeats):
     arr = _levels(dem)
     csv_text, esri_text = dem.to_fixture_csv(), dem.to_esri_ascii()
     signed_csv = re.sub(r"\d", r"+\g<0>", csv_text, count=1)
+    esri_file = Path(tempfile.mkdtemp()) / "raster.asc"
+    esri_file.write_text(esri_text, encoding="utf-8")
     cases = [
         ("parse fixture CSV", lambda: parse_fixture_csv(csv_text)),
         ("parse fixture CSV by line", lambda: parse_fixture_csv(signed_csv)),
         ("parse ESRI ASCII", lambda: parse_esri_ascii(esri_text)),
+        ("parse ESRI ASCII file", lambda: parse_esri_ascii(esri_file)),
         ("write fixture CSV", dem.to_fixture_csv),
         ("write ESRI ASCII", dem.to_esri_ascii),
         ("windowed min (k=8, rows)",
@@ -66,8 +72,12 @@ def run(side, levels, repeats):
     print(f"raster {side}x{side}, {levels} levels, "
           f"{dem.cell_count} cells as {arr.dtype}, best of {repeats}")
     print(f"{'case':<28s} {'numpy (ms)':>10s}")
-    for label, fn in cases:
-        print(f"{label:<28s} {time_call(fn, repeats) * 1000:>10.2f}")
+    try:
+        for label, fn in cases:
+            print(f"{label:<28s} {time_call(fn, repeats) * 1000:>10.2f}")
+    finally:
+        esri_file.unlink()
+        esri_file.parent.rmdir()
 
 
 def main():

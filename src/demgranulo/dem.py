@@ -6,32 +6,30 @@ over a possibly non-rectangular domain. Cells outside the domain are
 ``>= 1``; morphological operators may lower present cells to ``0``,
 which is why the type itself only requires non-negative values.
 
-Both parsers read their cells in bulk. ``parse_esri_ascii`` hands the
-data lines of a text to ``np.loadtxt``; when that fails, or finds a cell
-count other than the grid's, the data are read again one token at a
-time. Only that pass raises for a bad cell, so every
-:class:`DemParseError` names the line and column it always did, and
-tokens Python's ``float`` accepts but ``np.loadtxt`` refuses (``1_0``,
-Arabic-Indic digits) still parse. Given a path to a regular file, as the CLI gives every
-``.asc`` input, ``parse_esri_ascii`` streams the file: the header line
-by line, then the data 64 lines at a time through ``np.loadtxt``, each
-block quantized straight into the raster's int64 levels and mask, so
-the file's text and a float grid are never held whole. A file holding a
-byte other than printable ASCII, a tab or a line end (or a lone
-``\\r``), or one the stream refuses (a header fault, a line of other
-than ncols cells, a token ``np.loadtxt`` refuses, other than
-nrows*ncols cells, no data cell, a level out of range), and a path that
-is not a regular file (a pipe, ``/dev/stdin``, a FIFO), is read as text
-from the handle already open and parsed as above, so its result or error
-is that of its text.
+Both parsers read their cells in bulk. ``parse_esri_ascii`` has two
+readers. The block reader takes the lines of a grid, of a regular file
+(as the CLI gives every ``.asc`` input) or of a text: the header line by
+line, then the data in blocks of about 64 rows of cells through
+``np.loadtxt``, each block quantized straight into the raster's int64
+levels and mask, so a float grid, and a file's text, are never held
+whole. A file it refuses (a byte other than printable ASCII, a tab or a
+line end, a lone ``\\r``, or any fault below), and a path that is not a
+regular file (a pipe, ``/dev/stdin``, a FIFO), is read as text from the
+handle already open, and the block reader takes that text's lines. A
+text it refuses (a header fault, a token ``np.loadtxt`` refuses, ragged
+lines, other than nrows*ncols cells, no data cell, a level out of range)
+is read again one token at a time. Only that pass raises for a bad
+grid, so every :class:`DemParseError` names the line and column it
+always did, and tokens Python's ``float`` accepts but ``np.loadtxt``
+refuses (``1_0``, Arabic-Indic digits) still parse.
 
 ``parse_fixture_csv`` reads a text of ASCII digits, commas and
 blanks with one ``np.loadtxt`` call, its empty fields written as -1;
 any other text, or one ``np.loadtxt`` refuses, is read in one pass, each
 cell once by ``int`` and each line written into the grid as one row; the
-first bad cell raises, naming its line and column. ``quantize``, which
-``parse_esri_ascii`` ends with, hands the levels it builds to the
-:class:`Dem` without a copy. The writers render a raster a row at a time
+first bad cell raises, naming its line and column. ``quantize`` and
+both ESRI readers hand the levels they build to the :class:`Dem`
+without a copy. The writers render a raster a row at a time
 from the row's Python lists of values and mask.
 """
 
@@ -43,7 +41,7 @@ import operator
 import os
 import stat
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -375,62 +373,29 @@ def parse_esri_ascii(source: str | os.PathLike, *, step: float = 1.0,
     NODATA_value; data rows follow, top row first. Cells equal to the
     declared NODATA value, or non-finite, are masked out.
 
-    The data lines of a text are read in bulk by ``np.loadtxt``. When it
-    refuses a line, or the grid holds other than nrows*ncols cells, the
-    data are read again one token at a time with ``float``: that pass
-    reports the line and column of a fault, and also takes tokens
-    ``float`` accepts and ``np.loadtxt`` does not (``1_0``, Arabic-Indic
-    digits). A path (an ``os.PathLike``, not a ``str``) to a regular file
-    is streamed from the file into the levels (:func:`_stream_esri`); a
-    file the stream refuses, and any other file (a pipe, a FIFO), is read
-    as text from the one open handle, so the result or error is its
-    text's.
+    Two readers share the work. The block reader (:func:`_esri_blocks`)
+    takes the lines of a regular file (a path, an ``os.PathLike``, not a
+    ``str``) or of a text, and reads their cells in bulk; a file it
+    refuses is read as text from the one open handle, as is any other
+    file (a pipe, a FIFO), and that text's lines go to the block reader.
+    A text it refuses is read one token at a time (:func:`_esri_by_token`),
+    which gives every error, with its line and column, and also takes
+    tokens ``float`` accepts and ``np.loadtxt`` does not (``1_0``,
+    Arabic-Indic digits).
     """
     if isinstance(source, os.PathLike):
         # the file is opened once: a pipe or FIFO can be read only once
         with open(source, "rb") as f:
-            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-                try:
-                    dem = _stream_esri(f, step, datum)
-                except (DemError, ValueError):
-                    dem = None
+            info = os.fstat(f.fileno())
+            if stat.S_ISREG(info.st_mode):
+                dem = _esri_blocks(map(_plain_line, f), info.st_size, step, datum)
                 if dem is not None:
                     return dem
                 f.seek(0)
             with io.TextIOWrapper(f, encoding="utf-8") as text:
                 source = text.read()
-    text = source
-    lines = text.splitlines()
-    nrows, ncols, nodata, data_start = _esri_header(lines)
-
-    # every cell needs a token and a separator: a header that claims more
-    # cells than the text can hold is short before the grid is allocated
-    if nrows * ncols > (len(text) + 1) // 2:
-        cells = sum(len(line.split()) for line in lines[data_start:])
-        raise DemParseError(f"grid ended after {cells} of {nrows * ncols} cells",
-                            line=_last_data_line(lines, data_start))
-
-    data = lines[data_start:]
-    grid = None
-    # loadtxt warns on input without data; that grid is short, and the
-    # token pass reports it
-    if any(map(str.split, data)):
-        try:
-            grid = np.loadtxt(data, comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if grid is None or grid.size != nrows * ncols:
-        grid = _esri_cells_by_token(lines, data_start, nrows * ncols)
-    grid = grid.reshape(nrows, ncols)
-    present = np.isfinite(grid)
-    if nodata is not None:
-        present &= grid != nodata
-    if not present.any():
-        raise DemParseError("grid contains no data cells",
-                            line=_last_data_line(lines, data_start))
-    del lines, data  # the text's lines are not held while the levels are built
-    _check_step_and_datum(step, datum)
-    return _quantize_in_place(grid, present, step, datum)
+    dem = _esri_blocks(source.splitlines(), len(source), step, datum)
+    return _esri_by_token(source, step, datum) if dem is None else dem
 
 
 def _esri_header(lines: Iterable[str]) -> tuple[int, int, float | None, int]:
@@ -481,88 +446,86 @@ def _esri_header(lines: Iterable[str]) -> tuple[int, int, float | None, int]:
     return int(nrows), int(ncols), header.get("nodata_value"), data_start
 
 
-# lines of an ESRI grid that one np.loadtxt call of the streaming reader takes
+# rows of an ESRI grid that one np.loadtxt call of the block reader takes
 _ESRI_BLOCK_LINES = 64
-# the bytes of a line the streaming reader takes, besides its line end:
-# str.splitlines() and str.split(), which the text parser reads by, break
+# the bytes of a file line the block reader takes, besides its line end:
+# str.splitlines() and str.split(), which the token pass reads by, break
 # at no other ASCII byte, and a lone \r ends a line in a file read as text
 _ESRI_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t"
 
 
-def _plain_line(raw: bytes) -> str | None:
-    """The file line ``raw`` without its ``\\n`` or ``\\r\\n``, or None unless
-    the rest is printable ASCII and tabs."""
+def _plain_line(raw: bytes) -> str:
+    """The file line ``raw`` without its ``\\n`` or ``\\r\\n``; a ValueError
+    unless the rest is printable ASCII and tabs."""
     raw = raw.removesuffix(b"\n").removesuffix(b"\r")
     if raw.translate(None, _ESRI_PLAIN_BYTES):
-        return None
+        raise ValueError("not a plain ASCII line")
     return raw.decode("ascii")
 
 
-def _stream_esri(f, step: float, datum: float) -> Dem | None:
-    """The Dem of the ESRI grid in the binary file ``f``, or None, or a
-    raised DemError or ValueError, where :func:`parse_esri_ascii` reads
-    the file as text instead.
+def _esri_blocks(lines: Iterable[str], size: int, step: float, datum: float) -> Dem | None:
+    """The Dem of the ESRI grid in ``lines``, read from a source of
+    ``size`` bytes or characters, or None where :func:`_esri_by_token`
+    must read it.
 
-    The header is read line by line, by the text parser's rules
-    (:func:`_esri_header`), and the data a block of lines at a time:
-    each block is parsed by ``np.loadtxt`` and quantized in its own float
-    buffer straight into the raster's int64 levels and mask, so neither
-    the file's text nor a float grid is held whole. The stream refuses a
-    byte other than printable ASCII, a tab or a line end (a UTF-8 file
-    beyond ASCII, or no UTF-8 at all), a ``\\r`` not followed by ``\\n``,
-    a header fault, a data line of other than ncols cells, a token
-    ``np.loadtxt`` refuses (``1_0``), a grid of other than nrows*ncols
-    cells, a grid without data cells, and a bad step or datum or a level
-    or volume out of range; the text parser then gives the result or the
-    error, with its line, column and order.
+    The header is read by the token pass's rules (:func:`_esri_header`),
+    and the first data line, which the header reader has taken, is put
+    back before the rest. The data are parsed by ``np.loadtxt`` a block
+    of lines at a time, about _ESRI_BLOCK_LINES rows of cells, and each
+    block's cells are placed by count, so a row may wrap across lines,
+    and quantized in their own float buffer straight into the raster's
+    int64 levels and mask: no float grid, nor the text of a file, is
+    held whole. Any fault gives None: a file line that is not plain ASCII
+    (:func:`_plain_line`), a header fault, a block ``np.loadtxt`` refuses
+    (ragged lines, ``1_0``), other than nrows*ncols cells, no data cell,
+    a bad step or datum, a level or volume out of range. The token pass
+    then gives the result or the error, with its line, column and order.
     """
-    _check_step_and_datum(step, datum)
-    starts = []  # the offset of each header line, so the data can be found again
+    lines = iter(lines)
+    head = []  # the lines the header reader takes, the first data line last
 
-    def header_lines():
-        while True:
-            starts.append(f.tell())
-            raw = f.readline()
-            if not raw:
-                return
-            line = _plain_line(raw)
-            if line is None:
-                raise ValueError("not a plain ASCII line")
+    def taken():
+        for line in lines:
+            head.append(line)
             yield line
 
-    nrows, ncols, nodata, data_start = _esri_header(header_lines())
-    # the text parser's guard on the text's length, taken on the file's
-    # size, which is no smaller: a grid it lets through may still be short
-    if nrows * ncols > (os.fstat(f.fileno()).st_size + 1) // 2:
-        return None
-    f.seek(starts[data_start])
-    levels = np.empty((nrows, ncols), dtype=np.int64)
-    present = np.empty((nrows, ncols), dtype=bool)
-    row = 0
-    while block := list(islice(f, _ESRI_BLOCK_LINES)):
-        # np.loadtxt warns on a block without data
-        lines = [_plain_line(raw) for raw in block if not raw.isspace()]
-        del block
-        if None in lines:
+    try:
+        _check_step_and_datum(step, datum)
+        nrows, ncols, nodata, data_start = _esri_header(taken())
+        # the token pass's guard on the text's length, taken on a size no
+        # smaller (a grid it lets through may still be short), and a
+        # header with no data line after it
+        if nrows * ncols > (size + 1) // 2 or len(head) == data_start:
             return None
-        if not lines:
-            continue
-        grid = np.loadtxt(lines, comments=None, ndmin=2)
-        del lines
-        end = row + grid.shape[0]
-        if grid.shape[1] != ncols or end > nrows:
+        first = head[data_start]
+        block = _ESRI_BLOCK_LINES * -(-ncols // len(first.split()))
+        data = chain([first], lines)
+        levels = np.empty((nrows, ncols), dtype=np.int64)
+        present = np.empty((nrows, ncols), dtype=bool)
+        cell = 0
+        while chunk := list(islice(data, block)):
+            # np.loadtxt warns on a block without data
+            chunk = [line for line in chunk if line and not line.isspace()]
+            if not chunk:
+                continue
+            cells = np.loadtxt(chunk, comments=None).reshape(-1)
+            del chunk
+            end = cell + cells.size
+            if end > levels.size:
+                return None
+            mask = np.isfinite(cells)
+            if nodata is not None:
+                mask &= cells != nodata
+            _levels_in_place(cells, mask, step, datum)
+            levels.reshape(-1)[cell:end] = cells
+            present.reshape(-1)[cell:end] = mask
+            cell = end
+            del cells, mask  # not held while the next block is read
+        if cell < levels.size:
             return None
-        mask = np.isfinite(grid)
-        if nodata is not None:
-            mask &= grid != nodata
-        _levels_in_place(grid, mask, step, datum)
-        levels[row:end] = grid
-        present[row:end] = mask
-        row = end
-        del grid, mask  # not held while the next block is read
-    if row < nrows or not present.any():
+        return Dem._adopt(levels, present)
+    except (DemError, ValueError):
         return None
-    return Dem._adopt(levels, present)
 
 
 def _last_data_line(lines: list[str], data_start: int) -> int:
@@ -573,9 +536,21 @@ def _last_data_line(lines: list[str], data_start: int) -> int:
     return data_start
 
 
-def _esri_cells_by_token(lines: list[str], data_start: int, count: int) -> np.ndarray:
-    """The ``count`` data cells after line ``data_start``, one token at a time."""
-    values = np.empty(count, dtype=np.float64)
+def _esri_by_token(text: str, step: float, datum: float) -> Dem:
+    """The Dem of the ESRI grid ``text``, its data read one token at a
+    time with ``float``; the first fault raises :class:`DemParseError`,
+    naming its line and column, and a bad step or datum is refused after
+    every fault of the grid."""
+    lines = text.splitlines()
+    nrows, ncols, nodata, data_start = _esri_header(lines)
+    count = nrows * ncols
+    # every cell needs a token and a separator: a header that claims more
+    # cells than the text can hold is short before the grid is allocated
+    if count > (len(text) + 1) // 2:
+        cells = sum(len(line.split()) for line in lines[data_start:])
+        raise DemParseError(f"grid ended after {cells} of {count} cells",
+                            line=_last_data_line(lines, data_start))
+    grid = np.empty(count, dtype=np.float64)
     filled = 0
     for lineno in range(data_start + 1, len(lines) + 1):
         for colno, tok in enumerate(lines[lineno - 1].split(), start=1):
@@ -583,7 +558,7 @@ def _esri_cells_by_token(lines: list[str], data_start: int, count: int) -> np.nd
                 raise DemParseError("grid has more cells than nrows*ncols",
                                     line=lineno, column=colno)
             try:
-                values[filled] = float(tok)
+                grid[filled] = float(tok)
             except ValueError:
                 raise DemParseError(f"non-numeric token {tok!r}",
                                     line=lineno, column=colno)
@@ -591,7 +566,15 @@ def _esri_cells_by_token(lines: list[str], data_start: int, count: int) -> np.nd
     if filled < count:
         raise DemParseError(f"grid ended after {filled} of {count} cells",
                             line=_last_data_line(lines, data_start))
-    return values
+    grid = grid.reshape(nrows, ncols)
+    present = np.isfinite(grid)
+    if nodata is not None:
+        present &= grid != nodata
+    if not present.any():
+        raise DemParseError("grid contains no data cells",
+                            line=_last_data_line(lines, data_start))
+    _check_step_and_datum(step, datum)
+    return _quantize_in_place(grid, present, step, datum)
 
 
 def parse_fixture_csv(text: str) -> Dem:

@@ -12,7 +12,7 @@ unsigned dtype that holds the raster's top level, and one level walk
 finds the runs, thresholding that array in that dtype at a block of
 levels at once. :func:`run_lengths` keeps only how many runs have each
 length, which is all a spectrum needs; :func:`run_table` keeps each
-run's line and level too, for the run-profile and single-peak tests.
+run's line and level too, for the run-profile test.
 """
 
 from __future__ import annotations
@@ -365,19 +365,32 @@ class UniPeakCheck:
 
 
 def is_unipeak(dem: Dem) -> UniPeakCheck:
-    """Whether a single-row raster has exactly one run at every level."""
+    """Whether a single-row raster has exactly one run at every level.
+
+    A gap-free row has one run at every level from 1 to its top exactly
+    when no cell lies below cells on both sides: such a valley cell of
+    value v splits every level above v up to the lower of its two
+    sides' peaks. The first level with other than one run is therefore
+    the lowest valley's value + 1, and only that level's runs are
+    counted, so the check takes time and memory in the row's cells, not
+    in its levels.
+    """
     if dem.height != 1:
         return UniPeakCheck(False, "not a single row")
     lines = scan_lines(dem, "row")
     if len(lines[0].segments) != 1:
         return UniPeakCheck(False, "row has mask gaps")
-    rt = run_table(dem, "row")
-    # one line, so the table runs through the levels in order
-    level, first = np.unique(rt.level, return_index=True)
-    for h, c in zip(level.tolist(), np.add.reduceat(rt.runs, first).tolist()):
-        if c != 1:
-            return UniPeakCheck(False, f"{c} runs at level {h}")
-    return UniPeakCheck(True)
+    row = np.array(lines[0].segments[0].values, dtype=np.int64)
+    left = np.maximum.accumulate(row)
+    right = np.maximum.accumulate(row[::-1])[::-1]
+    inner = row[1:-1]
+    valleys = inner[(left[:-2] > inner) & (right[2:] > inner)]
+    if not valleys.size:
+        return UniPeakCheck(True)
+    level = int(valleys.min()) + 1
+    above = row >= level
+    runs = int(above[0]) + int(np.count_nonzero(above[1:] & ~above[:-1]))
+    return UniPeakCheck(False, f"{runs} runs at level {level}")
 
 
 def unipeak_entropy_equivalence(dem: Dem) -> tuple[float, float]:

@@ -215,9 +215,10 @@ class TestQuantizeInPlace:
 
 class TestParseMemory:
     # tracemalloc peak in int64 grids, 320x320 terrain at 256 levels:
-    # measured 2.69 (CSV) and 2.15 (ESRI), where the CSV pass that sent
-    # every cell through int read 4.72 and a level buffer beside the
-    # parsed ESRI grid, and the Dem's copy of its levels, read 3.38
+    # measured 2.69 (CSV) and 1.86 (ESRI, its lines and the levels), where
+    # the CSV pass that sent every cell through int read 4.72, the ESRI
+    # text's lines in one np.loadtxt call 2.13, and a level buffer beside
+    # the parsed ESRI grid, and the Dem's copy of its levels, 3.38
     @pytest.mark.parametrize("parse, render, bound", [
         (parse_fixture_csv, Dem.to_fixture_csv, 3.0),
         (parse_esri_ascii, Dem.to_esri_ascii, 2.3),
@@ -468,6 +469,22 @@ def _file_outcomes(path, data: bytes, parse=reference_parse_esri_ascii, **option
             _outcome(lambda p: parse(p.read_text(encoding="utf-8"), **options), path))
 
 
+def _grid_text(nrows, ncols, widths, bad_cell=None):
+    """An ESRI grid of nrows x ncols cells, each row written as lines of
+    ``widths`` cells, with the token ``x`` at flat cell ``bad_cell``."""
+    cells = [str(i % 97 + 1) for i in range(nrows * ncols)]
+    if bad_cell is not None:
+        cells[bad_cell] = "x"
+    lines = []
+    for r in range(nrows):
+        row = cells[r * ncols:(r + 1) * ncols]
+        for width in widths:
+            lines.append(" ".join(row[:width]))
+            row = row[width:]
+    header = f"ncols {ncols}\nnrows {nrows}\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+    return header + "\n".join(lines) + "\n"
+
+
 ESRI_CASES = [
     pytest.param(GRID_2X2.replace("3 4", "3 1_0"), id="underscore"),
     pytest.param(GRID_2X2.replace("1 2\n3 4", "1\n2 3\n4"), id="ragged-rows"),
@@ -476,6 +493,11 @@ ESRI_CASES = [
     pytest.param(GRID_2X2.replace("3 4\n", ""), id="too-few"),
     pytest.param(GRID_2X2.replace("3 4\n", "3 4 5\n"), id="too-many"),
     pytest.param(GRID_2X2.replace("1 2\n3 4\n", "\n \n"), id="no-data"),
+    # rows of 6 cells on two lines each: 130 rows span three blocks
+    pytest.param(_grid_text(130, 6, (3, 3)), id="wrapped"),
+    pytest.param(_grid_text(130, 6, (4, 2)), id="ragged-wrapped"),
+    # one line per row: row 100 lies in the second block
+    pytest.param(_grid_text(130, 3, (3,), bad_cell=99 * 3 + 1), id="bad-token-in-row-100"),
 ]
 
 
@@ -522,35 +544,40 @@ class TestBulkParsersMatchTokenLoops:
          .replace("3 4", "-9999 4"), True),
         (GRID_2X2.replace("1 2\n3 4", "nan 2\n-inf inf"), True),
         (GRID_2X2.replace("3 4\n", "3 4\n\t\n  \n"), True),
-        # the text parser's guard: the grid ends before its bad token
+        # the token pass's guard: the grid ends before its bad token
         (GRID_2X2.replace("ncols 2", "ncols 200").replace("3 4", "3 oops"), False),
         (GRID_2X2.replace("3 4", "3 \u0664"), False),
         (GRID_2X2.encode("utf-8").replace(b"3 4", b"3 \xff4"), False),
         (GRID_2X2.replace("1 2\n", "1 2\r"), False),
         (GRID_2X2.replace("1 2\n", "1 2\x0c"), False),
         (GRID_2X2.replace("3 4", "3 1_0"), False),
-        (GRID_2X2.replace("1 2\n3 4", "1 2 3 4"), False),
+        # cells are placed by count, so rows may wrap at any one width
+        (GRID_2X2.replace("1 2\n3 4", "1 2 3 4"), True),
         (GRID_2X2.replace("1 2\n3 4", "1e300 2\n3 4"), False),
+        (_grid_text(130, 6, (3, 3)), True),
+        (_grid_text(130, 6, (4, 2)), False),
+        (_grid_text(130, 3, (3,), bad_cell=99 * 3 + 1), False),
     ], ids=["plain", "crlf", "no-final-newline", "nodata", "non-finite", "blank-lines",
             "short-bad-token", "arabic-digit", "not-utf8", "lone-cr", "form-feed",
-            "underscore", "one-line", "level-overflow"])
+            "underscore", "one-line", "level-overflow", "wrapped", "ragged-wrapped",
+            "bad-token-in-row-100"])
     def test_esri_file_streams_plain_grids(self, monkeypatch, tmp_path, data, streamed):
-        # every other file is read again as text, which gives its result or error
+        # the block reader takes the file's own lines first; a file it
+        # refuses is read again as text, which gives its result or error
         data = data if isinstance(data, bytes) else data.encode("utf-8")
-        stream, results = dem_module._stream_esri, []
+        blocks, calls = dem_module._esri_blocks, []
 
-        def recorded(*args):
-            try:
-                results.append(stream(*args))
-            except (DemError, ValueError):
-                results.append(None)
-                raise
-            return results[-1]
+        def recorded(lines, *args):
+            calls.append((lines, blocks(lines, *args)))
+            return calls[-1][1]
 
-        monkeypatch.setattr(dem_module, "_stream_esri", recorded)
+        monkeypatch.setattr(dem_module, "_esri_blocks", recorded)
         got, want = _file_outcomes(tmp_path / "grid.asc", data)
         assert got == want
-        assert len(results) == 1 and (results[0] is not None) == streamed
+        # the file's lines come from the file, those of its text as a list
+        assert not isinstance(calls[0][0], list)
+        assert all(isinstance(lines, list) for lines, _ in calls[1:])
+        assert (calls[0][1] is not None) == streamed
 
     @pytest.mark.parametrize("data", [
         GRID_2X2, GRID_2X2.replace("\n", "\r\n"),
@@ -558,10 +585,16 @@ class TestBulkParsersMatchTokenLoops:
         GRID_2X2.encode("utf-8").replace(b"3 4", b"3 \xff4"),
     ], ids=["plain", "crlf", "short-bad-token", "not-utf8"])
     def test_esri_pipe_is_read_once_as_text(self, monkeypatch, data):
-        # a pipe can be read only once: it is never streamed, and its text
-        # is read from the handle the parser opened
+        # a pipe can be read only once: its bytes never reach the block
+        # reader, but its text, read from the handle the parser opened, does
         data = data if isinstance(data, bytes) else data.encode("utf-8")
-        monkeypatch.setattr(dem_module, "_stream_esri", None)
+        blocks, seen = dem_module._esri_blocks, []
+
+        def recorded(lines, *args):
+            seen.append(lines)
+            return blocks(lines, *args)
+
+        monkeypatch.setattr(dem_module, "_esri_blocks", recorded)
         read, write = os.pipe()
 
         def feed():
@@ -576,10 +609,13 @@ class TestBulkParsersMatchTokenLoops:
             writer.join()
             os.close(read)
         try:
-            want = _outcome(reference_parse_esri_ascii, data.decode("utf-8"))
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            want = type(exc), str(exc)
+            text, want = None, (type(exc), str(exc))
+        else:
+            want = _outcome(reference_parse_esri_ascii, text)
         assert got == want
+        assert seen == ([] if text is None else [text.splitlines()])
 
     @pytest.mark.parametrize("origin", ["xllcenter 0.5\nyllcenter 0.5",
                                         "YLLCENTER 0.5\nXllCenter 0.5", "xllcenter 0"])
@@ -592,11 +628,15 @@ class TestBulkParsersMatchTokenLoops:
 
     @pytest.mark.parametrize("step, datum", [(0.5, 1.0), (0.0, 0.0), (1.0, float("nan"))])
     def test_esri_file_step_and_datum(self, tmp_path, step, datum):
-        # a bad step or datum is refused after a fault of the grid
-        for text in (GRID_2X2, GRID_2X2.replace("3 4\n", "")):
+        # a bad step or datum is refused after a fault of the grid, in a
+        # file and in a text
+        for text in (GRID_2X2, GRID_2X2.replace("3 4\n", ""),
+                     GRID_2X2.replace("1 2\n3 4", "nan -inf\nnan inf")):
             got, want = _file_outcomes(tmp_path / "grid.asc", text.encode("utf-8"),
                                        step=step, datum=datum)
             assert got == want
+            assert _outcome(lambda t: parse_esri_ascii(t, step=step, datum=datum),
+                            text) == want
 
     @pytest.mark.parametrize("text", [
         "", "\n", "1,,3\n,2\n4", "1_0, 2 ,\u0661\n", "5,x\n", f"{-2**63},1\n",

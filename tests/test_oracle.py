@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tracemalloc
@@ -419,6 +419,44 @@ class TestUniPeak:
     def test_gap_refused(self):
         check = is_unipeak(Dem.from_rows([[1, None, 1]]))
         assert not check and "gap" in check.reason
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.lists(st.one_of(st.none(), st.integers(0, 6)), min_size=1, max_size=8),
+                    min_size=1, max_size=2)
+           .filter(lambda rows: any(v is not None for row in rows for v in row)))
+    @example([[1, 3, 2]])
+    @example([[2, 0, 1, 0, 2]])
+    def test_matches_brute_runs_per_line(self, rows):
+        # one run at every level 1..top, counted level by level
+        dem = Dem.from_rows(rows)
+        row = rows[0] + [None] * (dem.width - len(rows[0]))
+        present = [i for i, v in enumerate(row) if v is not None]
+        if len(rows) != 1:
+            want = False, "not a single row"
+        elif present[-1] - present[0] + 1 != len(present):
+            want = False, "row has mask gaps"
+        else:
+            want = True, ""
+            for h in range(1, max(row[i] for i in present) + 1):
+                runs = len(brute_runs_per_line(row, h))
+                if runs != 1:
+                    want = False, f"{runs} runs at level {h}"
+                    break
+        check = is_unipeak(dem)
+        assert (check.ok, check.reason) == want
+
+    @pytest.mark.parametrize("row, ok", [([10**6, 1], True), ([10**6, 5, 10**6], False)])
+    def test_tall_row_in_memory_of_its_cells(self, row, ok):
+        # a table entry per level took 114 MiB on [10**6, 1]
+        dem = Dem.from_rows([row])
+        tracemalloc.start()
+        try:
+            check = is_unipeak(dem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert check.ok == ok and check.reason == ("" if ok else "2 runs at level 6")
+        assert peak <= 2**20, peak
 
     def test_equivalence_fixture(self):
         dem = Dem.from_rows([[1, 2, 3, 2, 1]])
