@@ -8,14 +8,14 @@ by-line pass (a ``+`` before an absent first cell would be a bad token),
 and the ESRI grid once more from a file, the path the CLI takes for an
 ``.asc`` input; both writers are timed too.
 
-Every kernel is numpy code. The kernels run on the raster's levels in
-the narrowest signed dtype that holds them (int16 for up to 32767
-levels), as the spectra pass them. The square spectrum B is the
-divisor of every feature; it reads each scale's erosion from one table
-of square minima and dilates it with a row and a column pass. The
-run-length count is the independent oracle's, which ``oracle-check``
-sets against the spectra: it lays every line end to end in the
-narrowest unsigned dtype that holds the levels and walks them.
+Every kernel is numpy code. The kernels run on the raster's levels,
+``dem.values``, in the narrowest signed dtype that holds them (int16 for
+up to 32767 levels), which the raster keeps and the spectra pass on. The
+square spectrum B is the divisor of every feature; it reads each scale's
+erosion from one table of square minima and dilates it with a row and a
+column pass. The run-length count is the independent oracle's, which
+``oracle-check`` sets against the spectra: it lays every line end to end
+in the narrowest unsigned dtype that holds the levels and walks them.
 
 Usage:
     python benchmarks/bench_kernels.py [--side N] [--levels L] [--repeats R]
@@ -30,7 +30,7 @@ from pathlib import Path
 from demgranulo import _kernels, oracle
 from demgranulo._base import DIRECTIONS
 from demgranulo.dem import parse_esri_ascii, parse_fixture_csv
-from demgranulo.spectrum import _levels, normalized_mdgi, pattern_spectrum
+from demgranulo.spectrum import normalized_mdgi, pattern_spectrum
 from demgranulo.synth import synthetic_terrain
 
 
@@ -45,7 +45,7 @@ def time_call(fn, repeats):
 
 def run(side, levels, repeats):
     dem = synthetic_terrain(side, levels=levels, seed=3)
-    arr = _levels(dem)
+    arr = dem.values
     csv_text, esri_text = dem.to_fixture_csv(), dem.to_esri_ascii()
     signed_csv = re.sub(r"\d", r"+\g<0>", csv_text, count=1)
     esri_file = Path(tempfile.mkdtemp()) / "raster.asc"

@@ -10,27 +10,29 @@ Both parsers read their cells in bulk. ``parse_esri_ascii`` has two
 readers. The block reader takes the lines of a grid, of a regular file
 (as the CLI gives every ``.asc`` input) or of a text: the header line by
 line, then the data in blocks of about 64 rows of cells through
-``np.loadtxt``, each block quantized straight into the raster's int64
-levels and mask, so a float grid, and a file's text, are never held
-whole. A file it refuses (a byte other than printable ASCII, a tab or a
-line end, a lone ``\\r``, or any fault below), and a path that is not a
-regular file (a pipe, ``/dev/stdin``, a FIFO), is read as text from the
-handle already open, and the block reader takes that text's lines. A
-text it refuses (a header fault, a token ``np.loadtxt`` refuses, ragged
-lines, other than nrows*ncols cells, no data cell, a level out of range)
-is read again one token at a time. Only that pass raises for a bad
-grid, so every :class:`DemParseError` names the line and column it
-always did, and tokens Python's ``float`` accepts but ``np.loadtxt``
-refuses (``1_0``, Arabic-Indic digits) still parse.
+``np.loadtxt``, each block quantized straight into the raster's levels
+and mask, so a float grid, and a file's text, are never held whole. The
+levels are built in the narrowest dtype that holds the top level seen so
+far, widened when a block's top level needs it. A file it refuses (a
+byte other than printable ASCII, a tab or a line end, a lone ``\\r``, or
+any fault below), and a path that is not a regular file (a pipe,
+``/dev/stdin``, a FIFO), is read as text from the handle already open,
+and the block reader takes that text's lines. A text it refuses (a
+header fault, a token ``np.loadtxt`` refuses, ragged lines, other than
+nrows*ncols cells, no data cell, a level out of range) is read again one
+token at a time. Only that pass raises for a bad grid, so every
+:class:`DemParseError` names the line and column it always did, and
+tokens Python's ``float`` accepts but ``np.loadtxt`` refuses (``1_0``,
+Arabic-Indic digits) still parse.
 
 ``parse_fixture_csv`` reads a text of ASCII digits, commas and
 blanks with one ``np.loadtxt`` call, its empty fields written as -1;
 any other text, or one ``np.loadtxt`` refuses, is read in one pass, each
 cell once by ``int`` and each line written into the grid as one row; the
 first bad cell raises, naming its line and column. ``quantize`` and
-both ESRI readers hand the levels they build to the :class:`Dem`
-without a copy. The writers render a raster a row at a time
-from the row's Python lists of values and mask.
+both ESRI readers hand the levels they build, in the dtype the raster
+keeps, to the :class:`Dem` without a copy. The writers render a raster a
+row at a time from the row's Python lists of values and mask.
 """
 
 from __future__ import annotations
@@ -56,9 +58,12 @@ _I64_MAX = 2**63 - 1
 
 @dataclass(frozen=True, eq=False)
 class Dem:
-    """Masked integer raster. ``values`` is int64 with 0 at absent cells.
+    """Masked integer raster. ``values`` holds 0 at absent cells.
 
-    A raster holds its two read-only arrays and nothing else: no spectrum
+    ``values`` comes in the narrowest signed dtype that holds the top
+    level (int8 up to 127 levels, int16 up to 32767), so arithmetic that
+    can leave that range must widen first, to int64 as the volume sums
+    do. A raster holds its two read-only arrays and nothing else: no spectrum
     or curve derived from it is kept on it. The constructor copies both.
     It takes values of any dtype, but a present value must be a finite
     integer: ``1.5`` is refused, not truncated, and absent cells are
@@ -76,31 +81,40 @@ class Dem:
             raise DemError("values and mask must be 2-D arrays of equal shape")
         if values.dtype.kind not in "biu":
             values = _integer_levels(values, mask)
-        values = np.ascontiguousarray(values, dtype=np.int64)
-        if (values[mask] < 0).any():
+        # reduced over the present cells only: the absent ones are never read
+        if values.min(initial=0, where=mask) < 0:
             raise DemError("present elevations must be non-negative")
-        self._seal(np.where(mask, values, 0), mask)
+        top = int(values.max(initial=0, where=mask))
+        if top > _I64_MAX:
+            raise DemError("elevations too large: the volume would overflow int64")
+        levels = np.zeros(values.shape, dtype=_level_dtype(top))
+        np.copyto(levels, values, casting="unsafe", where=mask)
+        self._seal(levels, mask)
 
     @classmethod
     def _adopt(cls, values: np.ndarray, mask: np.ndarray) -> "Dem":
         """A Dem over arrays the package has just built, without a copy.
 
-        ``values`` must be C-contiguous int64, non-negative and 0 at the
-        absent cells, and ``mask`` a C-contiguous bool array of its shape.
-        Both become read-only, so no other holder may write to them.
+        ``values`` must be a C-contiguous signed integer array, non-negative
+        and 0 at the absent cells, and ``mask`` a C-contiguous bool array of
+        its shape. Both become read-only, so no other holder may write to
+        them; values in a dtype wider than the raster needs are narrowed.
         """
         dem = cls.__new__(cls)
         dem._seal(values, mask)
         return dem
 
     def _seal(self, values: np.ndarray, mask: np.ndarray) -> None:
-        """Store ``values`` and ``mask`` read-only once the domain holds a
-        cell and the volume fits int64."""
+        """Store ``values``, in the narrowest signed dtype that holds the top
+        level, and ``mask`` read-only once the domain holds a cell and the
+        volume fits int64."""
         if not mask.any():
             raise DemError("domain is empty (all cells masked)")
+        top = int(values.max())
         # bounds the volume, and with it every slab and loss sum
-        if int(values.max()) * int(np.count_nonzero(mask)) > _I64_MAX:
+        if top * int(np.count_nonzero(mask)) > _I64_MAX:
             raise DemError("elevations too large: the volume would overflow int64")
+        values = values.astype(_level_dtype(top), copy=False)
         values.flags.writeable = False
         mask.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -185,6 +199,11 @@ class Dem:
         return [sep.join([str(v) if p else absent
                           for v, p in zip(vals.tolist(), present.tolist())])
                 for vals, present in zip(self.values, self.mask)]
+
+
+def _level_dtype(top: int) -> np.dtype:
+    """The narrowest signed dtype that holds the levels 0..``top``."""
+    return np.min_scalar_type(-1 - top)
 
 
 def _integer_levels(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -334,21 +353,21 @@ def _quantize_in_place(levels: np.ndarray, present: np.ndarray,
     """:func:`quantize` of a C-ordered float64 grid the caller owns and
     gives up, with its C-ordered ``present`` mask holding a cell.
 
-    The levels are built in the grid's own buffer (:func:`_levels_in_place`),
-    so the int64 levels, which the Dem adopts, are the only numeric grid
-    allocated.
+    The levels are built in the grid's own buffer (:func:`_levels_in_place`)
+    and cast once to the raster's dtype, so the levels the Dem adopts are
+    the only numeric grid allocated.
     """
-    _levels_in_place(levels, present, step, datum)
-    return Dem._adopt(levels.astype(np.int64), present)
+    top = _levels_in_place(levels, present, step, datum)
+    return Dem._adopt(levels.astype(_level_dtype(top)), present)
 
 
 def _levels_in_place(levels: np.ndarray, present: np.ndarray,
-                     step: float, datum: float) -> None:
+                     step: float, datum: float) -> int:
     """Turn the float64 elevations ``levels`` into their quantized levels,
-    in their own buffer: 0 where ``present`` is False.
+    in their own buffer: 0 where ``present`` is False. Returns the top level.
 
     floor((z - datum) / step) + 1 is computed step by step and clamped at
-    1, so no float outside int64 reaches the caller's conversion to int64;
+    1, so no float outside int64 reaches the caller's integer conversion;
     a level of 2**62 or more raises :class:`DemError`.
     """
     # a level that overflows to -inf clamps to 1, and one at +inf is refused
@@ -359,8 +378,10 @@ def _levels_in_place(levels: np.ndarray, present: np.ndarray,
     levels += 1.0
     np.maximum(levels, 1.0, out=levels)
     levels[~present] = 0.0
-    if np.nanmax(levels) >= 2**62:
+    top = np.nanmax(levels)
+    if top >= 2**62:
         raise DemError("quantized levels overflow the elevation type")
+    return int(top)
 
 
 def parse_esri_ascii(source: str | os.PathLike, *, step: float = 1.0,
@@ -474,11 +495,15 @@ def _esri_blocks(lines: Iterable[str], size: int, step: float, datum: float) -> 
     of lines at a time, about _ESRI_BLOCK_LINES rows of cells, and each
     block's cells are placed by count, so a row may wrap across lines,
     and quantized in their own float buffer straight into the raster's
-    int64 levels and mask: no float grid, nor the text of a file, is
-    held whole. Any fault gives None: a file line that is not plain ASCII
-    (:func:`_plain_line`), a header fault, a block ``np.loadtxt`` refuses
-    (ragged lines, ``1_0``), other than nrows*ncols cells, no data cell,
-    a bad step or datum, a level or volume out of range. The token pass
+    levels and mask: no float grid, nor the text of a file, is held
+    whole. The level grid is allocated at the first block, in the
+    narrowest dtype that holds its top level, and widened by one
+    ``astype`` when a later block's top level does not fit, so the grid
+    is built in the dtype the raster keeps. Any fault gives None: a file
+    line that is not plain ASCII (:func:`_plain_line`), a header fault, a
+    block ``np.loadtxt`` refuses (ragged lines, ``1_0``), other than
+    nrows*ncols cells, no data cell, a bad step or datum, a level or
+    volume out of range. The token pass
     then gives the result or the error, with its line, column and order.
     """
     lines = iter(lines)
@@ -500,7 +525,7 @@ def _esri_blocks(lines: Iterable[str], size: int, step: float, datum: float) -> 
         first = head[data_start]
         block = _ESRI_BLOCK_LINES * -(-ncols // len(first.split()))
         data = chain([first], lines)
-        levels = np.empty((nrows, ncols), dtype=np.int64)
+        levels = None  # allocated at the first block, in the dtype it needs
         present = np.empty((nrows, ncols), dtype=bool)
         cell = 0
         while chunk := list(islice(data, block)):
@@ -511,17 +536,21 @@ def _esri_blocks(lines: Iterable[str], size: int, step: float, datum: float) -> 
             cells = np.loadtxt(chunk, comments=None).reshape(-1)
             del chunk
             end = cell + cells.size
-            if end > levels.size:
+            if end > present.size:
                 return None
             mask = np.isfinite(cells)
             if nodata is not None:
                 mask &= cells != nodata
-            _levels_in_place(cells, mask, step, datum)
+            top = _levels_in_place(cells, mask, step, datum)
+            if levels is None:
+                levels = np.empty((nrows, ncols), dtype=_level_dtype(top))
+            elif top > np.iinfo(levels.dtype).max:
+                levels = levels.astype(_level_dtype(top))
             levels.reshape(-1)[cell:end] = cells
             present.reshape(-1)[cell:end] = mask
             cell = end
             del cells, mask  # not held while the next block is read
-        if cell < levels.size:
+        if cell < present.size:
             return None
         return Dem._adopt(levels, present)
     except (DemError, ValueError):
@@ -712,4 +741,5 @@ def scale_heights(dem: Dem, k: int) -> Dem:
         raise ValueError(f"scale factor must be >= 1, got {k}")
     if dem.zmax > _I64_MAX // k:
         raise OverflowError("scaled elevations overflow the elevation type")
-    return Dem(dem.values * np.int64(k), dem.mask)
+    # widened first: the product may not fit the raster's own dtype
+    return Dem(dem.values.astype(np.int64) * np.int64(k), dem.mask)

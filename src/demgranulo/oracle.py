@@ -12,7 +12,8 @@ unsigned dtype that holds the raster's top level, and one level walk
 finds the runs, thresholding that array in that dtype at a block of
 levels at once. :func:`run_lengths` keeps only how many runs have each
 length, which is all a spectrum needs; :func:`run_table` keeps each
-run's line and level too, for the run-profile test.
+run's line and level too, and :func:`run_profile_equal` compares two
+rasters' runs per line and level only at the levels either one holds.
 """
 
 from __future__ import annotations
@@ -190,30 +191,42 @@ def _flat_lines(dem: Dem, direction: str) -> tuple[np.ndarray, np.ndarray, np.nd
     return np.arange(lines, dtype=np.int64), starts, flat
 
 
-def _level_runs(flat: np.ndarray):
-    """Every maximal run at levels 1..max of ``flat``, a block of levels at once.
+def _held_levels(flat: np.ndarray) -> np.ndarray:
+    """The distinct levels >= 1 of ``flat``, ascending, in its dtype.
 
-    Only the distinct levels the array holds are thresholds: every level
-    above one of them, up to the next, has the runs of the next, so a
-    threshold's runs stand for its weight, the levels from the one below
-    it (or 0), exclusive, up to itself. The levels are found by
-    ``np.unique`` when the top one exceeds the cell count, and otherwise
-    by a count of each level's cells.
-
-    A block thresholds the whole array at ``>= h`` for each of its levels,
-    as one ``(levels, cells)`` boolean matrix, comparing in the array's
-    own dtype. Every row starts and ends with a 0, so the places where a
-    row changes pair up within the row: the cell before a run, then the
-    run's last cell. Yields, block by block in level order, the block's
-    levels (in the array's dtype) and their weights (int64), the
-    position of the cell before each run in the row-major
-    ``(levels, flat.size - 1)`` matrix of changes, and each run's length.
+    Found by ``np.unique`` when the top one exceeds the cell count, and
+    otherwise by a count of each level's cells.
     """
     top = int(flat.max())
     held = np.unique(flat) if top > flat.size else np.flatnonzero(np.bincount(flat))
-    held = held[held > 0].astype(flat.dtype, copy=False)
+    return held[held > 0].astype(flat.dtype, copy=False)
+
+
+def _level_runs(flat: np.ndarray, held: np.ndarray | None = None,
+                per: int | None = None):
+    """Every maximal run at levels 1..max of ``flat``, a block of levels at once.
+
+    Only the distinct levels the array holds are thresholds
+    (:func:`_held_levels`, unless ``held`` gives others, ascending, in the
+    array's dtype): every level above one of them, up to the next, has
+    the runs of the next, so a threshold's runs stand for its weight, the
+    levels from the one below it (or 0), exclusive, up to itself.
+
+    A block thresholds the whole array at ``>= h`` for each of its
+    levels, ``per`` of them (by default as many as make about
+    _BLOCK_CELLS cells), as one ``(levels, cells)`` boolean matrix,
+    comparing in the array's own dtype. Every row starts and ends with a
+    0, so the places where a row changes pair up within the row: the cell
+    before a run, then the run's last cell. Yields, block by block in
+    level order, the block's levels (in the array's dtype) and their
+    weights (int64), the position of the cell before each run in the
+    row-major ``(levels, flat.size - 1)`` matrix of changes, and each
+    run's length.
+    """
+    if held is None:
+        held = _held_levels(flat)
     weight = np.diff(held.astype(np.int64), prepend=0)
-    per = max(1, _BLOCK_CELLS // flat.size)
+    per = per or max(1, _BLOCK_CELLS // flat.size)
     for i in range(0, held.size, per):
         levels = held[i:i + per]
         above = flat >= levels[:, None]
@@ -240,6 +253,22 @@ def run_lengths(dem: Dem, direction: str) -> RunLengths:
     return RunLengths(direction, counts)
 
 
+def _line_runs(starts: np.ndarray, width: int, tspan: int,
+               before: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One block of :func:`_level_runs` as entries: the block row (level),
+    line, length and count of every (level, line, length) with runs,
+    sorted by those three keys. ``starts`` holds each line's leading 0,
+    ``width`` is the flat array's size less one, and ``tspan`` exceeds
+    every run length."""
+    row, at = np.divmod(before, width)
+    line = np.searchsorted(starts, at, side="right") - 1
+    key, count = np.unique((row * starts.size + line) * tspan + length,
+                           return_counts=True)
+    row_line, length = np.divmod(key, tspan)
+    row, line = np.divmod(row_line, starts.size)
+    return row, line, length, count
+
+
 def run_table(dem: Dem, direction: str) -> RunTable:
     """Count maximal runs at every threshold on every scan line.
 
@@ -255,16 +284,10 @@ def run_table(dem: Dem, direction: str) -> RunTable:
     # empty columns keep the joins below defined when every cell is 0
     lines, levels, lengths, runs = ([np.zeros(0, dtype=np.int64)] for _ in range(4))
     for held, weight, before, length in _level_runs(flat):
-        row, at = np.divmod(before, width)
-        line = np.searchsorted(starts, at, side="right") - 1
-        # one key per (threshold, line, length)
-        key, count = np.unique((row * index.size + line) * tspan + length,
-                               return_counts=True)
-        row_line, length = np.divmod(key, tspan)
-        row, line = np.divmod(row_line, index.size)
+        row, line, length, count = _line_runs(starts, width, tspan, before, length)
         # an entry stands at levels held[row] - weight[row] + 1 .. held[row]
         repeat = weight[row]
-        entry = np.repeat(np.arange(key.size), repeat)
+        entry = np.repeat(np.arange(count.size), repeat)
         below = np.arange(entry.size) - np.repeat(np.cumsum(repeat) - repeat, repeat)
         lines.append(line[entry])
         levels.append(held[row].astype(np.int64)[entry] - below)
@@ -318,8 +341,28 @@ def run_profile_equal(dem1: Dem, dem2: Dem, direction: str) -> bool:
 
     This is a sufficient condition (not a necessary one) for their
     directional spectra to coincide.
+
+    The tables are not built: the rasters' runs are compared at each
+    level either raster holds, a block of levels at a time. Between two
+    consecutive such levels neither raster's runs change, and past the
+    top level neither has any, so runs equal at those levels are equal
+    at every level. Rasters with different top levels differ at the
+    higher one.
     """
-    return run_table(dem1, direction) == run_table(dem2, direction)
+    lines = [_flat_lines(dem, direction) for dem in (dem1, dem2)]
+    flats = [flat for _, _, flat in lines]
+    if int(flats[0].max()) != int(flats[1].max()):
+        return False
+    # equal tops give both arrays one dtype; both walks take one block size
+    held = np.union1d(*map(_held_levels, flats))
+    per = max(1, _BLOCK_CELLS // max(flat.size for flat in flats))
+    tspan = max(dem1.height, dem1.width, dem2.height, dem2.width) + 1
+    for blocks in zip(*(_level_runs(flat, held, per) for flat in flats)):
+        a, b = (_line_runs(starts, flat.size - 1, tspan, before, length)
+                for (_, starts, flat), (_, _, before, length) in zip(lines, blocks))
+        if not all(map(np.array_equal, a, b)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -77,17 +77,6 @@ class PatternSpectrum:
         return tuple(Fraction(a - b, v0) for a, b in zip(self.volumes, self.volumes[1:]))
 
 
-def _levels(dem: Dem) -> np.ndarray:
-    """The raster's values in the narrowest signed dtype that holds them.
-
-    The kernels keep the dtype they are given, so a 256-level raster is
-    swept and opened as int16 rather than int64. ``values.max()`` is the
-    top level (masked cells store 0), and a raster that needs int64 is
-    passed as it is, not copied.
-    """
-    return dem.values.astype(np.min_scalar_type(-1 - int(dem.values.max())), copy=False)
-
-
 def _volume_curve(levels: np.ndarray, direction: str) -> np.ndarray:
     """curve[w] = volume surviving an opening with a w-cell segment.
 
@@ -145,7 +134,7 @@ def pattern_spectra(dem: Dem, se, families) -> tuple[PatternSpectrum, ...]:
             raise ValueError(f"unknown family {family!r}")
     if line is None:
         return (_nse_spectrum_square(dem, se, v0),) * len(families)
-    curve = _volume_curve(_levels(dem), line[0])
+    curve = _volume_curve(dem.values, line[0])
     # read from the module per call: perfbench/tracer.py wraps them by name
     build = {"nse": _nse_spectrum_sweep, "length": _length_spectrum_sweep}
     return tuple(build[family](se, line, curve) for family in families)
@@ -173,7 +162,7 @@ def _nse_spectrum_square(dem, se, v0):
     place. Only the volume needs the mask, so no opening is wrapped in a
     raster. (perfbench/tracer.py times this function by name.)
     """
-    erosions = _kernels.square_erosions(_levels(dem), se.as_square())
+    erosions = _kernels.square_erosions(dem.values, se.as_square())
     vols = [v0]
     for n, eroded in enumerate(erosions, 1):
         # an erosion is 0 off the mask and the dilation keeps each cell's
@@ -266,7 +255,9 @@ def volume_above(dem: Dem, h0: int) -> int:
     h0 = operator.index(h0)
     if h0 < 1:
         raise ValueError("h0 must be >= 1")
-    return int(np.maximum(dem.values - np.int64(h0 - 1), 0).sum(dtype=np.int64))
+    # widened first: the difference may not fit the raster's own dtype
+    above = np.subtract(dem.values, np.int64(h0 - 1), dtype=np.int64)
+    return int(np.maximum(above, 0, out=above).sum(dtype=np.int64))
 
 
 def discrete_volume_derivative(dem: Dem) -> list[int]:

@@ -992,8 +992,9 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_features_child_memory_on_a_large_grid(tmp_path):
     # max RSS beyond that of a child on a 2x2 grid, in int64 grids of
-    # 1000x1000: measured 1.93 with the .asc streamed into its levels, 3.33
-    # with its text, the text's lines and a float grid held at once
+    # 1000x1000: measured 0.99 with the .asc streamed into int16 levels,
+    # 1.94 into int64 levels, 3.33 with its text, the text's lines and a
+    # float grid held at once
     def max_rss(dem, name):
         src = tmp_path / f"{name}.asc"
         src.write_text(dem.to_esri_ascii(), encoding="utf-8")

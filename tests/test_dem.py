@@ -195,9 +195,10 @@ class TestQuantizeInPlace:
         np.testing.assert_array_equal(grid, kept)
 
     def test_parse_peak_is_two_grids_beyond_its_data_step(self):
-        # measured 0.44 grids: the int64 levels and the mask, with the
-        # levels built in the parsed grid's own buffer. A level buffer of
-        # its own and the Dem's copy took 1.7 grids, one array per step 4.1.
+        # measured -0.61 grids: the block reader's int16 levels, mask and
+        # one block stay under the one-call parse of the data (int64 levels:
+        # 0.14). A level buffer of its own and the Dem's copy took 1.7
+        # grids, one array per step 4.1.
         text = synthetic_terrain(320, levels=256, hole_fraction=0.02,
                                  seed=1).to_esri_ascii()
         grid_bytes = 320 * 320 * 8
@@ -213,9 +214,100 @@ class TestQuantizeInPlace:
         assert peak <= data_step + 2 * grid_bytes, (peak - data_step) / grid_bytes
 
 
+def _esri_grid(rows: list[list[int]], nodata: int = -9999) -> str:
+    """An ESRI grid of ``rows``, one text line per row."""
+    header = (f"ncols {len(rows[0])}\nnrows {len(rows)}\nxllcorner 0\nyllcorner 0\n"
+              f"cellsize 1\nNODATA_value {nodata}\n")
+    return header + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+def _levels_up_to(top: int, rows: int = 6) -> list[list[int]]:
+    """Rows of 3 levels up to ``top``, with one NODATA cell; the top
+    level is in the last row."""
+    grid = [[1 + (r * 3 + c) % 100 for c in range(3)] for r in range(rows)]
+    grid[0][1] = -9999
+    grid[-1][2] = top
+    return grid
+
+
+class TestNarrowLevels:
+    # a raster holds its levels in the narrowest signed dtype that holds
+    # the top one, and every reader builds them in that dtype
+    @pytest.mark.parametrize("top, dtype", [(127, np.int8), (128, np.int16),
+                                            (256, np.int16), (40000, np.int32)])
+    def test_esri_text_file_and_token_pass(self, tmp_path, top, dtype):
+        text = _esri_grid(_levels_up_to(top))
+        path = tmp_path / "grid.asc"
+        path.write_text(text, encoding="utf-8")
+        want = reference_parse_esri_ascii(text, datum=1)
+        # "4_0" is a token np.loadtxt refuses: the token pass reads the text
+        token_text = text.replace("\n4 ", "\n4_0 ", 1)
+        assert token_text != text
+        token_want = reference_parse_esri_ascii(token_text, datum=1)
+        for source, ref in ((text, want), (path, want), (token_text, token_want)):
+            dem = parse_esri_ascii(source, datum=1)
+            assert dem.values.dtype == dtype, source
+            assert dem == ref
+
+    @pytest.mark.parametrize("middle, dtype_before", [(100, np.int8), (200, np.int16)])
+    def test_esri_widened_in_the_last_block(self, tmp_path, middle, dtype_before):
+        # 200 rows of 3 cells take four blocks of 64 lines; the only level
+        # past 32767 is in the last, so the levels are widened there, from
+        # int8 or from the int16 that 200 in the second block asked for
+        grid = _levels_up_to(40000, rows=200)
+        grid[100][0] = middle
+        # without its last row the grid holds no level past 32767
+        assert parse_esri_ascii(_esri_grid(grid[:-1]), datum=1).values.dtype == dtype_before
+        text = _esri_grid(grid)
+        path = tmp_path / "grid.asc"
+        path.write_text(text, encoding="utf-8")
+        want = reference_parse_esri_ascii(text, datum=1)
+        for source in (text, path):
+            dem = parse_esri_ascii(source, datum=1)
+            assert dem.values.dtype == np.int32
+            assert dem == want and dem.zmax == 40000
+
+    @pytest.mark.parametrize("top, dtype", [(127, np.int8), (128, np.int16),
+                                            (256, np.int16), (40000, np.int32)])
+    def test_fixture_csv_bulk_and_by_line(self, top, dtype):
+        text = "1,,3\n4,5,%d\n" % top
+        for source in (text, "+" + text):  # "+" sends it to the by-line pass
+            dem = parse_fixture_csv(source)
+            assert dem.values.dtype == dtype
+            assert dem == reference_parse_fixture_csv(text)
+
+    @pytest.mark.parametrize("values, dtype", [
+        (np.array([[1, 127]]), np.int8),
+        (np.array([[1, 128]]), np.int16),
+        (np.array([[1, 200]], dtype=np.uint8), np.int16),
+        (np.array([[1.0, 32767.0]]), np.int16),
+        (np.array([[1, 32768]], dtype=np.int64), np.int32),
+        (np.array([[True, False]]), np.int8),
+        (np.array([[1, 2**40]]), np.int64),
+    ])
+    def test_constructor(self, values, dtype):
+        dem = Dem(values, np.ones(values.shape, dtype=bool))
+        assert dem.values.dtype == dtype
+        assert dem.values.tolist() == values.astype(np.int64).tolist()
+
+    def test_constructor_reads_only_present_cells(self):
+        # an absent cell's value does not widen the raster
+        dem = Dem(np.array([[5, 10**6, -7]]), np.array([[True, False, False]]))
+        assert dem.values.dtype == np.int8 and dem.values.tolist() == [[5, 0, 0]]
+
+    @pytest.mark.parametrize("top, dtype", [(127, np.int8), (128, np.int16),
+                                            (40000, np.int32)])
+    def test_quantize(self, top, dtype):
+        grid = np.array([[1.0, np.nan, float(top)]])
+        dem = quantize(grid, datum=1)
+        assert dem.values.dtype == dtype
+        assert dem == reference_quantize(grid, datum=1)
+
+
 class TestParseMemory:
     # tracemalloc peak in int64 grids, 320x320 terrain at 256 levels:
-    # measured 2.69 (CSV) and 1.86 (ESRI, its lines and the levels), where
+    # measured 1.97 (CSV) and 1.10 (ESRI, its lines and the int16 levels;
+    # 2.82 and 1.86 when the raster held int64 levels), where
     # the CSV pass that sent every cell through int read 4.72, the ESRI
     # text's lines in one np.loadtxt call 2.13, and a level buffer beside
     # the parsed ESRI grid, and the Dem's copy of its levels, 3.38
@@ -233,11 +325,12 @@ class TestParseMemory:
             tracemalloc.stop()
         assert peak <= bound * 320 * 320 * 8, peak / (320 * 320 * 8)
 
-    @pytest.mark.parametrize("side, bound", [(320, 1.7), (1000, 1.4)])
+    @pytest.mark.parametrize("side, bound", [(320, 0.85), (1000, 0.6)])
     def test_file_peak(self, tmp_path, side, bound):
-        # measured 1.44 (320^2) and 1.23 (1000^2): the int64 levels, the
-        # mask and one block of lines; reading the file as text, its lines
-        # and a float grid beside the levels took 2.61 and 2.62
+        # measured 0.70 (320^2) and 0.48 (1000^2): the int16 levels, the
+        # mask and one block of lines. The int64 levels took 1.44 and 1.23;
+        # reading the file as text, its lines and a float grid beside the
+        # levels 2.61 and 2.62
         path = tmp_path / "terrain.asc"
         path.write_text(synthetic_terrain(side, levels=256, hole_fraction=0.02,
                                           seed=1).to_esri_ascii(), encoding="utf-8")

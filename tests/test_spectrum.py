@@ -99,7 +99,8 @@ class TestPatternSpectrum:
     def test_square_spectrum_memory(self):
         # the two rasters of one opening and the kernel blocks; a loop
         # that kept the last scale's opening while the next one runs
-        # would need a third raster
+        # would need a third raster. Bounds are in int64 rasters
+        # (8 * dem.values.size), whatever dtype the raster holds
         dem = synthetic_terrain(1000, levels=256)
         tracemalloc.start()
         try:
@@ -107,7 +108,7 @@ class TestPatternSpectrum:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * dem.values.nbytes + 2 * 2**20
+        assert peak <= 2 * 8 * dem.values.size + 2 * 2**20
 
     def test_square_spectrum_memory_on_compact_levels(self):
         # 256 levels are opened as int16, a quarter of the int64 raster
@@ -120,20 +121,20 @@ class TestPatternSpectrum:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= dem.values.nbytes + 2 * 2**20
+        assert peak <= 8 * dem.values.size + 2 * 2**20
 
     def test_square_spectrum_memory_when_levels_need_int64(self):
         # levels up to 2**40 need int64, and the raster's own values are
         # opened without a copy of them
         dem = scale_heights(synthetic_terrain(1000, levels=256), 2**32)
-        assert spectrum._levels(dem) is dem.values
+        assert dem.values.dtype == np.int64
         tracemalloc.start()
         try:
             pattern_spectrum(dem, "B")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * dem.values.nbytes + 2 * 2**20
+        assert peak <= 2 * 8 * dem.values.size + 2 * 2**20
 
     @pytest.mark.parametrize("top,dtype", [(127, np.int8), (128, np.int16),
                                            (32767, np.int16), (32768, np.int32),
@@ -147,7 +148,7 @@ class TestPatternSpectrum:
         values = np.where(mask, rng.integers(1, top, (6, 7), endpoint=True), 0)
         values[2, 3] = top
         dem = Dem(values, mask)
-        assert spectrum._levels(dem).dtype == dtype
+        assert dem.values.dtype == dtype
         for name in ALL_NAMES:
             se = named_se(name)
             assert pattern_spectrum(dem, se).volumes == opening_spectrum_volumes(dem, se)
@@ -378,6 +379,28 @@ class TestHighLow:
 
     def test_increasing(self):
         assert high_low_direction((0.1, 0.2, 0.3, 0.4)) == ("B4", "B1")
+
+
+class TestArithmeticOnNarrowLevels:
+    # a 256-level raster holds int16 levels: arithmetic that can leave
+    # that range widens first, which numpy 1.24's value-based casting
+    # would not do for an int16 array times a numpy scalar that fits int16
+    def test_scale_heights_widens(self):
+        dem = synthetic_terrain(64)
+        assert dem.values.dtype == np.int16
+        scaled = scale_heights(dem, 300)
+        assert (scaled.values == 300 * dem.values.astype(np.int64)).all()
+        assert scaled.zmax == 300 * dem.zmax
+        for name in ALL_NAMES:
+            want = pattern_spectrum(dem, name).volumes
+            assert pattern_spectrum(scaled, name).volumes == tuple(300 * v for v in want)
+
+    @pytest.mark.parametrize("k", [1, 300])
+    def test_volume_above_in_python_ints(self, k):
+        dem = scale_heights(synthetic_terrain(64), k)
+        cells = dem.values[dem.mask].tolist()
+        for h0 in (1, dem.zmax, dem.zmax + 40000):
+            assert volume_above(dem, h0) == sum(max(v - h0 + 1, 0) for v in cells), h0
 
 
 class TestVolumeAbove:
