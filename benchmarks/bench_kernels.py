@@ -17,6 +17,10 @@ column pass. The run-length count is the independent oracle's, which
 ``oracle-check`` sets against the spectra: it lays every line end to end
 in the narrowest unsigned dtype that holds the levels and walks them.
 
+Each case prints its best time and, from one more call that is not
+timed, its tracemalloc peak: the memory it allocates beyond what it was
+given, its result included.
+
 Usage:
     python benchmarks/bench_kernels.py [--side N] [--levels L] [--repeats R]
 """
@@ -25,6 +29,7 @@ import argparse
 import re
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 from demgranulo import _kernels, oracle
@@ -41,6 +46,16 @@ def time_call(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def peak_call(fn):
+    """Peak bytes traced while ``fn`` runs once."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def run(side, levels, repeats):
@@ -71,10 +86,11 @@ def run(side, levels, repeats):
 
     print(f"raster {side}x{side}, {levels} levels, "
           f"{dem.cell_count} cells as {arr.dtype}, best of {repeats}")
-    print(f"{'case':<28s} {'numpy (ms)':>10s}")
+    print(f"{'case':<28s} {'numpy (ms)':>10s} {'peak (KiB)':>10s}")
     try:
         for label, fn in cases:
-            print(f"{label:<28s} {time_call(fn, repeats) * 1000:>10.2f}")
+            best = time_call(fn, repeats)
+            print(f"{label:<28s} {best * 1000:>10.2f} {peak_call(fn) / 1024:>10.0f}")
     finally:
         esri_file.unlink()
         esri_file.parent.rmdir()

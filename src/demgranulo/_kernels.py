@@ -18,7 +18,10 @@ its name (``"row"``, ``"column"``, ``"diag-down"``, ``"diag-up"``; see
   nearest smaller neighbours on both sides by binary lifting over a
   sparse table of range minima, which gives every maximal slab of every
   line at once. It reads the lines a block at a time from
-  :func:`_line_blocks`.
+  :func:`_line_blocks`, without the diagonals' gather index, and lifts
+  in place: beyond the block, its table and its cells' levels, the
+  working set is five arrays with one entry per present cell, allocated
+  per block and written through ``out=`` at every step.
 
 Conventions baked into every kernel:
 
@@ -82,7 +85,7 @@ _BLOCK_CELLS = 1 << 14
 _SLAB_BYTES = 8 * _BLOCK_CELLS
 
 
-def _line_blocks(arr, direction, before, after):
+def _line_blocks(arr, direction, before, after, placed=True):
     """The scan lines of ``arr`` a block at a time, zero-padded.
 
     Yields ``(padded, index, inside)`` per block of about ``_BLOCK_CELLS``
@@ -91,7 +94,10 @@ def _line_blocks(arr, direction, before, after):
     after it. Rows and columns are slices of ``arr`` and of ``arr.T``,
     and their ``index`` and ``inside`` are ``None``; diagonals are
     gathered by flat index, and cell ``i`` of line ``l`` is the flat cell
-    ``index[l, i]`` where ``inside[l, i]`` holds.
+    ``index[l, i]`` where ``inside[l, i]`` holds. A caller that does not
+    place results back in the raster passes ``placed=False``, and the
+    diagonals' ``index`` and ``inside`` are dropped after the gather and
+    yielded as ``None`` too, so they are not held while the block is used.
     """
     starts, lengths, step = line_layout(arr.shape, direction)
     per_block = max(1, _BLOCK_CELLS // max(1, before + int(lengths.max(initial=0)) + after))
@@ -111,6 +117,8 @@ def _line_blocks(arr, direction, before, after):
         inside = pos < lens[:, None]
         np.copyto(padded[:, before:before + n],
                   arr.ravel().take(index, mode="clip"), where=inside)
+        if not placed:
+            index = inside = None
         yield padded, index, inside
 
 
@@ -295,7 +303,7 @@ def directional_loss(values, direction):
     arr = _as_int_2d(values)
     lengths = line_layout(arr.shape, direction)[1]
     loss = np.zeros(int(lengths.max(initial=0)) + 2, dtype=np.int64)
-    for padded, _, _ in _line_blocks(arr, direction, 1, 1):
+    for padded, _, _ in _line_blocks(arr, direction, 1, 1, placed=False):
         _add_slabs(padded.ravel(), padded.shape[1] - 2, loss)
     return loss
 
@@ -316,9 +324,14 @@ def _add_slabs(p, n, loss):
     it. A zero sits before and after every line, so no run crosses a
     line end. The loss stays int64 throughout: a float64 histogram would
     round sums above 2**53.
+
+    The lifting works in place. Besides the block and its table, it
+    holds three int64 arrays (``right``, ``left`` and a jump), one of the
+    levels' dtype and one bool array, each with an entry per present
+    cell, and every step writes into them through ``out=``.
     """
-    cells = np.flatnonzero(p)
-    v = p[cells]
+    left = np.flatnonzero(p)
+    v = p[left]
     levels = max(n - 1, 0).bit_length()
     mins = [p]
     for k in range(1, levels):
@@ -326,17 +339,28 @@ def _add_slabs(p, n, loss):
         m = mins[-1].copy()
         np.minimum(mins[-1][:-half], mins[-1][half:], out=m[:-half])
         mins.append(m)
-    right = cells + 1
+    right = left + 1
+    jump = np.empty_like(left)
+    read = np.empty_like(v)
+    hit = np.empty(v.shape, dtype=bool)
+    # a take into ``out`` is buffered in mode="raise" but not in "wrap",
+    # which wraps only the left search's reads below index 0 (a right
+    # jump never passes the trailing zero)
     for k in reversed(range(levels)):
-        right += (mins[k].take(right) > v) * (1 << k)
-    left = cells
+        np.greater(mins[k].take(right, mode="wrap", out=read), v, out=hit)
+        right += np.multiply(hit, 1 << k, out=jump)
     for k in reversed(range(levels)):
-        # a jump below index 0 reads mins[k][0], which covers the
-        # leading zero, so it is refused like any jump past a line start
-        left = left - (mins[k].take(left - (1 << k), mode="clip") >= v) * (1 << k)
+        # a jump below index 0 wraps to a window that the end of ``p``
+        # cuts short, so it covers the trailing zero and is refused
+        # like any jump past a line start
+        mins[k].take(np.subtract(left, 1 << k, out=jump), mode="wrap", out=read)
+        np.greater_equal(read, v, out=hit)
+        left -= np.multiply(hit, 1 << k, out=jump)
+    width = np.subtract(right, left, out=jump)
     left -= 1
-    width = right - left - 1
-    # the span fits the levels' own dtype; its product with the width
-    # may not, so it is taken in int64
-    span = (v - np.maximum(p[left], p[right])).astype(np.int64)
-    np.add.at(loss, width, width * span)
+    # span = v - max(p[L], p[R]) = min(v - p[R], v - p[L]); each
+    # difference fits the levels' dtype, the product with the width may
+    # not, so the span is taken in int64, into ``right``
+    span = np.subtract(v, p.take(right, mode="wrap", out=read), out=right)
+    np.minimum(span, np.subtract(v, p.take(left, mode="wrap", out=read), out=read), out=span)
+    np.add.at(loss, width, np.multiply(span, width, out=span))

@@ -263,6 +263,11 @@ def volume_above(dem: Dem, h0: int) -> int:
 def discrete_volume_derivative(dem: Dem) -> list[int]:
     """Volume drop per level: entry h-1 counts the cells with f >= h.
 
-    The entries telescope back to the total volume.
+    The entries telescope back to the total volume. The cells are
+    counted per held level and summed from the top down; between two
+    consecutive held levels the count does not change, so it repeats.
     """
-    return [int(np.count_nonzero(dem.values >= h)) for h in range(1, dem.zmax + 1)]
+    held, counts = np.unique(dem.values, return_counts=True)
+    above = np.cumsum(counts[::-1])[::-1]
+    keep = held > 0
+    return np.repeat(above[keep], np.diff(held[keep], prepend=0)).tolist()

@@ -17,6 +17,7 @@ from conftest import (brute_runs_per_line, naive_directional_extremum,
 from demgranulo import _kernels
 from demgranulo._base import SE_NAMES
 from demgranulo.morphology import _raw_extremum, named_se, nse
+from demgranulo.synth import synthetic_terrain
 
 DIRECTIONS = ["row", "column", "diag-down", "diag-up"]
 
@@ -173,7 +174,9 @@ class TestDirectionalLoss:
         for d in DIRECTIONS:
             assert _kernels.directional_loss(arr, d).sum() == arr.sum()
 
-    @pytest.mark.parametrize("shape", [(3, 20000), (200, 200)])
+    # on 150 x 250 the diagonal blocks differ in width, so several blocks
+    # of different shapes drop their gather index before the sweep
+    @pytest.mark.parametrize("shape", [(3, 20000), (200, 200), (20000, 3), (150, 250)])
     def test_spans_several_blocks(self, shape):
         assert shape[0] * shape[1] > 2 * _kernels._BLOCK_CELLS
         arr = _raster(7, *shape)
@@ -205,7 +208,8 @@ class TestDirectionalLoss:
     @pytest.mark.parametrize("direction", DIRECTIONS)
     def test_loss_working_memory_bounded(self, direction):
         # the range-minimum tables are built a block at a time, never for
-        # the whole raster
+        # the whole raster: on int64 levels a sweep needs about 1.8 MiB
+        # beyond its output
         arr = _raster(6, 1000, 1000)
         tracemalloc.start()
         try:
@@ -213,7 +217,27 @@ class TestDirectionalLoss:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= loss.nbytes + 3 * 2**20
+        assert peak <= loss.nbytes + 2 * 2**20
+
+    def test_sweep_working_set(self):
+        # the lifting writes in place into three int64 arrays, one of the
+        # levels' dtype and one bool array per block, and a diagonal block
+        # drops its gather index before it is swept: on int16 levels every
+        # direction peaks near 0.78 MiB, where an int64 temporary per
+        # lifting step and the held index took 1.04-1.16 MiB
+        arr = synthetic_terrain(320).values
+        assert arr.dtype == np.int16
+        peaks = {}
+        for direction in DIRECTIONS:
+            tracemalloc.start()
+            try:
+                _kernels.directional_loss(arr, direction)
+                _, peaks[direction] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) <= 0.85 * 2**20, peaks
+        for direction in ("diag-down", "diag-up"):
+            assert peaks[direction] <= peaks["row"] + 32 * 2**10, peaks
 
 
 def _offsets_rc(se):
