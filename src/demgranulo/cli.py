@@ -192,12 +192,14 @@ def _expand_inputs(patterns) -> list[tuple[str, Path]]:
     An input's id is its file stem. When another input holds that, it is
     the path with every ``/`` written ``_``, and when that is taken too,
     the path id with ``~2``, ``~3``, ... appended, the first that is free.
-    A wildcard pattern matching nothing contributes an empty set; a
-    literal path is kept even when missing so it errors per-file.
+    An argument that names an existing path is that path, even when it
+    holds ``*``, ``?`` or ``[``; any other is expanded as a pattern. A
+    wildcard pattern matching nothing contributes an empty set; a literal
+    path is kept even when missing so it errors per-file.
     """
     paths = []
     for pat in patterns:
-        hits = sorted(glob.glob(pat))
+        hits = [pat] if os.path.exists(pat) else sorted(glob.glob(pat))
         if hits:
             paths.extend(Path(h) for h in hits)
         elif not any(ch in pat for ch in "*?["):
@@ -321,7 +323,15 @@ _FEATURE_COLUMNS = (["id"] + [f"gi_{se.lower()}" for se in SE_NAMES]
                     + ["degenerate", "high", "low"])
 
 
+def _check_csv_id(ident: str) -> None:
+    """Refuse an id that would not stay one cell of a CSV row."""
+    if any(ch in ident for ch in ',"\r\n'):
+        raise ValueError(f"id {ident!r} holds a comma, quote or line break, "
+                         "which a CSV cell cannot")
+
+
 def _features_one(ident, dem, cfg) -> str:
+    _check_csv_id(ident)
     rec = normalized_mdgi(dem, watershed_id=ident)
     hi, lo = high_low_direction(rec.z)
     return ",".join([ident] + [_fmt(rec.gi[se]) for se in SE_NAMES]
@@ -344,6 +354,7 @@ def cmd_features(cfg: RunConfig, output: Path | None = None) -> int:
 
 
 def _oracle_one(ident, dem, cfg) -> list[tuple[str, ...]]:
+    _check_csv_id(ident)
     work = dem.height * dem.width * max(dem.zmax, 1)
     if work > cfg.max_oracle_work:
         return [(ident, "-", "-", "SKIP",

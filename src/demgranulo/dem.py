@@ -7,23 +7,24 @@ over a possibly non-rectangular domain. Cells outside the domain are
 which is why the type itself only requires non-negative values.
 
 Both parsers read their cells in bulk. ``parse_esri_ascii`` has two
-readers. The block reader takes the lines of a grid, of a regular file
-(as the CLI gives every ``.asc`` input) or of a text: the header line by
-line, then the data in blocks of about 64 rows of cells through
-``np.loadtxt``, each block quantized straight into the raster's levels
-and mask, so a float grid, and a file's text, are never held whole. The
-levels are built in the narrowest dtype that holds the top level seen so
-far, widened when a block's top level needs it. A file it refuses (a
-byte other than printable ASCII, a tab or a line end, a lone ``\\r``, or
-any fault below), and a path that is not a regular file (a pipe,
-``/dev/stdin``, a FIFO), is read as text from the handle already open,
-and the block reader takes that text's lines. A text it refuses (a
-header fault, a token ``np.loadtxt`` refuses, ragged lines, other than
-nrows*ncols cells, no data cell, a level out of range) is read again one
-token at a time. Only that pass raises for a bad grid, so every
-:class:`DemParseError` names the line and column it always did, and
-tokens Python's ``float`` accepts but ``np.loadtxt`` refuses (``1_0``,
-Arabic-Indic digits) still parse.
+readers. The block reader takes the lines of a grid, those of a text or
+of a regular file (as the CLI gives every ``.asc`` input), whose lines
+are its text's lines, decoded and split one file line at a time: the
+header line by line, then the data in blocks of about 64 rows of cells
+through ``np.loadtxt``, each block quantized straight into the raster's
+levels and mask, so a float grid, and a file's text, are never held
+whole. The levels are built in the narrowest dtype that holds the top
+level seen so far, widened when a block's top level needs it. A grid it
+refuses (a file that is not UTF-8, a header fault, a token
+``np.loadtxt`` refuses, ragged lines, other than nrows*ncols cells, no
+data cell, a level out of range) is read again one token at a time from
+its text, a file's read once from the handle already open. A path that
+is not a regular file (a pipe, ``/dev/stdin``, a FIFO) can be read only
+once, so its text is read first and goes to both readers in turn. Only
+the token pass raises for a bad grid, so every :class:`DemParseError`
+names the line and column it always did, and tokens Python's ``float``
+accepts but ``np.loadtxt`` refuses (``1_0``, Arabic-Indic digits) still
+parse.
 
 ``parse_fixture_csv`` reads a text of ASCII digits, commas and
 blanks with one ``np.loadtxt`` call, its empty fields written as -1;
@@ -136,11 +137,12 @@ class Dem:
 
     @property
     def zmin(self) -> int:
-        return int(self.values[self.mask].min())
+        return int(self.values.min(initial=np.iinfo(self.values.dtype).max, where=self.mask))
 
     @property
     def zmax(self) -> int:
-        return int(self.values[self.mask].max())
+        # absent cells hold 0, which no present level is below
+        return int(self.values.max())
 
     def __eq__(self, other):
         if not isinstance(other, Dem):
@@ -395,42 +397,50 @@ def parse_esri_ascii(source: str | os.PathLike, *, step: float = 1.0,
     declared NODATA value, or non-finite, are masked out.
 
     Two readers share the work. The block reader (:func:`_esri_blocks`)
-    takes the lines of a regular file (a path, an ``os.PathLike``, not a
-    ``str``) or of a text, and reads their cells in bulk; a file it
-    refuses is read as text from the one open handle, as is any other
-    file (a pipe, a FIFO), and that text's lines go to the block reader.
-    A text it refuses is read one token at a time (:func:`_esri_by_token`),
+    takes the lines of a text or of a regular file (a path, an
+    ``os.PathLike``, not a ``str``) and reads their cells in bulk. A grid
+    it refuses is read one token at a time (:func:`_esri_by_token`),
     which gives every error, with its line and column, and also takes
     tokens ``float`` accepts and ``np.loadtxt`` does not (``1_0``,
-    Arabic-Indic digits).
+    Arabic-Indic digits). A refused file's text is read from the one
+    open handle for that pass alone; any other file (a pipe, a FIFO) is
+    read as text first, and that text goes to both readers.
     """
     if isinstance(source, os.PathLike):
         # the file is opened once: a pipe or FIFO can be read only once
         with open(source, "rb") as f:
             info = os.fstat(f.fileno())
-            if stat.S_ISREG(info.st_mode):
-                dem = _esri_blocks(map(_plain_line, f), info.st_size, step, datum)
+            regular = stat.S_ISREG(info.st_mode)
+            if regular:
+                # a file line ends at the byte \n, which no UTF-8 character
+                # holds and no line break but \r\n spans, so the lines of
+                # each are the lines of the whole text
+                lines = chain.from_iterable(raw.decode("utf-8").splitlines() for raw in f)
+                dem = _esri_blocks(lines, info.st_size, step, datum)
                 if dem is not None:
                     return dem
                 f.seek(0)
             with io.TextIOWrapper(f, encoding="utf-8") as text:
                 source = text.read()
+        if regular:  # the block reader has refused these very lines
+            return _esri_by_token(source, step, datum)
     dem = _esri_blocks(source.splitlines(), len(source), step, datum)
     return _esri_by_token(source, step, datum) if dem is None else dem
 
 
-def _esri_header(lines: Iterable[str]) -> tuple[int, int, float | None, int]:
+def _esri_header(lines: Iterable[str]) -> tuple[int, int, float | None, int, str | None]:
     """Read an ESRI grid's header from its ``lines``, up to the first data line.
 
     Returns nrows, ncols, the NODATA value (None when the header has
-    none) and the number of lines before the data. A line whose first
-    token is not a number (nan and inf are) is a header entry, a key and
-    a value; blank lines are skipped. A missing key, a malformed entry,
-    or a count that is not a positive integer raises
+    none), the number of lines before the data and the first data line,
+    the last one taken from ``lines`` (None when there is none). A line
+    whose first token is not a number (nan and inf are) is a header
+    entry, a key and a value; blank lines are skipped. A missing key, a
+    malformed entry, or a count that is not a positive integer raises
     :class:`DemParseError`.
     """
     header: dict[str, float] = {}
-    data_start = 0
+    data_start, first = 0, None
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens:
@@ -448,7 +458,7 @@ def _esri_header(lines: Iterable[str]) -> tuple[int, int, float | None, int]:
                     f"non-numeric header value {tokens[1]!r}", line=lineno, column=2)
             data_start = lineno
             continue
-        data_start = lineno - 1
+        data_start, first = lineno - 1, line
         break
     # the origin is the lower-left cell's corner or its centre, a full pair
     centred = "xllcenter" in header or "yllcenter" in header
@@ -464,24 +474,11 @@ def _esri_header(lines: Iterable[str]) -> tuple[int, int, float | None, int]:
     finite = math.isfinite(ncols) and math.isfinite(nrows)
     if not finite or ncols != int(ncols) or nrows != int(nrows) or ncols < 1 or nrows < 1:
         raise DemParseError("ncols/nrows must be positive integers", line=1)
-    return int(nrows), int(ncols), header.get("nodata_value"), data_start
+    return int(nrows), int(ncols), header.get("nodata_value"), data_start, first
 
 
 # rows of an ESRI grid that one np.loadtxt call of the block reader takes
 _ESRI_BLOCK_LINES = 64
-# the bytes of a file line the block reader takes, besides its line end:
-# str.splitlines() and str.split(), which the token pass reads by, break
-# at no other ASCII byte, and a lone \r ends a line in a file read as text
-_ESRI_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t"
-
-
-def _plain_line(raw: bytes) -> str:
-    """The file line ``raw`` without its ``\\n`` or ``\\r\\n``; a ValueError
-    unless the rest is printable ASCII and tabs."""
-    raw = raw.removesuffix(b"\n").removesuffix(b"\r")
-    if raw.translate(None, _ESRI_PLAIN_BYTES):
-        raise ValueError("not a plain ASCII line")
-    return raw.decode("ascii")
 
 
 def _esri_blocks(lines: Iterable[str], size: int, step: float, datum: float) -> Dem | None:
@@ -490,39 +487,30 @@ def _esri_blocks(lines: Iterable[str], size: int, step: float, datum: float) -> 
     must read it.
 
     The header is read by the token pass's rules (:func:`_esri_header`),
-    and the first data line, which the header reader has taken, is put
-    back before the rest. The data are parsed by ``np.loadtxt`` a block
-    of lines at a time, about _ESRI_BLOCK_LINES rows of cells, and each
-    block's cells are placed by count, so a row may wrap across lines,
-    and quantized in their own float buffer straight into the raster's
-    levels and mask: no float grid, nor the text of a file, is held
-    whole. The level grid is allocated at the first block, in the
+    which hands back the first data line it took. The data are parsed by
+    ``np.loadtxt`` a block of lines at a time, about _ESRI_BLOCK_LINES
+    rows of cells, and each block's cells are placed by count, so a row
+    may wrap across lines, and quantized in their own float buffer
+    straight into the raster's levels and mask: no float grid, nor the
+    text of a file, is held whole. The level grid is allocated at the first block, in the
     narrowest dtype that holds its top level, and widened by one
     ``astype`` when a later block's top level does not fit, so the grid
     is built in the dtype the raster keeps. Any fault gives None: a file
-    line that is not plain ASCII (:func:`_plain_line`), a header fault, a
-    block ``np.loadtxt`` refuses (ragged lines, ``1_0``), other than
-    nrows*ncols cells, no data cell, a bad step or datum, a level or
-    volume out of range. The token pass
-    then gives the result or the error, with its line, column and order.
+    line that is not UTF-8, a header fault, a block ``np.loadtxt``
+    refuses (ragged lines, ``1_0``), other than nrows*ncols cells, no
+    data cell, a bad step or datum, a level or volume out of range. The
+    token pass then gives the result or the error, with its line, column
+    and order.
     """
     lines = iter(lines)
-    head = []  # the lines the header reader takes, the first data line last
-
-    def taken():
-        for line in lines:
-            head.append(line)
-            yield line
-
     try:
         _check_step_and_datum(step, datum)
-        nrows, ncols, nodata, data_start = _esri_header(taken())
+        nrows, ncols, nodata, _, first = _esri_header(lines)
         # the token pass's guard on the text's length, taken on a size no
         # smaller (a grid it lets through may still be short), and a
         # header with no data line after it
-        if nrows * ncols > (size + 1) // 2 or len(head) == data_start:
+        if nrows * ncols > (size + 1) // 2 or first is None:
             return None
-        first = head[data_start]
         block = _ESRI_BLOCK_LINES * -(-ncols // len(first.split()))
         data = chain([first], lines)
         levels = None  # allocated at the first block, in the dtype it needs
@@ -571,7 +559,7 @@ def _esri_by_token(text: str, step: float, datum: float) -> Dem:
     naming its line and column, and a bad step or datum is refused after
     every fault of the grid."""
     lines = text.splitlines()
-    nrows, ncols, nodata, data_start = _esri_header(lines)
+    nrows, ncols, nodata, data_start, _ = _esri_header(lines)
     count = nrows * ncols
     # every cell needs a token and a separator: a header that claims more
     # cells than the text can hold is short before the grid is allocated
@@ -663,27 +651,22 @@ def _fixture_grid(lines: list[str], width: int) -> np.ndarray | None:
 
 def _fixture_cells_by_line(lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
     """The fixture's (values, mask) grids, each cell read once by ``int``
-    and each line written as one row; the first cell that is not an int64
-    raises, naming its line and column."""
+    and checked as it is read, and each line written as one row; the
+    first cell that is not an int64 raises, naming its line and column."""
     values = np.zeros((len(lines), width), dtype=np.int64)
     mask = np.zeros((len(lines), width), dtype=bool)
     for lineno, line in enumerate(lines, start=1):
         row = list(map(str.strip, line.split(",")))
-        cells = []  # the line's cells up to the first one int refuses
-        try:
-            for tok in row:
-                cells.append(int(tok) if tok else 0)
-        except ValueError:
-            pass
-        if len(cells) < len(row) or max(cells) > _I64_MAX or min(cells) < -_I64_MAX:
-            # every converted cell precedes the refused one: a cell past
-            # int64 among them is the first bad cell
-            colno = next((c for c, v in enumerate(cells, start=1) if abs(v) > _I64_MAX),
-                         len(cells) + 1)
-            tok = row[colno - 1]
-            raise DemParseError(f"cell {tok!r} outside the int64 range"
-                                if colno <= len(cells) else f"non-integer cell {tok!r}",
-                                line=lineno, column=colno)
+        cells = []
+        for colno, tok in enumerate(row, start=1):
+            try:
+                cell = int(tok) if tok else 0
+            except ValueError:
+                raise DemParseError(f"non-integer cell {tok!r}", line=lineno, column=colno)
+            if abs(cell) > _I64_MAX:
+                raise DemParseError(f"cell {tok!r} outside the int64 range",
+                                    line=lineno, column=colno)
+            cells.append(cell)
         values[lineno - 1, :len(row)] = cells
         mask[lineno - 1, :len(row)] = list(map(bool, row))
     return values, mask

@@ -353,6 +353,17 @@ class TestFeaturesCommand:
                Path("features.csv").read_text().splitlines()[1:]]
         assert ids == ["a_b_x.csv", "a_b_x.csv~2", "x"]
 
+    @pytest.mark.parametrize("others", [[], ["dem1.csv"]])
+    def test_existing_name_with_wildcards_is_that_file(self, tmp_path, monkeypatch, others):
+        # dem[1].csv names itself, not the pattern that would match dem1.csv
+        monkeypatch.chdir(tmp_path)
+        for name in ["dem[1].csv", *others]:
+            write_row_fixture(Path(name))
+        assert main(["features", "dem[1].csv", "--output", "features.csv"]) == 0
+        ids = [ln.split(",")[0] for ln in
+               Path("features.csv").read_text().splitlines()[1:]]
+        assert ids == ["dem[1]"]
+
     def test_batch_order_stable(self, fixture_dir, tmp_path):
         out = tmp_path / "out"
         inputs = [str(fixture_dir / n) for n in
@@ -617,6 +628,21 @@ class TestBatchPolicy:
         else:
             ids = [ln.split(",")[0] for ln in report.read_text().splitlines()[1:]]
             assert ids == ["a_ok"] * rows + ["e_ok"] * rows
+
+    @pytest.mark.parametrize("name", ["a,b.csv", 'a"b.csv', "a\rb.csv", "a\nb.csv"])
+    @pytest.mark.parametrize("command, flag", [("features", "--output"),
+                                               ("oracle-check", "--report")])
+    def test_id_no_csv_cell_holds_fails_alone(self, tmp_path, capsys, command, flag, name):
+        # its row would split into more cells than the header names
+        write_row_fixture(tmp_path / name)
+        write_row_fixture(tmp_path / "ok.csv")
+        table = tmp_path / "table.csv"
+        assert main([command, str(tmp_path / name), str(tmp_path / "ok.csv"),
+                     flag, str(table)]) == 1
+        assert "holds a comma, quote or line break" in capsys.readouterr().err
+        header, *rows = table.read_text().splitlines()
+        assert rows and {row.split(",")[0] for row in rows} == {"ok"}
+        assert all(row.count(",") == header.count(",") for row in rows)
 
 
 def _with_node(doc, i, **fields):

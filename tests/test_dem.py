@@ -48,8 +48,12 @@ class TestDemType:
             Dem(np.array([[-1]]), np.array([[True]]))
 
     def test_extrema_track_present_cells(self):
-        dem = Dem.from_rows([[3, None, 9], [1, 2, None]])
-        assert dem.zmin == 1 and dem.zmax == 9
+        for rows, zmin, zmax in [([[3, None, 9], [1, 2, None]], 1, 9),
+                                 ([[0, None], [4, None]], 0, 4),
+                                 ([[None, 127], [127, None]], 127, 127),  # int8's top
+                                 ([[None, 5]], 5, 5)]:
+            dem = Dem.from_rows(rows)
+            assert (dem.zmin, dem.zmax) == (zmin, zmax)
 
     def test_values_are_immutable(self):
         dem = Dem.from_rows([[1, 2]])
@@ -510,7 +514,7 @@ def esri_texts(draw):
     tokens = draw(st.lists(st.sampled_from(ESRI_PLAIN), min_size=count, max_size=count))
     tokens = _with_odd_tokens(draw, tokens, ESRI_ODD)
     regular = draw(st.booleans())
-    sep = draw(st.sampled_from((" ", "\t", "  ")))
+    sep = draw(st.sampled_from((" ", "\t", "  ", "\u00a0")))
     lines, i = [], 0
     while i < len(tokens):
         width = ncols if regular else draw(st.integers(1, 7))
@@ -618,7 +622,9 @@ class TestBulkParsersMatchTokenLoops:
         assert _outcome(parse_esri_ascii, text) == _outcome(reference_parse_esri_ascii, text)
 
     @settings(max_examples=400, deadline=None)
-    @given(esri_texts(), st.sampled_from(("\n", "\r\n", "\r")))
+    # every line break of str.splitlines(), which the token pass reads by
+    @given(esri_texts(), st.sampled_from(("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+                                          "\x1e", "\x85", "\u2028", "\u2029")))
     def test_esri_file(self, tmp_path_factory, text, newline):
         path = tmp_path_factory.getbasetemp() / "loader.asc"
         got, want = _file_outcomes(path, text.replace("\n", newline).encode("utf-8"))
@@ -641,8 +647,14 @@ class TestBulkParsersMatchTokenLoops:
         (GRID_2X2.replace("ncols 2", "ncols 200").replace("3 4", "3 oops"), False),
         (GRID_2X2.replace("3 4", "3 \u0664"), False),
         (GRID_2X2.encode("utf-8").replace(b"3 4", b"3 \xff4"), False),
-        (GRID_2X2.replace("1 2\n", "1 2\r"), False),
-        (GRID_2X2.replace("1 2\n", "1 2\x0c"), False),
+        (GRID_2X2.replace("1 2\n", "1 2\r"), True),
+        (GRID_2X2.replace("1 2\n", "1 2\x0c"), True),
+        (GRID_2X2.replace("1 2\n", "1 2\r\r\n"), True),
+        (GRID_2X2.replace("1 2\n", "1 2\x85"), True),
+        (GRID_2X2.replace("1 2\n", "1 2\u2028"), True),
+        (GRID_2X2.replace("1 2", "1\u00a02"), True),
+        (GRID_2X2.replace("3 4", "3 4\x00"), False),
+        ("\ufeff" + GRID_2X2, False),
         (GRID_2X2.replace("3 4", "3 1_0"), False),
         # cells are placed by count, so rows may wrap at any one width
         (GRID_2X2.replace("1 2\n3 4", "1 2 3 4"), True),
@@ -652,11 +664,12 @@ class TestBulkParsersMatchTokenLoops:
         (_grid_text(130, 3, (3,), bad_cell=99 * 3 + 1), False),
     ], ids=["plain", "crlf", "no-final-newline", "nodata", "non-finite", "blank-lines",
             "short-bad-token", "arabic-digit", "not-utf8", "lone-cr", "form-feed",
-            "underscore", "one-line", "level-overflow", "wrapped", "ragged-wrapped",
-            "bad-token-in-row-100"])
+            "cr-crlf", "next-line", "line-separator", "nbsp", "nul", "bom", "underscore",
+            "one-line", "level-overflow", "wrapped", "ragged-wrapped", "bad-token-in-row-100"])
     def test_esri_file_streams_plain_grids(self, monkeypatch, tmp_path, data, streamed):
-        # the block reader takes the file's own lines first; a file it
-        # refuses is read again as text, which gives its result or error
+        # the block reader takes the file's own lines, once; a file it
+        # refuses is read as text for the token pass, which gives its
+        # result or error
         data = data if isinstance(data, bytes) else data.encode("utf-8")
         blocks, calls = dem_module._esri_blocks, []
 
@@ -667,10 +680,9 @@ class TestBulkParsersMatchTokenLoops:
         monkeypatch.setattr(dem_module, "_esri_blocks", recorded)
         got, want = _file_outcomes(tmp_path / "grid.asc", data)
         assert got == want
-        # the file's lines come from the file, those of its text as a list
-        assert not isinstance(calls[0][0], list)
-        assert all(isinstance(lines, list) for lines, _ in calls[1:])
-        assert (calls[0][1] is not None) == streamed
+        [(lines, dem)] = calls
+        assert not isinstance(lines, list)  # the file's lines, not its text's
+        assert (dem is not None) == streamed
 
     @pytest.mark.parametrize("data", [
         GRID_2X2, GRID_2X2.replace("\n", "\r\n"),
