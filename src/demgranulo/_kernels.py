@@ -55,6 +55,8 @@ def line_layout(shape, direction):
     flat (row-major) index ``starts[j] + i * step``. The step is 1 for
     rows, ``w`` for columns, ``w + 1`` for diag-down lines (constant
     ``c - r``) and ``w - 1`` for diag-up lines (constant ``r + c``).
+    The one scan-line geometry outside the oracle: :func:`_line_blocks`,
+    :func:`directional_loss` and ``dem.scan_lines`` read their lines here.
     """
     h, w = shape
     if direction == "row":

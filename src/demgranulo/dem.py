@@ -5,6 +5,8 @@ over a possibly non-rectangular domain. Cells outside the domain are
 "absent" (masked). Freshly ingested rasters always carry elevations
 ``>= 1``; morphological operators may lower present cells to ``0``,
 which is why the type itself only requires non-negative values.
+``scan_lines`` splits each lattice line of ``_kernels.line_layout``, the
+kernels' one definition of the lines, into its mask's segments.
 
 Both parsers read their cells in bulk. ``parse_esri_ascii`` has two
 readers. The block reader takes the lines of a grid, those of a text or
@@ -44,7 +46,7 @@ import operator
 import os
 import stat
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,6 +54,7 @@ import numpy as np
 # defined numpy-free in _base, and part of this module's interface
 from ._base import (DIRECTION_STEPS, DIRECTIONS, SE_FOR_DIRECTION,  # noqa: F401
                     DemError, DemParseError, _check_step_and_datum)
+from ._kernels import line_layout
 
 _ESRI_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 _I64_MAX = 2**63 - 1
@@ -260,53 +263,25 @@ class ScanLine:
         return sum(len(s) for s in self.segments)
 
 
-def _line_starts(height: int, width: int, direction: str):
-    """Yield (index, r0, c0, length) for every lattice line."""
-    if direction == "row":
-        for r in range(height):
-            yield r, r, 0, width
-    elif direction == "column":
-        for c in range(width):
-            yield c, 0, c, height
-    elif direction == "diag-down":
-        for i in range(height + width - 1):
-            d = i - (height - 1)
-            r0 = max(0, -d)
-            c0 = max(0, d)
-            yield i, r0, c0, min(height - 1 - r0, width - 1 - c0) + 1
-    elif direction == "diag-up":
-        for s in range(height + width - 1):
-            r0 = max(0, s - (width - 1))
-            yield s, r0, s - r0, min(s, height - 1) - r0 + 1
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-
-
 def scan_lines(dem: Dem, direction: str) -> list[ScanLine]:
     """Decompose the domain into 1-D scans along ``direction``.
 
     Every domain cell lands in exactly one segment of exactly one line;
-    gaps in the mask split a lattice line into several segments.
+    gaps in the mask split a lattice line into several segments. The
+    lines, their order and their cells are those of
+    :func:`_kernels.line_layout`.
     """
-    dr, dc = DIRECTION_STEPS[direction]
+    starts, lengths, step = line_layout(dem.values.shape, direction)
+    values, mask = dem.values.ravel().tolist(), dem.mask.ravel().tolist()
     lines = []
-    for index, r0, c0, length in _line_starts(dem.height, dem.width, direction):
+    for index, (start, length) in enumerate(zip(starts.tolist(), lengths.tolist())):
         segments = []
-        run_vals: list[int] = []
-        run_start = 0
-        for i in range(length):
-            r, c = r0 + i * dr, c0 + i * dc
-            if dem.mask[r, c]:
-                if not run_vals:
-                    run_start = i
-                run_vals.append(int(dem.values[r, c]))
-            elif run_vals:
-                segments.append(Segment(r0 + run_start * dr, c0 + run_start * dc,
-                                        tuple(run_vals)))
-                run_vals = []
-        if run_vals:
-            segments.append(Segment(r0 + run_start * dr, c0 + run_start * dc,
-                                    tuple(run_vals)))
+        for present, run in groupby(range(start, start + length * step, step),
+                                    mask.__getitem__):
+            if present:
+                cells = list(run)
+                segments.append(Segment(*divmod(cells[0], dem.width),
+                                        tuple(values[i] for i in cells)))
         lines.append(ScanLine(direction, index, tuple(segments)))
     return lines
 
@@ -405,6 +380,11 @@ def parse_esri_ascii(source: str | os.PathLike, *, step: float = 1.0,
     Arabic-Indic digits). A refused file's text is read from the one
     open handle for that pass alone; any other file (a pipe, a FIFO) is
     read as text first, and that text goes to both readers.
+
+    A regular file streams one line at a time, a line ending at ``\n``,
+    ``\r`` or ``\r\n``. A file whose only line breaks are others that
+    ``str.splitlines`` knows (``\x0b``-``\x1e``, ``\x85``, U+2028,
+    U+2029) parses the same, but as one line held whole.
     """
     if isinstance(source, os.PathLike):
         # the file is opened once: a pipe or FIFO can be read only once
@@ -412,13 +392,15 @@ def parse_esri_ascii(source: str | os.PathLike, *, step: float = 1.0,
             info = os.fstat(f.fileno())
             regular = stat.S_ISREG(info.st_mode)
             if regular:
-                # a file line ends at the byte \n, which no UTF-8 character
-                # holds and no line break but \r\n spans, so the lines of
-                # each are the lines of the whole text
-                lines = chain.from_iterable(raw.decode("utf-8").splitlines() for raw in f)
+                # a line of newline="" ends at \n, \r or \r\n, and no
+                # other break spans two of them, so the lines of each are
+                # the lines of the whole text
+                text = io.TextIOWrapper(f, encoding="utf-8", newline="")
+                lines = chain.from_iterable(map(str.splitlines, text))
                 dem = _esri_blocks(lines, info.st_size, step, datum)
                 if dem is not None:
                     return dem
+                text.detach()
                 f.seek(0)
             with io.TextIOWrapper(f, encoding="utf-8") as text:
                 source = text.read()

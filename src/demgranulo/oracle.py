@@ -6,8 +6,10 @@ every directional spectrum without a single morphological operation.
 The agreement between this route and the streaming operators in
 :mod:`spectrum` is the central cross-validation of the package, so
 nothing here is shared with the fast path, its structuring elements
-included: a count's direction names its element. The lattice lines are
-laid end to end in one flat array, each behind one 0, in the narrowest
+included: a count's direction names its element, and no other module's
+scan lines are walked (:func:`is_unipeak` reads its row from the
+raster). The lattice lines are laid out here alone (:func:`_flat_lines`),
+end to end in one flat array, each behind one 0, in the narrowest
 unsigned dtype that holds the raster's top level, and one level walk
 finds the runs, thresholding that array in that dtype at a block of
 levels at once. :func:`run_lengths` keeps only how many runs have each
@@ -25,8 +27,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dem import (_I64_MAX, SE_FOR_DIRECTION, Dem, reflect_rows, row_interval,
-                  scan_lines, volume)
+from .dem import (_I64_MAX, SE_FOR_DIRECTION, Dem, DemError, reflect_rows, row_interval,
+                  volume)
+# unused here: kept only because the benchmark's tracer wraps oracle.scan_lines
+from .dem import scan_lines  # noqa: F401
 from .spectrum import PatternSpectrum, discrete_volume_derivative, granulometric_index
 
 
@@ -420,10 +424,11 @@ def is_unipeak(dem: Dem) -> UniPeakCheck:
     """
     if dem.height != 1:
         return UniPeakCheck(False, "not a single row")
-    lines = scan_lines(dem, "row")
-    if len(lines[0].segments) != 1:
+    try:
+        lo, hi = row_interval(dem, 0)  # a Dem's one row holds a cell
+    except DemError:
         return UniPeakCheck(False, "row has mask gaps")
-    row = np.array(lines[0].segments[0].values, dtype=np.int64)
+    row = dem.values[0, lo:hi + 1].astype(np.int64)
     left = np.maximum.accumulate(row)
     right = np.maximum.accumulate(row[::-1])[::-1]
     inner = row[1:-1]

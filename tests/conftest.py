@@ -5,7 +5,8 @@ package's compute paths: windowed extrema via numpy sliding windows,
 offset extrema via a per-cell loop, openings via explicit translate
 enumeration, slab losses via a stack sweep over lines walked cell by
 cell, per-level run counting via direct thresholding (per sequence, and
-per segment of every scan line for whole run tables), the oracle's flat
+per segment of every scan line for whole run tables), scan lines and
+their segments via a per-cell walk of every line, the oracle's flat
 line layout via per-cell index arithmetic, and the entropy via exact
 ``Fraction`` probabilities, the ESRI and fixture-CSV parsers as
 per-token loops, their writers as per-cell loops, and
@@ -22,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from demgranulo.dem import (_ESRI_HEADER_KEYS, _I64_MAX, DIRECTION_STEPS, Dem, DemError,
-                            DemParseError, _line_starts, quantize, scan_lines, volume)
+                            DemParseError, ScanLine, Segment, quantize, volume)
 from demgranulo.morphology import nse, opening_by_segment
 
 
@@ -245,6 +246,55 @@ def brute_runs_per_line(seq, h):
     return lengths
 
 
+def _line_starts(height, width, direction):
+    """Yield (index, r0, c0, length) for every lattice line, one line at a time."""
+    if direction == "row":
+        for r in range(height):
+            yield r, r, 0, width
+    elif direction == "column":
+        for c in range(width):
+            yield c, 0, c, height
+    elif direction == "diag-down":
+        for i in range(height + width - 1):
+            d = i - (height - 1)
+            r0 = max(0, -d)
+            c0 = max(0, d)
+            yield i, r0, c0, min(height - 1 - r0, width - 1 - c0) + 1
+    elif direction == "diag-up":
+        for s in range(height + width - 1):
+            r0 = max(0, s - (width - 1))
+            yield s, r0, s - r0, min(s, height - 1) - r0 + 1
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+
+
+def reference_scan_lines(dem, direction):
+    """``dem.scan_lines`` as it was before it read ``_kernels.line_layout``:
+    every line from :func:`_line_starts`, walked cell by cell by its
+    ``DIRECTION_STEPS`` step, each run of present cells one segment."""
+    dr, dc = DIRECTION_STEPS[direction]
+    lines = []
+    for index, r0, c0, length in _line_starts(dem.height, dem.width, direction):
+        segments = []
+        run_vals = []
+        run_start = 0
+        for i in range(length):
+            r, c = r0 + i * dr, c0 + i * dc
+            if dem.mask[r, c]:
+                if not run_vals:
+                    run_start = i
+                run_vals.append(int(dem.values[r, c]))
+            elif run_vals:
+                segments.append(Segment(r0 + run_start * dr, c0 + run_start * dc,
+                                        tuple(run_vals)))
+                run_vals = []
+        if run_vals:
+            segments.append(Segment(r0 + run_start * dr, c0 + run_start * dc,
+                                    tuple(run_vals)))
+        lines.append(ScanLine(direction, index, tuple(segments)))
+    return lines
+
+
 def naive_run_table(dem, direction):
     """``{(line, level, length): runs}`` by thresholding one segment at a time.
 
@@ -252,7 +302,7 @@ def naive_run_table(dem, direction):
     1..its peak, and each maximal run of cells >= the level is counted.
     """
     counts = {}
-    for line in scan_lines(dem, direction):
+    for line in reference_scan_lines(dem, direction):
         for seg in line.segments:
             for h in range(1, max(seg.values) + 1):
                 t = 0
@@ -271,7 +321,7 @@ def naive_run_table(dem, direction):
 
 def reference_flat_lines(dem, direction):
     """``oracle._flat_lines`` as it was before it built its array by slicing
-    and scatter: every line from ``dem._line_starts``, laid end to end by
+    and scatter: every line from :func:`_line_starts`, laid end to end by
     per-cell int64 index arithmetic, each behind one 0, with one more 0
     at the end. Returns (line indices, position of each line's leading 0,
     the int64 array)."""

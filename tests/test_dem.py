@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (random_dem, random_interval_dem, reference_parse_esri_ascii,
-                      reference_parse_fixture_csv, reference_quantize,
+                      reference_parse_fixture_csv, reference_quantize, reference_scan_lines,
                       reference_to_esri_ascii, reference_to_fixture_csv)
 from demgranulo import dem as dem_module
 from demgranulo.dem import (Dem, DemError, DemParseError, parse_esri_ascii,
@@ -329,15 +329,20 @@ class TestParseMemory:
             tracemalloc.stop()
         assert peak <= bound * 320 * 320 * 8, peak / (320 * 320 * 8)
 
-    @pytest.mark.parametrize("side, bound", [(320, 0.85), (1000, 0.6)])
-    def test_file_peak(self, tmp_path, side, bound):
+    @pytest.mark.parametrize("side, bound, newline", [
+        pytest.param(side, bound, newline, id=f"{side}-{bound}{suffix}")
+        for newline, suffix in (("\n", ""), ("\r\n", "-crlf"), ("\r", "-cr"))
+        for side, bound in ((320, 0.85), (1000, 0.6))])
+    def test_file_peak(self, tmp_path, side, bound, newline):
         # measured 0.70 (320^2) and 0.48 (1000^2): the int16 levels, the
         # mask and one block of lines. The int64 levels took 1.44 and 1.23;
         # reading the file as text, its lines and a float grid beside the
-        # levels 2.61 and 2.62
+        # levels 2.61 and 2.62. Lone CR line ends made the file one binary
+        # line, held whole with all its lines: 1.57 and 1.48
         path = tmp_path / "terrain.asc"
         path.write_text(synthetic_terrain(side, levels=256, hole_fraction=0.02,
-                                          seed=1).to_esri_ascii(), encoding="utf-8")
+                                          seed=1).to_esri_ascii(), encoding="utf-8",
+                        newline=newline)
         tracemalloc.start()
         try:
             parse_esri_ascii(path)
@@ -837,6 +842,28 @@ class TestScanLines:
                     seen[cell] = v
         assert len(seen) == dem.cell_count
         assert all(dem.values[r, c] == v for (r, c), v in seen.items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        small_dem_strategy(),
+        # 1xn, nx1, mostly gaps, and present cells at level 0, which only
+        # the mask may split from their segment
+        st.integers(0, 10**6).map(lambda seed: random_dem(seed, 1, 12, 6)),
+        st.integers(0, 10**6).map(lambda seed: random_dem(seed, 12, 1, 6)),
+        st.integers(0, 10**6).map(lambda seed: random_dem(seed, 8, 8, 6, hole_fraction=0.6)),
+        small_dem_strategy().map(lambda dem: Dem(dem.values - 1, dem.mask))),
+        st.sampled_from(["row", "column", "diag-down", "diag-up"]))
+    def test_matches_reference(self, dem, direction):
+        # the lines of _kernels.line_layout give the per-cell walk's lines,
+        # in its order, with the same segments, origins and Python int values
+        got = scan_lines(dem, direction)
+        want = reference_scan_lines(dem, direction)
+        assert [(l.direction, l.index) for l in got] == [(l.direction, l.index) for l in want]
+        for a, b in zip(got, want):
+            assert [(s.row0, s.col0, s.values) for s in a.segments] == \
+                [(s.row0, s.col0, s.values) for s in b.segments]
+        assert all(type(v) is int for l in got for s in l.segments
+                   for v in (s.row0, s.col0, *s.values))
 
 
 class TestReflectRows:

@@ -13,9 +13,10 @@ import tracemalloc
 import numpy as np
 
 from conftest import (brute_runs_per_line, naive_run_table, random_dem,
-                      random_interval_dem, random_unipeak_dem, reference_flat_lines)
+                      random_interval_dem, random_unipeak_dem, reference_flat_lines,
+                      reference_scan_lines)
 from demgranulo import oracle
-from demgranulo.dem import SE_FOR_DIRECTION, Dem, reflect_rows, scan_lines, volume
+from demgranulo.dem import SE_FOR_DIRECTION, Dem, reflect_rows, volume
 from demgranulo.oracle import (RunLengths, RunTable, is_unipeak, reflection_family,
                                run_lengths, run_profile_equal, run_table,
                                spectrum_from_runs, unipeak_entropy_equivalence)
@@ -69,7 +70,7 @@ class TestRunTable:
     @given(dems(), st.sampled_from(DIRECTIONS))
     def test_against_brute_threshold_runs(self, dem, direction):
         rt = run_table(dem, direction)
-        for line in scan_lines(dem, direction):
+        for line in reference_scan_lines(dem, direction):
             seq = []
             for seg in line.segments:
                 seq.extend(seg.values)
@@ -87,7 +88,7 @@ class TestRunTable:
     def test_marginal_identity(self, dem, direction):
         # summed run lengths equal the per-line cell count at each level
         want = {}
-        for line in scan_lines(dem, direction):
+        for line in reference_scan_lines(dem, direction):
             for h in range(1, dem.zmax + 1):
                 cells = sum(1 for seg in line.segments for v in seg.values if v >= h)
                 if cells:
@@ -563,5 +564,5 @@ class TestIndependence:
         for name in ("_kernels", "line_layout", "directional_extremum",
                      "directional_loss", "_volume_curve", "opening_raw",
                      "perfbench", "gate", "run_length_counts", "line_matrix",
-                     "resolve_se", "morphology"):
+                     "resolve_se", "morphology", "scan_lines("):
             assert name not in source, name

@@ -34,6 +34,13 @@ def test_tracer_targets_resolve():
     assert missing == []
 
 
+def test_oracle_scan_lines_is_the_package_function():
+    # oracle.py keeps this import only for the tracer, whose dem.scan_lines
+    # span wraps oracle.scan_lines: it must be dem's function, not a shadow
+    from demgranulo import dem, oracle
+    assert oracle.scan_lines is dem.scan_lines
+
+
 # A cold ``cli`` (nothing bound yet) gets wrappers the way the tracer
 # installs them: one replaces an attribute it has just read (which binds
 # the numeric names), one is set before anything is bound. The features
