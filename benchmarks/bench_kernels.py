@@ -6,7 +6,9 @@ The parsers read the benchmark raster as rendered by
 more with a ``+`` before its first present cell, which sends it to the
 by-line pass (a ``+`` before an absent first cell would be a bad token),
 and the ESRI grid once more from a file, the path the CLI takes for an
-``.asc`` input; both writers are timed too.
+``.asc`` input, and from a file whose first data row holds a
+``1_0``-style token, which sends that row's block to the token-by-token
+reader; both writers are timed too.
 
 Every kernel is numpy code. The kernels run on the raster's levels,
 ``dem.values``, in the narrowest signed dtype that holds them (int16 for
@@ -63,13 +65,19 @@ def run(side, levels, repeats):
     arr = dem.values
     csv_text, esri_text = dem.to_fixture_csv(), dem.to_esri_ascii()
     signed_csv = re.sub(r"\d", r"+\g<0>", csv_text, count=1)
+    head, nodata, rows = esri_text.partition("NODATA_value -9999\n")
+    # an underscore after the first digit of the first multi-digit level
+    underscored = head + nodata + re.sub(r"(?<![\d.-])(\d)(?=\d)", r"\1_", rows, count=1)
     esri_file = Path(tempfile.mkdtemp()) / "raster.asc"
     esri_file.write_text(esri_text, encoding="utf-8")
+    by_token_file = esri_file.with_name("raster-by-token.asc")
+    by_token_file.write_text(underscored, encoding="utf-8")
     cases = [
         ("parse fixture CSV", lambda: parse_fixture_csv(csv_text)),
         ("parse fixture CSV by line", lambda: parse_fixture_csv(signed_csv)),
         ("parse ESRI ASCII", lambda: parse_esri_ascii(esri_text)),
         ("parse ESRI ASCII file", lambda: parse_esri_ascii(esri_file)),
+        ("parse ESRI ASCII file by token", lambda: parse_esri_ascii(by_token_file)),
         ("write fixture CSV", dem.to_fixture_csv),
         ("write ESRI ASCII", dem.to_esri_ascii),
         ("windowed min (k=8, rows)",
@@ -86,13 +94,14 @@ def run(side, levels, repeats):
 
     print(f"raster {side}x{side}, {levels} levels, "
           f"{dem.cell_count} cells as {arr.dtype}, best of {repeats}")
-    print(f"{'case':<28s} {'numpy (ms)':>10s} {'peak (KiB)':>10s}")
+    print(f"{'case':<30s} {'numpy (ms)':>10s} {'peak (KiB)':>10s}")
     try:
         for label, fn in cases:
             best = time_call(fn, repeats)
-            print(f"{label:<28s} {best * 1000:>10.2f} {peak_call(fn) / 1024:>10.0f}")
+            print(f"{label:<30s} {best * 1000:>10.2f} {peak_call(fn) / 1024:>10.0f}")
     finally:
         esri_file.unlink()
+        by_token_file.unlink()
         esri_file.parent.rmdir()
 
 

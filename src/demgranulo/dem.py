@@ -8,32 +8,30 @@ which is why the type itself only requires non-negative values.
 ``scan_lines`` splits each lattice line of ``_kernels.line_layout``, the
 kernels' one definition of the lines, into its mask's segments.
 
-Both parsers read their cells in bulk. ``parse_esri_ascii`` has two
-readers. The block reader takes the lines of a grid, those of a text or
-of a regular file (as the CLI gives every ``.asc`` input), whose lines
-are its text's lines, decoded and split one file line at a time: the
-header line by line, then the data in blocks of about 64 rows of cells
-through ``np.loadtxt``, each block quantized straight into the raster's
-levels and mask, so a float grid, and a file's text, are never held
-whole. The levels are built in the narrowest dtype that holds the top
-level seen so far, widened when a block's top level needs it. A grid it
-refuses (a file that is not UTF-8, a header fault, a token
-``np.loadtxt`` refuses, ragged lines, other than nrows*ncols cells, no
-data cell, a level out of range) is read again one token at a time from
-its text, a file's read once from the handle already open. A path that
-is not a regular file (a pipe, ``/dev/stdin``, a FIFO) can be read only
-once, so its text is read first and goes to both readers in turn. Only
-the token pass raises for a bad grid, so every :class:`DemParseError`
-names the line and column it always did, and tokens Python's ``float``
-accepts but ``np.loadtxt`` refuses (``1_0``, Arabic-Indic digits) still
-parse.
+Both parsers read their cells in bulk. ``parse_esri_ascii`` has one
+reader, which takes the lines of a grid: those of a text, or of a
+regular file (as the CLI gives every ``.asc`` input), decoded and split
+one file line at a time. It reads the header line by line, then the
+data in blocks of about 64 rows of cells through ``np.loadtxt``, each
+block quantized straight into the raster's levels and mask, so a float
+grid, and a file's text, are never held whole. The levels are built in
+the narrowest dtype that holds the top level seen so far, widened when a
+block's top level needs it. A block ``np.loadtxt`` refuses (ragged
+lines, a bad token, or one Python's ``float`` accepts and it does not:
+``1_0``, Arabic-Indic digits), or one that would overfill the grid, is
+read where it stands one token at a time, and a bad token raises there,
+naming its line and column. A file the reader refuses is read again as
+text from the handle already open, and that text goes through the same
+reader, so its error is the text's. A path that is not a regular file (a
+pipe, ``/dev/stdin``, a FIFO) can be read only once, so its text is read
+first and goes to the reader once.
 
 ``parse_fixture_csv`` reads a text of ASCII digits, commas and
 blanks with one ``np.loadtxt`` call, its empty fields written as -1;
 any other text, or one ``np.loadtxt`` refuses, is read in one pass, each
 cell once by ``int`` and each line written into the grid as one row; the
 first bad cell raises, naming its line and column. ``quantize`` and
-both ESRI readers hand the levels they build, in the dtype the raster
+the ESRI reader hand the levels they build, in the dtype the raster
 keeps, to the :class:`Dem` without a copy. The writers render a raster a
 row at a time from the row's Python lists of values and mask.
 """
@@ -182,8 +180,12 @@ class Dem:
 
         Re-parsing with ``step=1, datum=1`` reproduces the raster
         bit-exactly; the default ingestion datum of 0 maps an integer
-        grid one level up (see :func:`quantize`).
+        grid one level up (see :func:`quantize`). A present cell equal to
+        ``nodata``, which the parser would mask, raises ``ValueError``.
         """
+        # compared as the parser reads the header's value
+        if (self.mask & (self.values == float(str(nodata)))).any():
+            raise ValueError(f"a present cell holds the NODATA value {nodata}")
         header = [
             f"ncols {self.width}",
             f"nrows {self.height}",
@@ -322,18 +324,8 @@ def quantize(raw, mask=None, *, step: float = 1.0, datum: float = 0.0) -> Dem:
         present &= mask
     if not present.any():
         raise DemError("no unmasked finite values to quantize")
-    return _quantize_in_place(levels, present, step, datum)
-
-
-def _quantize_in_place(levels: np.ndarray, present: np.ndarray,
-                       step: float, datum: float) -> Dem:
-    """:func:`quantize` of a C-ordered float64 grid the caller owns and
-    gives up, with its C-ordered ``present`` mask holding a cell.
-
-    The levels are built in the grid's own buffer (:func:`_levels_in_place`)
-    and cast once to the raster's dtype, so the levels the Dem adopts are
-    the only numeric grid allocated.
-    """
+    # the levels are built in the copy's own buffer and cast once to the
+    # raster's dtype, which the Dem adopts
     top = _levels_in_place(levels, present, step, datum)
     return Dem._adopt(levels.astype(_level_dtype(top)), present)
 
@@ -371,43 +363,38 @@ def parse_esri_ascii(source: str | os.PathLike, *, step: float = 1.0,
     NODATA_value; data rows follow, top row first. Cells equal to the
     declared NODATA value, or non-finite, are masked out.
 
-    Two readers share the work. The block reader (:func:`_esri_blocks`)
-    takes the lines of a text or of a regular file (a path, an
-    ``os.PathLike``, not a ``str``) and reads their cells in bulk. A grid
-    it refuses is read one token at a time (:func:`_esri_by_token`),
-    which gives every error, with its line and column, and also takes
-    tokens ``float`` accepts and ``np.loadtxt`` does not (``1_0``,
-    Arabic-Indic digits). A refused file's text is read from the one
-    open handle for that pass alone; any other file (a pipe, a FIFO) is
-    read as text first, and that text goes to both readers.
-
-    A regular file streams one line at a time, a line ending at ``\n``,
-    ``\r`` or ``\r\n``. A file whose only line breaks are others that
-    ``str.splitlines`` knows (``\x0b``-``\x1e``, ``\x85``, U+2028,
-    U+2029) parses the same, but as one line held whole.
+    One reader, :func:`_esri_read`, takes the grid's lines and raises
+    its errors, each naming its line and column. A text, or the text of
+    a path that is not a regular file (a pipe, ``/dev/stdin``, a FIFO,
+    which can be read only once), goes to it once. A regular file (a
+    path, an ``os.PathLike``, not a ``str``) streams into it one line at
+    a time, a line ending at ``\n``, ``\r`` or ``\r\n``. A file it
+    refuses is read again as text, from the handle already open, and
+    that text goes through the same reader, so the error is the text's
+    own: a file that is not UTF-8 raises the text's
+    ``UnicodeDecodeError``, and the size guard counts the text's
+    characters, not the file's bytes. A file whose only line breaks are
+    others that ``str.splitlines`` knows (``\x0b``-``\x1e``, ``\x85``,
+    U+2028, U+2029) parses the same, but as one line held whole.
     """
     if isinstance(source, os.PathLike):
         # the file is opened once: a pipe or FIFO can be read only once
         with open(source, "rb") as f:
             info = os.fstat(f.fileno())
-            regular = stat.S_ISREG(info.st_mode)
-            if regular:
+            if stat.S_ISREG(info.st_mode):
                 # a line of newline="" ends at \n, \r or \r\n, and no
                 # other break spans two of them, so the lines of each are
                 # the lines of the whole text
                 text = io.TextIOWrapper(f, encoding="utf-8", newline="")
-                lines = chain.from_iterable(map(str.splitlines, text))
-                dem = _esri_blocks(lines, info.st_size, step, datum)
-                if dem is not None:
-                    return dem
-                text.detach()
-                f.seek(0)
+                try:
+                    return _esri_read(chain.from_iterable(map(str.splitlines, text)),
+                                      info.st_size, step, datum)
+                except (DemError, ValueError):
+                    text.detach()
+                    f.seek(0)
             with io.TextIOWrapper(f, encoding="utf-8") as text:
                 source = text.read()
-        if regular:  # the block reader has refused these very lines
-            return _esri_by_token(source, step, datum)
-    dem = _esri_blocks(source.splitlines(), len(source), step, datum)
-    return _esri_by_token(source, step, datum) if dem is None else dem
+    return _esri_read(source.splitlines(), len(source), step, datum)
 
 
 def _esri_header(lines: Iterable[str]) -> tuple[int, int, float | None, int, str | None]:
@@ -459,121 +446,120 @@ def _esri_header(lines: Iterable[str]) -> tuple[int, int, float | None, int, str
     return int(nrows), int(ncols), header.get("nodata_value"), data_start, first
 
 
-# rows of an ESRI grid that one np.loadtxt call of the block reader takes
+# rows of an ESRI grid that one np.loadtxt call takes
 _ESRI_BLOCK_LINES = 64
 
 
-def _esri_blocks(lines: Iterable[str], size: int, step: float, datum: float) -> Dem | None:
+def _esri_read(lines: Iterable[str], size: int, step: float, datum: float) -> Dem:
     """The Dem of the ESRI grid in ``lines``, read from a source of
-    ``size`` bytes or characters, or None where :func:`_esri_by_token`
-    must read it.
+    ``size`` bytes or characters.
 
-    The header is read by the token pass's rules (:func:`_esri_header`),
-    which hands back the first data line it took. The data are parsed by
-    ``np.loadtxt`` a block of lines at a time, about _ESRI_BLOCK_LINES
-    rows of cells, and each block's cells are placed by count, so a row
-    may wrap across lines, and quantized in their own float buffer
-    straight into the raster's levels and mask: no float grid, nor the
-    text of a file, is held whole. The level grid is allocated at the first block, in the
+    The header is read line by line (:func:`_esri_header`), which hands
+    back the first data line it took. The data are read a block of lines
+    at a time, about _ESRI_BLOCK_LINES rows of cells as wide as the first
+    data line, so a short first line makes one block of a grid whose
+    rows are wrapped. ``np.loadtxt`` parses each block; a block it
+    refuses (ragged lines, ``1_0``, a bad token), or one that would
+    overfill the grid, is read one token at a time (:func:`_esri_tokens`).
+    The cells are placed by count, so a row may wrap across lines, and
+    each block's are quantized in their own float buffer straight into
+    the raster's levels and mask: no float grid, nor the text of a file,
+    is held whole. The level grid is allocated at the first block, in the
     narrowest dtype that holds its top level, and widened by one
-    ``astype`` when a later block's top level does not fit, so the grid
-    is built in the dtype the raster keeps. Any fault gives None: a file
-    line that is not UTF-8, a header fault, a block ``np.loadtxt``
-    refuses (ragged lines, ``1_0``), other than nrows*ncols cells, no
-    data cell, a bad step or datum, a level or volume out of range. The
-    token pass then gives the result or the error, with its line, column
-    and order.
+    ``astype`` when a later block's top level does not fit.
+
+    The grid's faults raise :class:`DemParseError`, naming their line and
+    column, in the order of its text: a header fault; a header that
+    claims more cells than ``size`` can hold, raised once the rest is
+    read to count its tokens; a bad token or one past nrows*ncols; too
+    few cells; no data cell. A bad step or datum, then a level out of
+    range, are raised only after every fault of the grid.
     """
     lines = iter(lines)
+    nrows, ncols, nodata, data_start, first = _esri_header(lines)
+    count = nrows * ncols
+    data = chain([first] if first else (), lines)
+    # every cell needs a token and a separator: a header that claims more
+    # cells than the source can hold is short before the grid is allocated
+    if first is None or count > (size + 1) // 2:
+        cells, last = 0, data_start
+        for lineno, line in enumerate(data, start=data_start + 1):
+            if tokens := len(line.split()):
+                cells, last = cells + tokens, lineno
+        raise DemParseError(f"grid ended after {cells} of {count} cells", line=last)
+    held = None  # a bad step or datum, or a level overflow: raised last
     try:
         _check_step_and_datum(step, datum)
-        nrows, ncols, nodata, _, first = _esri_header(lines)
-        # the token pass's guard on the text's length, taken on a size no
-        # smaller (a grid it lets through may still be short), and a
-        # header with no data line after it
-        if nrows * ncols > (size + 1) // 2 or first is None:
-            return None
-        block = _ESRI_BLOCK_LINES * -(-ncols // len(first.split()))
-        data = chain([first], lines)
-        levels = None  # allocated at the first block, in the dtype it needs
-        present = np.empty((nrows, ncols), dtype=bool)
-        cell = 0
-        while chunk := list(islice(data, block)):
-            # np.loadtxt warns on a block without data
-            chunk = [line for line in chunk if line and not line.isspace()]
-            if not chunk:
-                continue
-            cells = np.loadtxt(chunk, comments=None).reshape(-1)
-            del chunk
-            end = cell + cells.size
-            if end > present.size:
-                return None
-            mask = np.isfinite(cells)
-            if nodata is not None:
-                mask &= cells != nodata
-            top = _levels_in_place(cells, mask, step, datum)
-            if levels is None:
-                levels = np.empty((nrows, ncols), dtype=_level_dtype(top))
-            elif top > np.iinfo(levels.dtype).max:
-                levels = levels.astype(_level_dtype(top))
-            levels.reshape(-1)[cell:end] = cells
-            present.reshape(-1)[cell:end] = mask
-            cell = end
-            del cells, mask  # not held while the next block is read
-        if cell < present.size:
-            return None
-        return Dem._adopt(levels, present)
-    except (DemError, ValueError):
-        return None
+    except ValueError as exc:
+        held = exc
+    block = _ESRI_BLOCK_LINES * -(-ncols // len(first.split()))
+    levels = None  # allocated at the first block, in the dtype it needs
+    present = np.empty(count, dtype=bool)
+    cell, last, end = 0, data_start, data_start  # end: the last line read
+    while chunk := list(islice(data, block)):
+        at, end = end + 1, end + len(chunk)
+        rows = []  # np.loadtxt warns on a block without data
+        for lineno, line in enumerate(chunk, start=at):
+            if line and not line.isspace():
+                rows.append(line)
+                last = lineno
+        if not rows:
+            continue
+        try:
+            cells = np.loadtxt(rows, comments=None).reshape(-1)
+        except ValueError:
+            cells = None
+        if cells is None or cells.size > count - cell:
+            cells = _esri_tokens(chunk, at, count - cell)
+        del chunk, rows
+        mask = np.isfinite(cells)
+        if nodata is not None:
+            mask &= cells != nodata
+        present[cell:cell + cells.size] = mask
+        if held is None:
+            try:
+                top = _levels_in_place(cells, mask, step, datum)
+            except DemError as exc:
+                held = exc
+            else:
+                if levels is None:
+                    levels = np.empty(count, dtype=_level_dtype(top))
+                elif top > np.iinfo(levels.dtype).max:
+                    levels = levels.astype(_level_dtype(top))
+                levels[cell:cell + cells.size] = cells
+        cell += cells.size
+        del cells, mask  # not held while the next block is read
+    if cell < count:
+        raise DemParseError(f"grid ended after {cell} of {count} cells", line=last)
+    if not present.any():
+        raise DemParseError("grid contains no data cells", line=last)
+    if held is not None:
+        raise held
+    return Dem._adopt(levels.reshape(nrows, ncols), present.reshape(nrows, ncols))
 
 
-def _last_data_line(lines: list[str], data_start: int) -> int:
-    """1-based number of the last line holding a token (data_start if none)."""
-    for lineno in range(len(lines), data_start, -1):
-        if lines[lineno - 1].split():
-            return lineno
-    return data_start
-
-
-def _esri_by_token(text: str, step: float, datum: float) -> Dem:
-    """The Dem of the ESRI grid ``text``, its data read one token at a
-    time with ``float``; the first fault raises :class:`DemParseError`,
-    naming its line and column, and a bad step or datum is refused after
-    every fault of the grid."""
-    lines = text.splitlines()
-    nrows, ncols, nodata, data_start, _ = _esri_header(lines)
-    count = nrows * ncols
-    # every cell needs a token and a separator: a header that claims more
-    # cells than the text can hold is short before the grid is allocated
-    if count > (len(text) + 1) // 2:
-        cells = sum(len(line.split()) for line in lines[data_start:])
-        raise DemParseError(f"grid ended after {cells} of {count} cells",
-                            line=_last_data_line(lines, data_start))
-    grid = np.empty(count, dtype=np.float64)
+def _esri_tokens(chunk: list[str], at: int, room: int) -> np.ndarray:
+    """The cells of the ESRI data lines ``chunk``, the first of them line
+    ``at``, each token read by ``float``, which also takes ``1_0`` and
+    Arabic-Indic digits. A token ``float`` refuses, or one past the
+    ``room`` cells the grid has left, raises :class:`DemParseError`,
+    naming its line and column."""
+    # every token takes a character and a separator
+    cells = np.empty(min(room, sum(len(line) + 1 for line in chunk) // 2),
+                     dtype=np.float64)
     filled = 0
-    for lineno in range(data_start + 1, len(lines) + 1):
-        for colno, tok in enumerate(lines[lineno - 1].split(), start=1):
-            if filled >= count:
+    for lineno, line in enumerate(chunk, start=at):
+        for colno, tok in enumerate(line.split(), start=1):
+            if filled >= room:
                 raise DemParseError("grid has more cells than nrows*ncols",
                                     line=lineno, column=colno)
             try:
-                grid[filled] = float(tok)
+                cells[filled] = float(tok)
             except ValueError:
                 raise DemParseError(f"non-numeric token {tok!r}",
                                     line=lineno, column=colno)
             filled += 1
-    if filled < count:
-        raise DemParseError(f"grid ended after {filled} of {count} cells",
-                            line=_last_data_line(lines, data_start))
-    grid = grid.reshape(nrows, ncols)
-    present = np.isfinite(grid)
-    if nodata is not None:
-        present &= grid != nodata
-    if not present.any():
-        raise DemParseError("grid contains no data cells",
-                            line=_last_data_line(lines, data_start))
-    _check_step_and_datum(step, datum)
-    return _quantize_in_place(grid, present, step, datum)
+    return cells[:filled]
 
 
 def parse_fixture_csv(text: str) -> Dem:

@@ -1,6 +1,7 @@
 """Raster data model, ingestion, quantization and geometry."""
 
 import os
+import re
 import threading
 import tracemalloc
 import warnings
@@ -199,7 +200,7 @@ class TestQuantizeInPlace:
         np.testing.assert_array_equal(grid, kept)
 
     def test_parse_peak_is_two_grids_beyond_its_data_step(self):
-        # measured -0.61 grids: the block reader's int16 levels, mask and
+        # measured -0.61 grids: the reader's int16 levels, mask and
         # one block stay under the one-call parse of the data (int64 levels:
         # 0.14). A level buffer of its own and the Dem's copy took 1.7
         # grids, one array per step 4.1.
@@ -244,7 +245,7 @@ class TestNarrowLevels:
         path = tmp_path / "grid.asc"
         path.write_text(text, encoding="utf-8")
         want = reference_parse_esri_ascii(text, datum=1)
-        # "4_0" is a token np.loadtxt refuses: the token pass reads the text
+        # "4_0" is a token np.loadtxt refuses: its block is read token by token
         token_text = text.replace("\n4 ", "\n4_0 ", 1)
         assert token_text != text
         token_want = reference_parse_esri_ascii(token_text, datum=1)
@@ -351,6 +352,39 @@ class TestParseMemory:
             tracemalloc.stop()
         assert peak <= bound * side * side * 8, peak / (side * side * 8)
 
+    # measured 0.51, 1.64 and 1.44, where reading the whole text again
+    # one token at a time took 2.37, 2.37 and 2.00: one 1_0-style token
+    # sends only its own block to the token reader; a first data line of
+    # 7 cells makes one block of the whole grid; a bad token in the last
+    # row sends the file's text, read again, through the same reader
+    @pytest.mark.parametrize("edit, bound, error", [
+        pytest.param(lambda rows: [re.sub(r"(^| )(\d)(\d+)(?= |$)", r"\1\2_\3", rows[0],
+                                          count=1)] + rows[1:],
+                     0.6, None, id="underscore"),
+        pytest.param(lambda rows: [part for row in rows for part in
+                                   (" ".join(row.split()[:7]), " ".join(row.split()[7:]))],
+                     1.8, None, id="wrapped-7"),
+        pytest.param(lambda rows: rows[:-1] + [rows[-1].rsplit(" ", 1)[0] + " x"],
+                     1.7, "non-numeric token 'x' (line 1006, column 1000)",
+                     id="bad-token-last-row"),
+    ])
+    def test_odd_file_peak(self, tmp_path, edit, bound, error):
+        dem = synthetic_terrain(1000, levels=256, hole_fraction=0.02, seed=1)
+        lines = dem.to_esri_ascii().splitlines()
+        edited = lines[:6] + edit(lines[6:])
+        assert edited != lines
+        path = tmp_path / "terrain.asc"
+        path.write_text("\n".join(edited) + "\n", encoding="utf-8")
+        del lines, edited
+        tracemalloc.start()
+        try:
+            got = _outcome(lambda p: parse_esri_ascii(p, datum=1), path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == (dem if error is None else (DemParseError, error))
+        assert peak <= bound * 1000 * 1000 * 8, peak / (1000 * 1000 * 8)
+
     def test_by_line_csv_peak(self, monkeypatch):
         # a leading "+" sends the text to the by-line pass, which fills the
         # int64 grid and the mask a row at a time: measured 2.82 grids,
@@ -450,6 +484,14 @@ class TestEsriAscii:
             parse_esri_ascii(GRID_2X2.replace("3 4\n", ""))
         with pytest.raises(DemParseError, match="more cells"):
             parse_esri_ascii(GRID_2X2 + "9\n")
+
+    @pytest.mark.parametrize("nodata", [5, 5.0])
+    def test_writer_refuses_nodata_held_by_a_present_cell(self, nodata):
+        # re-parsed, both cells at 5 would be masked as NODATA
+        dem = Dem.from_rows([[1, 5, 2], [None, 5, 3]])
+        with pytest.raises(ValueError, match="NODATA value"):
+            dem.to_esri_ascii(nodata=nodata)
+        assert parse_esri_ascii(dem.to_esri_ascii(nodata=4), datum=1) == dem
 
     def test_all_nodata_rejected(self):
         text = ("ncols 1\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
@@ -627,7 +669,7 @@ class TestBulkParsersMatchTokenLoops:
         assert _outcome(parse_esri_ascii, text) == _outcome(reference_parse_esri_ascii, text)
 
     @settings(max_examples=400, deadline=None)
-    # every line break of str.splitlines(), which the token pass reads by
+    # every line break of str.splitlines(), which a text is split by
     @given(esri_texts(), st.sampled_from(("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
                                           "\x1e", "\x85", "\u2028", "\u2029")))
     def test_esri_file(self, tmp_path_factory, text, newline):
@@ -648,9 +690,9 @@ class TestBulkParsersMatchTokenLoops:
          .replace("3 4", "-9999 4"), True),
         (GRID_2X2.replace("1 2\n3 4", "nan 2\n-inf inf"), True),
         (GRID_2X2.replace("3 4\n", "3 4\n\t\n  \n"), True),
-        # the token pass's guard: the grid ends before its bad token
+        # the size guard: the grid ends before its bad token
         (GRID_2X2.replace("ncols 2", "ncols 200").replace("3 4", "3 oops"), False),
-        (GRID_2X2.replace("3 4", "3 \u0664"), False),
+        (GRID_2X2.replace("3 4", "3 \u0664"), True),
         (GRID_2X2.encode("utf-8").replace(b"3 4", b"3 \xff4"), False),
         (GRID_2X2.replace("1 2\n", "1 2\r"), True),
         (GRID_2X2.replace("1 2\n", "1 2\x0c"), True),
@@ -660,34 +702,36 @@ class TestBulkParsersMatchTokenLoops:
         (GRID_2X2.replace("1 2", "1\u00a02"), True),
         (GRID_2X2.replace("3 4", "3 4\x00"), False),
         ("\ufeff" + GRID_2X2, False),
-        (GRID_2X2.replace("3 4", "3 1_0"), False),
+        (GRID_2X2.replace("3 4", "3 1_0"), True),
         # cells are placed by count, so rows may wrap at any one width
         (GRID_2X2.replace("1 2\n3 4", "1 2 3 4"), True),
         (GRID_2X2.replace("1 2\n3 4", "1e300 2\n3 4"), False),
         (_grid_text(130, 6, (3, 3)), True),
-        (_grid_text(130, 6, (4, 2)), False),
+        (_grid_text(130, 6, (4, 2)), True),
         (_grid_text(130, 3, (3,), bad_cell=99 * 3 + 1), False),
     ], ids=["plain", "crlf", "no-final-newline", "nodata", "non-finite", "blank-lines",
             "short-bad-token", "arabic-digit", "not-utf8", "lone-cr", "form-feed",
             "cr-crlf", "next-line", "line-separator", "nbsp", "nul", "bom", "underscore",
             "one-line", "level-overflow", "wrapped", "ragged-wrapped", "bad-token-in-row-100"])
     def test_esri_file_streams_plain_grids(self, monkeypatch, tmp_path, data, streamed):
-        # the block reader takes the file's own lines, once; a file it
-        # refuses is read as text for the token pass, which gives its
-        # result or error
+        # the reader takes the file's own lines, once; a file it refuses
+        # is read again as text, whose lines go through the same reader
+        # and give the text's error
         data = data if isinstance(data, bytes) else data.encode("utf-8")
-        blocks, calls = dem_module._esri_blocks, []
+        esri_read, calls = dem_module._esri_read, []
 
         def recorded(lines, *args):
-            calls.append((lines, blocks(lines, *args)))
-            return calls[-1][1]
+            calls.append(lines if isinstance(lines, list) else "file lines")
+            return esri_read(lines, *args)
 
-        monkeypatch.setattr(dem_module, "_esri_blocks", recorded)
+        monkeypatch.setattr(dem_module, "_esri_read", recorded)
         got, want = _file_outcomes(tmp_path / "grid.asc", data)
         assert got == want
-        [(lines, dem)] = calls
-        assert not isinstance(lines, list)  # the file's lines, not its text's
-        assert (dem is not None) == streamed
+        try:
+            text_lines = [data.decode("utf-8").splitlines()]
+        except UnicodeDecodeError:  # raised by the text's read, before its reader
+            text_lines = []
+        assert calls == ["file lines"] + ([] if streamed else text_lines)
 
     @pytest.mark.parametrize("data", [
         GRID_2X2, GRID_2X2.replace("\n", "\r\n"),
@@ -695,16 +739,16 @@ class TestBulkParsersMatchTokenLoops:
         GRID_2X2.encode("utf-8").replace(b"3 4", b"3 \xff4"),
     ], ids=["plain", "crlf", "short-bad-token", "not-utf8"])
     def test_esri_pipe_is_read_once_as_text(self, monkeypatch, data):
-        # a pipe can be read only once: its bytes never reach the block
-        # reader, but its text, read from the handle the parser opened, does
+        # a pipe can be read only once: its text, read from the handle
+        # the parser opened, reaches the reader once, its bytes never
         data = data if isinstance(data, bytes) else data.encode("utf-8")
-        blocks, seen = dem_module._esri_blocks, []
+        esri_read, seen = dem_module._esri_read, []
 
         def recorded(lines, *args):
             seen.append(lines)
-            return blocks(lines, *args)
+            return esri_read(lines, *args)
 
-        monkeypatch.setattr(dem_module, "_esri_blocks", recorded)
+        monkeypatch.setattr(dem_module, "_esri_read", recorded)
         read, write = os.pipe()
 
         def feed():
