@@ -1,4 +1,4 @@
-"""Hot numeric kernels: windowed extrema, square erosions and peak-slab sweeps.
+"""Hot numeric kernels: windowed extrema and peak-slab sweeps.
 
 Every kernel is numpy code. Directional kernels take a scan direction by
 its name (``"row"``, ``"column"``, ``"diag-down"``, ``"diag-up"``; see
@@ -11,9 +11,6 @@ its name (``"row"``, ``"column"``, ``"diag-down"``, ``"diag-up"``; see
   (:func:`_slab_pass`), a column window stepping whole rows down its
   tile; diagonals are gathered a block of lines at a time
   (:func:`_line_blocks`) in the flat-index layout of :func:`line_layout`;
-* the square erosions (:func:`square_erosions`) read the erosion by the
-  square of every scale from one table of square minima, which doubles
-  in place as the squares grow: three binary ufunc calls per scale;
 * the slab sweep (:func:`directional_loss`) finds, for every cell, its
   nearest smaller neighbours on both sides by binary lifting over a
   sparse table of range minima, which gives every maximal slab of every
@@ -81,9 +78,9 @@ def line_layout(shape, direction):
 # memory a pass needs beyond its output does not grow with the raster;
 # a line longer than a block makes a block of its own.
 _BLOCK_CELLS = 1 << 14
-# The slab pass and the square table work on slabs of as many bytes as
-# a block of int64 cells: narrow levels take more cells per slab, and so
-# fewer numpy calls, for the same cache footprint.
+# The slab pass works on slabs of as many bytes as a block of int64
+# cells: narrow levels take more cells per slab, and so fewer numpy
+# calls, for the same cache footprint.
 _SLAB_BYTES = 8 * _BLOCK_CELLS
 
 
@@ -229,69 +226,6 @@ def directional_extremum(values, direction, k, minimum, after=None, out=None):
         res = res[:lines * stride].reshape(lines, stride)
         flat[index[inside]] = res[:, :index.shape[1]][inside]
     return out
-
-
-def square_erosions(levels, k):
-    """Erosions by the (2nk+1)x(2nk+1) square, for n = 1, 2, ....
-
-    Yields one array per scale, the same array every time: each scale
-    overwrites it, and the caller may change it in between. The scales
-    stop before the first whose square is wider or taller than the
-    raster, whose erosion is 0 everywhere.
-
-    All scales read one table ``T``, built in place from a copy of the
-    levels (a square sparse table; Amir, Fischer & Lewenstein, CPM 2007):
-    ``T[i, j]`` is the minimum of the ``s`` x ``s`` square whose top-left
-    cell is ``(i, j)``, for every such square inside the raster, and ``s``
-    doubles, by one step along rows and one down columns, whenever ``2s``
-    fits the window. The erosion of width ``W = 2nk + 1`` is 0 outside
-    ``[nk, h - nk) x [nk, w - nk)``, where the window leaves the raster;
-    inside, it is the minimum of the four ``s``-squares at its corners,
-    which cover it.
-
-    Both the table and the erosion are computed on the flat raster: a
-    cell whose square would wrap into the next row reads what its flat
-    neighbours hold, and is left out (table) or overwritten with the 0
-    of the frame (erosion).
-    """
-    if k < 1:
-        raise ValueError("half-width must be >= 1")
-    table = _as_int_2d(levels).copy()
-    h, w = table.shape
-    flat = table.ravel()
-    eroded = np.empty_like(table)
-    s, n = 1, 1
-    while 2 * n * k + 1 <= min(h, w):
-        r, width = n * k, 2 * n * k + 1
-        while 2 * s <= width:
-            _fold_ahead(flat, s)  # along rows
-            _fold_ahead(flat, s * w)  # down columns
-            s *= 2
-        # cell (i, j) of the interior reads T at (i - r, j - r) and at
-        # d cells down, across or both
-        d = width - s
-        size = (h - 2 * r) * w - 2 * r
-        inner = eroded.ravel()[r * w + r:r * w + r + size]
-        np.minimum(flat[:size], flat[d * w:d * w + size], out=inner)
-        np.minimum(inner, flat[d:d + size], out=inner)
-        np.minimum(inner, flat[d * w + d:d * w + d + size], out=inner)
-        eroded[:r] = eroded[h - r:] = 0
-        eroded[:, :r] = eroded[:, w - r:] = 0
-        yield eroded
-        n += 1
-
-
-def _fold_ahead(flat, shift):
-    """``flat[i] = min(flat[i], flat[i + shift])`` in place, by blocks.
-
-    The blocks run from the start of the array, so each reads cells past
-    its end that no block has written yet.
-    """
-    end = flat.shape[0] - shift
-    cells = max(1, _SLAB_BYTES // flat.itemsize)
-    for i in range(0, end, cells):
-        j = min(i + cells, end)
-        np.minimum(flat[i:j], flat[i + shift:j + shift], out=flat[i:j])
 
 
 def directional_loss(values, direction):

@@ -44,8 +44,8 @@ import operator
 import os
 import stat
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
-from typing import Iterable, Sequence
+from itertools import chain, groupby
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -446,8 +446,9 @@ def _esri_header(lines: Iterable[str]) -> tuple[int, int, float | None, int, str
     return int(nrows), int(ncols), header.get("nodata_value"), data_start, first
 
 
-# rows of an ESRI grid that one np.loadtxt call takes
-_ESRI_BLOCK_LINES = 64
+# characters of ESRI data text that one np.loadtxt call takes, in whole
+# lines: a block's memory does not depend on how its rows are wrapped
+_ESRI_BLOCK_CHARS = 1 << 16
 
 
 def _esri_read(lines: Iterable[str], size: int, step: float, datum: float) -> Dem:
@@ -455,10 +456,9 @@ def _esri_read(lines: Iterable[str], size: int, step: float, datum: float) -> De
     ``size`` bytes or characters.
 
     The header is read line by line (:func:`_esri_header`), which hands
-    back the first data line it took. The data are read a block of lines
-    at a time, about _ESRI_BLOCK_LINES rows of cells as wide as the first
-    data line, so a short first line makes one block of a grid whose
-    rows are wrapped. ``np.loadtxt`` parses each block; a block it
+    back the first data line it took. The data are read a block of whole
+    lines at a time, about _ESRI_BLOCK_CHARS characters of text however
+    its rows are wrapped. ``np.loadtxt`` parses each block; a block it
     refuses (ragged lines, ``1_0``, a bad token), or one that would
     overfill the grid, is read one token at a time (:func:`_esri_tokens`).
     The cells are placed by count, so a row may wrap across lines, and
@@ -492,11 +492,10 @@ def _esri_read(lines: Iterable[str], size: int, step: float, datum: float) -> De
         _check_step_and_datum(step, datum)
     except ValueError as exc:
         held = exc
-    block = _ESRI_BLOCK_LINES * -(-ncols // len(first.split()))
     levels = None  # allocated at the first block, in the dtype it needs
     present = np.empty(count, dtype=bool)
     cell, last, end = 0, data_start, data_start  # end: the last line read
-    while chunk := list(islice(data, block)):
+    while chunk := _take_text(data, _ESRI_BLOCK_CHARS):
         at, end = end + 1, end + len(chunk)
         rows = []  # np.loadtxt warns on a block without data
         for lineno, line in enumerate(chunk, start=at):
@@ -536,6 +535,18 @@ def _esri_read(lines: Iterable[str], size: int, step: float, datum: float) -> De
     if held is not None:
         raise held
     return Dem._adopt(levels.reshape(nrows, ncols), present.reshape(nrows, ncols))
+
+
+def _take_text(lines: Iterator[str], chars: int) -> list[str]:
+    """The next lines of ``lines``, up to the first that brings their
+    characters, each with its line end, to ``chars``."""
+    taken, size = [], 0
+    for line in lines:
+        taken.append(line)
+        size += len(line) + 1
+        if size >= chars:
+            break
+    return taken
 
 
 def _esri_tokens(chunk: list[str], at: int, room: int) -> np.ndarray:

@@ -21,9 +21,9 @@ one pass of the doubling scan-line window kernel (O(log width) per cell)
 along its direction, a square (:meth:`StructuringElement.as_square`) a
 row pass then a column pass, each at the scaled half-width, so no scaled
 element is ever built for them. A line element's spectrum takes the
-slab sweep instead; a square's runs one loop over the scales, taking its
-erosions from one table of square minima (``_kernels.square_erosions``)
-and dilating each in place through these passes.
+slab sweep instead; a square's runs one loop over the scales through
+these passes, each scale eroding the last one's erosion by the element
+and dilating it at the scale's half-width.
 
 Linear elements derive from ``_base.DIRECTION_STEPS``, the one table of
 scan directions: B1-B4, :meth:`StructuringElement.as_line` and the scaled

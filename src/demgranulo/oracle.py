@@ -143,12 +143,13 @@ def _check_runs(length: np.ndarray, runs: np.ndarray, *keys: np.ndarray) -> None
 _BLOCK_CELLS = 2**16
 
 
-def _flat_lines(dem: Dem, direction: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _flat_lines(dem: Dem, direction: str) -> tuple[np.ndarray, np.ndarray]:
     """Every lattice line of ``direction`` in one flat array, each behind a 0.
 
-    Returns the line indices, the position in the array of each line's
-    leading 0, and the array itself, which ends in one more 0 and holds
-    the levels in the narrowest unsigned dtype that holds the top one.
+    Returns the position in the array of each line's leading 0, in line
+    index order, and the array itself, which ends in one more 0 and
+    holds the levels in the narrowest unsigned dtype that holds the top
+    one.
     Masked cells already hold 0 in ``dem.values``, so a masked cell, a
     present 0 and the 0 between two lines all break every run at levels
     >= 1.
@@ -192,7 +193,7 @@ def _flat_lines(dem: Dem, direction: str) -> tuple[np.ndarray, np.ndarray, np.nd
         starts = np.cumsum(length + 1) - (length + 1)
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    return np.arange(lines, dtype=np.int64), starts, flat
+    return starts, flat
 
 
 def _held_levels(flat: np.ndarray) -> np.ndarray:
@@ -247,7 +248,7 @@ def run_lengths(dem: Dem, direction: str) -> RunLengths:
     level of each run dropped as soon as it is found; a run counts once
     for every level its threshold stands for.
     """
-    _, _, flat = _flat_lines(dem, direction)
+    _, flat = _flat_lines(dem, direction)
     width, tspan = flat.size - 1, max(dem.height, dem.width) + 1
     counts = np.zeros(tspan, dtype=np.int64)
     for levels, weight, before, length in _level_runs(flat):
@@ -283,7 +284,7 @@ def run_table(dem: Dem, direction: str) -> RunTable:
     (level, line, length) at once, and an entry of a threshold is
     repeated at every level it stands for.
     """
-    index, starts, flat = _flat_lines(dem, direction)
+    starts, flat = _flat_lines(dem, direction)
     width, tspan = flat.size - 1, max(dem.height, dem.width) + 1
     # empty columns keep the joins below defined when every cell is 0
     lines, levels, lengths, runs = ([np.zeros(0, dtype=np.int64)] for _ in range(4))
@@ -299,7 +300,7 @@ def run_table(dem: Dem, direction: str) -> RunTable:
         runs.append(count[entry])
     line, level, length = (np.concatenate(col) for col in (lines, levels, lengths))
     order = np.lexsort((length, level, line))
-    return RunTable._from_columns(direction, index[line[order]], level[order],
+    return RunTable._from_columns(direction, line[order], level[order],
                                   length[order], np.concatenate(runs)[order])
 
 
@@ -354,7 +355,7 @@ def run_profile_equal(dem1: Dem, dem2: Dem, direction: str) -> bool:
     higher one.
     """
     lines = [_flat_lines(dem, direction) for dem in (dem1, dem2)]
-    flats = [flat for _, _, flat in lines]
+    flats = [flat for _, flat in lines]
     if int(flats[0].max()) != int(flats[1].max()):
         return False
     # equal tops give both arrays one dtype; both walks take one block size
@@ -363,7 +364,7 @@ def run_profile_equal(dem1: Dem, dem2: Dem, direction: str) -> bool:
     tspan = max(dem1.height, dem1.width, dem2.height, dem2.width) + 1
     for blocks in zip(*(_level_runs(flat, held, per) for flat in flats)):
         a, b = (_line_runs(starts, flat.size - 1, tspan, before, length)
-                for (_, starts, flat), (_, _, before, length) in zip(lines, blocks))
+                for (starts, flat), (_, _, before, length) in zip(lines, blocks))
         if not all(map(np.array_equal, a, b)):
             return False
     return True

@@ -11,11 +11,10 @@ cancels in the normalized features).
 Each spectrum has one code path, :func:`pattern_spectra`. An element
 is a line or a square (``morphology`` refuses any other shape). A linear
 element takes the slab sweep, one pass that yields every scale of every
-family asked for in the call. A square runs one loop over the scales: it
-reads each scale's erosion from one table of square minima
-(``_kernels.square_erosions``) and dilates it in place through the
-passes ``morphology._raw_extremum`` makes of it. The scales run until
-the erosion, and so the volume, reaches 0.
+family asked for in the call. A square runs one loop over the scales:
+each scale erodes the last one's erosion by the element and dilates it,
+both through ``morphology._raw_extremum``, the one square-erosion path.
+The scales run until the erosion, and so the volume, reaches 0.
 """
 
 from __future__ import annotations
@@ -98,8 +97,8 @@ def pattern_spectrum(dem: Dem, se, *, family: str = "nse") -> PatternSpectrum:
 
     Linear elements take the single-pass slab sweep, which yields every
     scale at once; a square (B among them) opens the raster once per
-    scale, reading every scale's erosion from one table of square
-    minima. The scales run until the volume reaches 0.
+    scale, eroding each scale's erosion from the last one's. The scales
+    run until the volume reaches 0.
 
     Args:
         dem: the raster; its volume must be positive.
@@ -156,25 +155,27 @@ def _nse_spectrum_sweep(se, line, curve):
 def _nse_spectrum_square(dem, se, v0):
     """The spectrum of a square element, one scale at a time.
 
-    Each scale's erosion comes from one table
-    (``_kernels.square_erosions``), so beyond its levels B holds two
-    rasters, the table and the erosion. Each erosion is dilated in
-    place. Only the volume needs the mask, so no opening is wrapped in a
-    raster. (perfbench/tracer.py times this function by name.)
+    Scale n erodes the last scale's erosion once more by the element and
+    dilates the result by n·se into a second raster, so beyond its levels
+    B holds two rasters. The erosion by (n+1)·se is the erosion by se of
+    the erosion by n·se, since (n+1)·se = se ⊕ n·se; that holds exactly
+    under the zero pad too, as the element holds the origin and every
+    cell outside the domain reads 0. Only the volume needs the mask, so
+    no opening is wrapped in a raster.
+    (perfbench/tracer.py times this function by name.)
     """
-    erosions = _kernels.square_erosions(dem.values, se.as_square())
-    vols = [v0]
-    for n, eroded in enumerate(erosions, 1):
+    eroded = dem.values.copy()
+    opened = np.empty_like(eroded)
+    vols, n = [v0], 0
+    while vols[-1]:
+        n += 1
+        _raw_extremum(eroded, se, 1, True, out=eroded)
         # an erosion is 0 off the mask and the dilation keeps each cell's
-        # own value, so the volume is 0 exactly when the erosion is: that
-        # scale ends the spectrum, and its erosion is not dilated
-        _raw_extremum(eroded, se, n, False, out=eroded)
-        np.multiply(eroded, dem.mask, out=eroded)
-        vols.append(int(eroded.sum(dtype=np.int64)))
-        if vols[-1] == 0:
-            break
-    else:
-        vols.append(0)  # the next square is wider or taller than the raster
+        # own value, so the volume is 0 exactly when the erosion is, and
+        # an all-zero erosion is copied, not dilated
+        _raw_extremum(eroded, se, n, False, out=opened)
+        np.multiply(opened, dem.mask, out=opened)
+        vols.append(int(opened.sum(dtype=np.int64)))
     return _spectrum_from_points(se.name, "nse", vols)
 
 
@@ -243,6 +244,8 @@ def high_low_direction(z) -> tuple[str, str]:
     Ties resolve to the lowest element index.
     """
     z = tuple(float(v) for v in z)
+    if len(z) != 4:
+        raise ValueError("expected exactly four values")
     hi = max(range(4), key=lambda i: (z[i], -i))
     lo = min(range(4), key=lambda i: (z[i], i))
     return SE_NAMES[hi], SE_NAMES[lo]

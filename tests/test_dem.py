@@ -335,8 +335,9 @@ class TestParseMemory:
         for newline, suffix in (("\n", ""), ("\r\n", "-crlf"), ("\r", "-cr"))
         for side, bound in ((320, 0.85), (1000, 0.6))])
     def test_file_peak(self, tmp_path, side, bound, newline):
-        # measured 0.70 (320^2) and 0.48 (1000^2): the int16 levels, the
-        # mask and one block of lines. The int64 levels took 1.44 and 1.23;
+        # measured 0.70 (320^2) and 0.41 (1000^2): the int16 levels, the
+        # mask and one block of lines, 16 of them at 1000^2 (0.48 with
+        # blocks of 64 lines). The int64 levels took 1.44 and 1.23;
         # reading the file as text, its lines and a float grid beside the
         # levels 2.61 and 2.62. Lone CR line ends made the file one binary
         # line, held whole with all its lines: 1.57 and 1.48
@@ -352,18 +353,20 @@ class TestParseMemory:
             tracemalloc.stop()
         assert peak <= bound * side * side * 8, peak / (side * side * 8)
 
-    # measured 0.51, 1.64 and 1.44, where reading the whole text again
+    # measured 0.41, 0.43 and 1.39, where reading the whole text again
     # one token at a time took 2.37, 2.37 and 2.00: one 1_0-style token
-    # sends only its own block to the token reader; a first data line of
-    # 7 cells makes one block of the whole grid; a bad token in the last
-    # row sends the file's text, read again, through the same reader
+    # sends only its own block to the token reader; rows wrapped as 7
+    # cells and then 993 make blocks of as much text as unwrapped rows
+    # (1.64 when the first data line's width sized every block); a bad
+    # token in the last row sends the file's text, read again, through
+    # the same reader
     @pytest.mark.parametrize("edit, bound, error", [
         pytest.param(lambda rows: [re.sub(r"(^| )(\d)(\d+)(?= |$)", r"\1\2_\3", rows[0],
                                           count=1)] + rows[1:],
                      0.6, None, id="underscore"),
         pytest.param(lambda rows: [part for row in rows for part in
                                    (" ".join(row.split()[:7]), " ".join(row.split()[7:]))],
-                     1.8, None, id="wrapped-7"),
+                     0.6, None, id="wrapped-7"),
         pytest.param(lambda rows: rows[:-1] + [rows[-1].rsplit(" ", 1)[0] + " x"],
                      1.7, "non-numeric token 'x' (line 1006, column 1000)",
                      id="bad-token-last-row"),

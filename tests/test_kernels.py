@@ -397,41 +397,6 @@ class TestSlabPasses:
         assert in_place is buf and buf.tolist() == want.tolist()
 
 
-class TestSquareErosions:
-    @settings(max_examples=200, deadline=None)
-    @given(slab_rasters(max_side=20), st.integers(1, 3), st.sampled_from(SLAB_SIZES))
-    def test_matches_separable_erosion(self, arr, k, slab):
-        # one erosion per scale whose square fits the raster, each equal
-        # to a row pass then a column pass of the naive window
-        with mock.patch.object(_kernels, "_SLAB_BYTES", slab):
-            got = [e.tolist() for e in _kernels.square_erosions(arr, k)]
-        want = []
-        while 2 * (len(want) + 1) * k + 1 <= min(arr.shape):
-            r = (len(want) + 1) * k
-            rows = naive_directional_extremum(arr, UNIT["row"], r, r, True)
-            want.append(naive_directional_extremum(rows, UNIT["column"], r, r, True).tolist())
-        assert got == want
-
-    def test_caller_may_write_over_the_buffer(self):
-        # one buffer for every scale, each overwritten whole, and the
-        # levels themselves are left as they were
-        arr = _raster(3, 9, 11)
-        before = arr.copy()
-        want = [e.tolist() for e in _kernels.square_erosions(arr, 1)]
-        got, seen = [], set()
-        for eroded in _kernels.square_erosions(arr, 1):
-            got.append(eroded.tolist())
-            seen.add(id(eroded))
-            eroded[:] = 7
-        assert got == want and len(want) == 4
-        assert len(seen) == 1
-        assert (arr == before).all()
-
-    def test_half_width_must_be_positive(self):
-        with pytest.raises(ValueError, match="half-width"):
-            next(_kernels.square_erosions(np.ones((3, 3), dtype=np.int64), 0))
-
-
 def test_import_leaves_numba_unloaded():
     # numba's import cost would land on every run's start-up time
     code = "import sys, demgranulo; print('numba' in sys.modules)"

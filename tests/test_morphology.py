@@ -18,6 +18,7 @@ from demgranulo.morphology import (StructuringElement, _raw_extremum, dilate, er
                                    multiscale_opening, named_se, nse,
                                    open_square_separable, opening, opening_raw,
                                    resolve_se)
+from demgranulo.spectrum import pattern_spectrum
 from demgranulo.synth import synthetic_terrain
 
 ALL_NAMES = ("B1", "B2", "B3", "B4", "B")
@@ -347,3 +348,44 @@ class TestSquareSeparable:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * values.nbytes + 2 * 2**20
+
+
+class TestIteratedSquareErosion:
+    """The square spectrum erodes each scale from the last one: the
+    erosion by (n+1)·se is the erosion by se of the erosion by n·se,
+    since (n+1)·se = se ⊕ n·se, and the zero pad keeps that exact."""
+
+    # n up to 6 runs past the shorter side of every raster drawn
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(dems(9), dems_of_shape(1, 9), dems_of_shape(9, 1), dems_of_shape(1, 1)),
+           st.sampled_from([named_se("B"), nse("B", 2)]), st.integers(1, 6))
+    def test_repeated_erosion_is_the_scaled_erosion(self, dem, se, n):
+        values = dem.values
+        repeated = values.copy()
+        for _ in range(n):
+            _raw_extremum(repeated, se, 1, True, out=repeated)
+        r = n * se.as_square()
+        offs = [(dr, dc) for dr in range(-r, r + 1) for dc in range(-r, r + 1)]
+        direct = naive_offset_extremum(values, offs, True).tolist()
+        assert _raw_extremum(values, se, n, True).tolist() == direct
+        assert repeated.tolist() == direct
+
+    @pytest.mark.parametrize("se", [named_se("B"), nse("B", 2)])
+    def test_spectrum_erodes_at_the_element_half_width(self, monkeypatch, se):
+        # one erosion by the element per scale, a row and a column pass,
+        # and each scale's dilation at the scale's half-width
+        calls = []
+        extremum = _kernels.directional_extremum
+
+        def recorded(values, direction, k, minimum, **kwargs):
+            calls.append((minimum, direction, k))
+            return extremum(values, direction, k, minimum, **kwargs)
+
+        monkeypatch.setattr(_kernels, "directional_extremum", recorded)
+        ps = pattern_spectrum(synthetic_terrain(40, levels=32), se)
+        k = se.as_square()
+        erosions = [call for call in calls if call[0]]
+        assert erosions == [(True, "row", k), (True, "column", k)] * ps.n0
+        # the last scale erodes to 0, which is not dilated
+        dilations = [call for call in calls if not call[0]]
+        assert dilations == [(False, d, n * k) for n in range(1, ps.n0) for d in ("row", "column")]

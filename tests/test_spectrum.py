@@ -214,7 +214,6 @@ class TestPatternSpectra:
             raise AssertionError("ran before the arguments were checked")
 
         monkeypatch.setattr(_kernels, "directional_loss", no_work)
-        monkeypatch.setattr(_kernels, "square_erosions", no_work)
         monkeypatch.setattr(spectrum, "_raw_extremum", no_work)
         with pytest.raises(ValueError, match=match):
             pattern_spectra(Dem.from_rows(rows), se, families)
@@ -380,6 +379,12 @@ class TestHighLow:
 
     def test_increasing(self):
         assert high_low_direction((0.1, 0.2, 0.3, 0.4)) == ("B4", "B1")
+
+    @pytest.mark.parametrize("z", [(1, 2, 3), (1, 2, 3, 4, 9), ()])
+    def test_needs_exactly_four_values(self, z):
+        # a fifth value is not dropped and a short tuple is no IndexError
+        with pytest.raises(ValueError, match="expected exactly four values"):
+            high_low_direction(z)
 
 
 class TestArithmeticOnNarrowLevels:
