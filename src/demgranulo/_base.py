@@ -5,10 +5,11 @@ the feature record live here rather than in ``dem``, ``morphology`` and
 ``spectrum``, which re-export them; so does the step/datum check that
 ``dem`` and the CLI's ``RunConfig`` share. ``classify`` and the CLI's
 ``train-tree``, ``classify`` and ``--version`` paths import only this
-module, so they start without loading numpy. The record classes are
-plain classes over :class:`Record` rather than dataclasses, so this
-module loads ``math`` alone: ``dataclasses`` would bring in ``inspect``
-and its own imports, and compile each class's methods at import.
+module, so they start without loading numpy. Every record class is a
+plain class over :class:`Record`, the one record mechanism, or over its
+frozen variant :class:`FrozenRecord`; no module loads ``dataclasses``,
+which would bring in ``inspect`` and its own imports, and compile each
+class's methods at import.
 
 A direction is passed around by its name only; ``DIRECTION_STEPS`` is the
 one table of what a name means, the unit lattice step ``(drow, dcol)``
@@ -86,11 +87,26 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-class FeatureRecord(Record):
+class FrozenRecord(Record):
+    """A :class:`Record` frozen as a frozen dataclass is: ``__init__`` sets
+    each attribute once, through ``vars(self)``, assigning or deleting one
+    raises ``AttributeError``, and the hash is that of the field values."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class FeatureRecord(FrozenRecord):
     """Per-watershed feature bundle derived from the five spectra.
 
-    Immutable: assigning or deleting an attribute raises
-    ``AttributeError``. ``gi`` defaults to a fresh empty dict.
+    Frozen; its ``gi`` dict makes it unhashable. ``gi`` defaults to a
+    fresh empty dict.
     """
 
     _fields = ("watershed_id", "x", "gi", "z", "degenerate", "label")
@@ -100,9 +116,3 @@ class FeatureRecord(Record):
                  label: str | None = None):
         vars(self).update(watershed_id=watershed_id, x=x, gi={} if gi is None else gi,
                           z=z, degenerate=degenerate, label=label)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")

@@ -23,11 +23,10 @@ calls from them into this module when it starts: ``spectrum`` and
 The standard library is imported the same way: ``json`` by the two
 functions here that use it (``--config`` and the ``spectrum`` summaries)
 and by ``classify`` for tree files, ``fractions`` by tree training
-alone, and ``dataclasses`` by none of the modules numpy-free commands
-load. So ``classify`` and ``--version`` load no ``dataclasses``,
-``fractions`` or ``typing``, ``train-tree`` no ``dataclasses`` or
-``typing``, and the batch commands no ``fractions`` (nor, but for
-``spectrum``, ``json``).
+alone, and ``dataclasses`` by no module of the package. So no command
+loads ``dataclasses``, ``classify`` and ``--version`` load no
+``fractions`` or ``typing``, ``train-tree`` no ``typing``, and the batch
+commands no ``fractions`` (nor, but for ``spectrum``, ``json``).
 
 Every file is read and written as UTF-8, whatever the locale. A file
 name the locale cannot decode reaches ``sys.argv`` with lone surrogates
@@ -58,7 +57,8 @@ _NAMES = {
     "classify": ("predict", "render_tree", "train_cart", "training_accuracy",
                  "tree_from_json", "tree_to_json"),
     "dem": ("Dem", "parse_esri_ascii", "parse_fixture_csv"),
-    "oracle": ("reflection_family", "run_lengths", "run_table", "spectrum_from_runs"),
+    "oracle": ("_held_levels", "reflection_family", "run_lengths", "run_table",
+               "spectrum_from_runs"),
     "spectrum": ("granulometric_index", "high_low_direction", "normalized_mdgi",
                  "pattern_spectra", "pattern_spectrum"),
     "synth": ("fictitious_dem", "reflection_demo_dem", "run_profile_pair",
@@ -130,8 +130,8 @@ class RunConfig(Record):
         "datum": 0.0,
         "parallel": 1,
         "directions": DIRECTIONS,
-        # cells x levels: the run count takes about 3.4 ns per unit on a
-        # 2-vCPU Xeon, so about 1 s for 1000x1000 cells of 300 levels
+        # cells x held levels: on a 2-vCPU Xeon the run count takes about
+        # 1 s at the cap on a terrain, about 3 s for 3,000 random levels
         "max_oracle_work": 300_000_000,
         "corrupt_hook": False,
     }
@@ -355,7 +355,11 @@ def cmd_features(cfg: RunConfig, output: Path | None = None) -> int:
 
 def _oracle_one(ident, dem, cfg) -> list[tuple[str, ...]]:
     _check_csv_id(ident)
+    # the run count thresholds only the levels the raster holds, counted
+    # when cells x top level, which bounds their work, is over the cap
     work = dem.height * dem.width * max(dem.zmax, 1)
+    if work > cfg.max_oracle_work:
+        work = dem.height * dem.width * _held_levels(dem.values.ravel()).size
     if work > cfg.max_oracle_work:
         return [(ident, "-", "-", "SKIP",
                  f"work {work} exceeds cap {cfg.max_oracle_work}")]
@@ -559,8 +563,8 @@ def main(argv=None) -> int:
     oc.add_argument("--directions",
                     help="comma-separated subset of row,column,diag-down,diag-up")
     oc.add_argument("--max-oracle-work", type=int,
-                    help="skip rasters with cells*levels beyond this (default "
-                         "300000000, which admits 1000x1000 at 300 levels)")
+                    help="skip rasters whose cells x held levels exceed this (default "
+                         "300000000, which admits 1000x1000 cells of 300 levels)")
     oc.add_argument("--self-test-corrupt", dest="corrupt_hook", action="store_true",
                     help=argparse.SUPPRESS)
 

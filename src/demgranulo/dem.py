@@ -12,19 +12,19 @@ Both parsers read their cells in bulk. ``parse_esri_ascii`` has one
 reader, which takes the lines of a grid: those of a text, or of a
 regular file (as the CLI gives every ``.asc`` input), decoded and split
 one file line at a time. It reads the header line by line, then the
-data in blocks of about 64 rows of cells through ``np.loadtxt``, each
-block quantized straight into the raster's levels and mask, so a float
-grid, and a file's text, are never held whole. The levels are built in
-the narrowest dtype that holds the top level seen so far, widened when a
-block's top level needs it. A block ``np.loadtxt`` refuses (ragged
-lines, a bad token, or one Python's ``float`` accepts and it does not:
-``1_0``, Arabic-Indic digits), or one that would overfill the grid, is
-read where it stands one token at a time, and a bad token raises there,
-naming its line and column. A file the reader refuses is read again as
-text from the handle already open, and that text goes through the same
-reader, so its error is the text's. A path that is not a regular file (a
-pipe, ``/dev/stdin``, a FIFO) can be read only once, so its text is read
-first and goes to the reader once.
+data in blocks of whole lines, about 64K characters each, through
+``np.loadtxt``, each block quantized straight into the raster's levels
+and mask, so a float grid, and a file's text, are never held whole. The
+levels are built in the narrowest dtype that holds the top level seen so
+far, widened when a block's top level needs it. A block ``np.loadtxt``
+refuses (ragged lines, a bad token, or one Python's ``float`` accepts
+and it does not: ``1_0``, Arabic-Indic digits), or one that would
+overfill the grid, is read where it stands one token at a time, and a
+bad token raises there, naming its line and column. A file the
+reader refuses is read again as text from the handle already open, and
+that text goes through the same reader, so its error is the text's. A
+path that is not a regular file (a pipe, ``/dev/stdin``, a FIFO) can be
+read only once, so its text is read first and goes to the reader once.
 
 ``parse_fixture_csv`` reads a text of ASCII digits, commas and
 blanks with one ``np.loadtxt`` call, its empty fields written as -1;
@@ -43,7 +43,6 @@ import math
 import operator
 import os
 import stat
-from dataclasses import dataclass
 from itertools import chain, groupby
 from typing import Iterable, Iterator, Sequence
 
@@ -51,15 +50,14 @@ import numpy as np
 
 # defined numpy-free in _base, and part of this module's interface
 from ._base import (DIRECTION_STEPS, DIRECTIONS, SE_FOR_DIRECTION,  # noqa: F401
-                    DemError, DemParseError, _check_step_and_datum)
+                    DemError, DemParseError, FrozenRecord, _check_step_and_datum)
 from ._kernels import line_layout
 
 _ESRI_HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 _I64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True, eq=False)
-class Dem:
+class Dem(FrozenRecord):
     """Masked integer raster. ``values`` holds 0 at absent cells.
 
     ``values`` comes in the narrowest signed dtype that holds the top
@@ -69,16 +67,16 @@ class Dem:
     or curve derived from it is kept on it. The constructor copies both.
     It takes values of any dtype, but a present value must be a finite
     integer: ``1.5`` is refused, not truncated, and absent cells are
-    never read, so they may hold NaN.
+    never read, so they may hold NaN. Frozen and unhashable; two rasters
+    are equal when their masks and values are.
     """
 
-    values: np.ndarray
-    mask: np.ndarray
+    _fields = ("values", "mask")
 
-    def __post_init__(self):
-        values = np.asarray(self.values)
+    def __init__(self, values: np.ndarray, mask: np.ndarray):
+        values = np.asarray(values)
         # a copy: the caller's own mask stays writeable and its own
-        mask = np.array(self.mask, dtype=bool, order="C")
+        mask = np.array(mask, dtype=bool, order="C")
         if values.ndim != 2 or mask.shape != values.shape:
             raise DemError("values and mask must be 2-D arrays of equal shape")
         if values.dtype.kind not in "biu":
@@ -119,8 +117,7 @@ class Dem:
         values = values.astype(_level_dtype(top), copy=False)
         values.flags.writeable = False
         mask.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mask", mask)
+        vars(self).update(values=values, mask=mask)
 
     # -- geometry -----------------------------------------------------------
 
@@ -235,30 +232,30 @@ def _integer_levels(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return levels
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Maximal contiguous run of domain cells on one scan line."""
+class Segment(FrozenRecord):
+    """Maximal contiguous run of domain cells on one scan line (frozen)."""
 
-    row0: int
-    col0: int
-    values: tuple[int, ...]
+    _fields = ("row0", "col0", "values")
+
+    def __init__(self, row0: int, col0: int, values: tuple[int, ...]):
+        vars(self).update(row0=row0, col0=col0, values=values)
 
     def __len__(self):
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class ScanLine:
-    """One lattice line of the raster in a given direction.
+class ScanLine(FrozenRecord):
+    """One lattice line of the raster in a given direction (frozen).
 
     ``segments`` are ordered by increasing lattice coordinate along the
     direction; concatenating them reproduces exactly the domain cells on
     the line. Lines whose cells are all masked carry no segments.
     """
 
-    direction: str
-    index: int
-    segments: tuple[Segment, ...]
+    _fields = ("direction", "index", "segments")
+
+    def __init__(self, direction: str, index: int, segments: tuple[Segment, ...]):
+        vars(self).update(direction=direction, index=index, segments=segments)
 
     @property
     def cell_count(self):

@@ -32,13 +32,11 @@ segments of :func:`nse` all step by the unit ``(dx, dy) = (dcol, drow)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _kernels
 # SE_NAMES is part of this module's interface
-from ._base import DIRECTION_STEPS, SE_FOR_DIRECTION, SE_NAMES  # noqa: F401
+from ._base import DIRECTION_STEPS, SE_FOR_DIRECTION, SE_NAMES, FrozenRecord  # noqa: F401
 from .dem import Dem
 
 
@@ -56,9 +54,8 @@ def _square(k: int) -> frozenset[tuple[int, int]]:
     return frozenset((dx, dy) for dx in range(-k, k + 1) for dy in range(-k, k + 1))
 
 
-@dataclass(frozen=True)
-class StructuringElement:
-    """A centred segment of one scan direction or a centred square.
+class StructuringElement(FrozenRecord):
+    """A centred segment of one scan direction or a centred square (frozen).
 
     Offsets are (dx, dy) pairs: dx moves along columns, dy along rows.
     The set must hold the origin and be symmetric, and its shape is
@@ -67,17 +64,15 @@ class StructuringElement:
     the name alone.
     """
 
-    offsets: frozenset[tuple[int, int]]
-    name: str = ""
+    _fields = ("offsets", "name")
 
-    def __post_init__(self):
-        offsets = frozenset((int(x), int(y)) for x, y in self.offsets)
+    def __init__(self, offsets: frozenset[tuple[int, int]], name: str = ""):
+        offsets = frozenset((int(x), int(y)) for x, y in offsets)
         if (0, 0) not in offsets:
             raise ValueError("structuring element must contain the origin")
         for dx, dy in offsets:
             if (-dx, -dy) not in offsets:
                 raise ValueError("structuring element must be symmetric")
-        object.__setattr__(self, "offsets", offsets)
         k = max(max(abs(dx), abs(dy)) for dx, dy in offsets)
         line = next(((d, k) for d in DIRECTION_STEPS if offsets == _segment(d, k)), None)
         # every offset lies within k of the origin, so (2k+1)^2 of them
@@ -86,7 +81,7 @@ class StructuringElement:
         if line is None and square is None:
             raise ValueError("structuring element must be a centred segment of one "
                              "scan direction or a centred square")
-        object.__setattr__(self, "_shape", (line, square))
+        vars(self).update(offsets=offsets, name=name, _shape=(line, square))
 
     def __len__(self):
         return len(self.offsets)

@@ -21,19 +21,17 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from ._base import SE_NAMES, FeatureRecord
+from ._base import SE_NAMES, FeatureRecord, FrozenRecord
 from .dem import Dem, volume
 from .morphology import _raw_extremum, resolve_se
 
 
-@dataclass(frozen=True)
-class PatternSpectrum:
-    """Volume sequence of a granulometry; scales and probs derive from it.
+class PatternSpectrum(FrozenRecord):
+    """Volume sequence of a granulometry, frozen; scales and probs derive from it.
 
     ``volumes[i]`` is the volume surviving the opening at ``scales[i]``,
     up to and including the first 0. ``probs[i]`` is the exact
@@ -44,20 +42,18 @@ class PatternSpectrum:
     k = 1, 2, ... opens with a segment of exactly k cells).
     """
 
-    se_name: str
-    family: str
-    volumes: tuple[int, ...]
+    _fields = ("se_name", "family", "volumes")
 
-    def __post_init__(self):
-        if self.family not in ("nse", "length"):
-            raise ValueError(f"unknown family {self.family!r}")
-        vols = self.volumes
-        if len(vols) < 2 or vols[0] <= 0:
+    def __init__(self, se_name: str, family: str, volumes: tuple[int, ...]):
+        if family not in ("nse", "length"):
+            raise ValueError(f"unknown family {family!r}")
+        if len(volumes) < 2 or volumes[0] <= 0:
             raise ValueError("a spectrum needs a positive volume and a terminal 0")
-        if vols[-1] != 0:
+        if volumes[-1] != 0:
             raise ValueError("terminal volume must be 0")
-        if any(a < b for a, b in zip(vols, vols[1:])):
+        if any(a < b for a, b in zip(volumes, volumes[1:])):
             raise ValueError("volumes must be non-increasing")
+        vars(self).update(se_name=se_name, family=family, volumes=volumes)
 
     @property
     def n0(self) -> int:

@@ -14,7 +14,7 @@ import pytest
 
 import demgranulo
 from demgranulo.cli import RunConfig, main
-from demgranulo.dem import Dem
+from demgranulo.dem import Dem, scale_heights
 from demgranulo.synth import synthetic_terrain
 
 
@@ -447,11 +447,53 @@ class TestOracleCheckCommand:
         assert "t128 row nse FAIL first mismatch at index 0\n" in capsys.readouterr().out
 
     def test_default_cap_skips_work_beyond_it(self, tmp_path, capsys):
-        # 4 cells of top level 10**8: work 4 * 10**8
+        # one row of 20,000 distinct levels: work 20,000 cells x 20,000 held
+        # levels = 4 * 10**8
         src = tmp_path / "tall.csv"
-        src.write_text(Dem.from_rows([[10**8, 1], [1, 10**8]]).to_fixture_csv())
+        src.write_text(Dem.from_rows([list(range(1, 20_001))]).to_fixture_csv())
         assert main(["oracle-check", str(src)]) == 0
         assert capsys.readouterr().out == "tall - - SKIP work 400000000 exceeds cap 300000000\n"
+
+    def test_work_counts_held_levels_not_the_top_one(self, tmp_path, capsys):
+        # 4 cells of top level 10**8 hold two levels: work 8, so it is checked
+        src = tmp_path / "tall.csv"
+        src.write_text(Dem.from_rows([[10**8, 1], [1, 10**8]]).to_fixture_csv())
+        assert main(["oracle-check", str(src), "--max-oracle-work", "8"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(" PASS\n") == 8 and "SKIP" not in out
+
+    def test_held_levels_counted_only_over_the_top_level_bound(
+            self, tmp_path, capsys, monkeypatch):
+        # 4 cells of top level 2: work at most 8, so no level is counted
+        from demgranulo import cli
+
+        def refused(flat):
+            raise AssertionError("held levels counted under the cap")
+
+        monkeypatch.setattr(cli, "_held_levels", refused)
+        src = tmp_path / "low.csv"
+        src.write_text(Dem.from_rows([[2, 1], [1, 2]]).to_fixture_csv())
+        assert main(["oracle-check", str(src), "--max-oracle-work", "8"]) == 0
+        assert capsys.readouterr().out.count(" PASS\n") == 8
+
+    @pytest.fixture(scope="class")
+    def tall320(self, tmp_path_factory):
+        # 320 x 320 cells of 254 held levels up to about 38,400: work
+        # 26 million by held levels, 3.9 billion by the top level
+        path = tmp_path_factory.mktemp("tall") / "t320.asc"
+        path.write_text(scale_heights(synthetic_terrain(320), 150).to_esri_ascii())
+        return path
+
+    def test_default_cap_checks_a_tall_terrain(self, tall320, capsys):
+        assert main(["oracle-check", str(tall320)]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"t320 {d} {family} PASS\n" for d in ("row", "column", "diag-down", "diag-up")
+            for family in ("nse", "length"))
+
+    def test_default_cap_corrupt_hook_fails_on_a_tall_terrain(self, tall320, capsys):
+        assert main(["oracle-check", str(tall320), "--self-test-corrupt"]) == 1
+        out = capsys.readouterr().out
+        assert out.count(" FAIL first mismatch at index 0\n") == 8 and "SKIP" not in out
 
     def test_empty_input_set_ok(self, tmp_path, capsys):
         empty = tmp_path / "none"
@@ -839,10 +881,10 @@ _STDLIB_UNUSED = {
     "--version": {"dataclasses", "fractions", "json", "typing"},
     "train-tree": {"dataclasses", "typing"},
     "classify": {"dataclasses", "fractions", "typing"},
-    "spectrum": {"fractions"},
-    "features": {"fractions", "json"},
-    "oracle-check": {"fractions", "json"},
-    "gen-fixtures": {"fractions", "json"},
+    "spectrum": {"dataclasses", "fractions"},
+    "features": {"dataclasses", "fractions", "json"},
+    "oracle-check": {"dataclasses", "fractions", "json"},
+    "gen-fixtures": {"dataclasses", "fractions", "json"},
 }
 
 

@@ -189,8 +189,9 @@ class TestRunLengths:
         assert dict(zip(counted.length.tolist(), counted.runs.tolist())) == summed
 
     def test_walks_only_the_levels_held(self, monkeypatch):
-        # 2x2 at top level 7.5e7 is the default oracle-check work cap; a walk
-        # over every level 1..top took 8,000-9,200 blocks, 3.5 s a direction
+        # 2x2 at top level 7.5e7, whose cells x top level is the default
+        # oracle-check work cap; a walk over every level 1..top took
+        # 8,000-9,200 blocks, 3.5 s a direction
         top = 75_000_000
         dem = Dem.from_rows([[top, 1], [top // 3, None]])
         level_runs, blocks = oracle._level_runs, []

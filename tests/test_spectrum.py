@@ -1,8 +1,8 @@
 """Pattern spectra, indices, normalization and features."""
 
-import dataclasses
 import fractions
 import math
+import pickle
 import time
 import tracemalloc
 from fractions import Fraction
@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from conftest import (fraction_entropy, opening_spectrum_volumes, random_dem,
                       random_interval_dem)
 from demgranulo import _kernels, spectrum
-from demgranulo.dem import Dem, parse_esri_ascii, scale_heights, volume
-from demgranulo.morphology import named_se, nse, resolve_se
+from demgranulo.dem import Dem, ScanLine, Segment, parse_esri_ascii, scale_heights, volume
+from demgranulo.morphology import StructuringElement, named_se, nse, resolve_se
 from demgranulo.oracle import RunTable, run_table, spectrum_from_runs
-from demgranulo.spectrum import (PatternSpectrum, discrete_volume_derivative,
+from demgranulo.spectrum import (FeatureRecord, PatternSpectrum, discrete_volume_derivative,
                                  granulometric_index, high_low_direction,
                                  normalized_mdgi, order_stat_features,
                                  pattern_spectra, pattern_spectrum, volume_above)
@@ -230,10 +230,59 @@ class TestPatternSpectra:
         assert vars(dem).keys() == {"values", "mask"}
 
 
+# each frozen record, built by keyword, and its repr as the dataclasses
+# the records once were gave it
+_FROZEN_RECORDS = {
+    "Dem": (lambda: Dem(values=np.array([[1, 2], [0, 3]]),
+                        mask=np.array([[1, 1], [0, 1]], dtype=bool)),
+            "Dem(2x2, 3 cells)"),
+    "Segment": (lambda: Segment(row0=0, col0=1, values=(2, 3)),
+                "Segment(row0=0, col0=1, values=(2, 3))"),
+    "ScanLine": (lambda: ScanLine(direction="row", index=0,
+                                  segments=(Segment(0, 0, (1, 2)),)),
+                 "ScanLine(direction='row', index=0, "
+                 "segments=(Segment(row0=0, col0=0, values=(1, 2)),))"),
+    "StructuringElement": (
+        lambda: StructuringElement(offsets=[(-1, 0), (0, 0), (1, 0)], name="B4"),
+        "StructuringElement(offsets=frozenset({(-1, 0), (1, 0), (0, 0)}), name='B4')"),
+    "PatternSpectrum": (lambda: PatternSpectrum(se_name="B4", family="nse", volumes=(5, 2, 0)),
+                        "PatternSpectrum(se_name='B4', family='nse', volumes=(5, 2, 0))"),
+    "FeatureRecord": (lambda: FeatureRecord(watershed_id="w1", x=(0.5,), label="a"),
+                      "FeatureRecord(watershed_id='w1', x=(0.5,), gi={}, "
+                      "z=(0.0, 0.0, 0.0, 0.0), degenerate=False, label='a')"),
+}
+
+
+class TestFrozenRecords:
+    @pytest.mark.parametrize("kind", list(_FROZEN_RECORDS))
+    def test_record_contract(self, kind):
+        build, shown = _FROZEN_RECORDS[kind]
+        record, twin = build(), build()
+        field = type(record)._fields[0]
+        for change in (lambda: setattr(record, field, None),
+                       lambda: setattr(record, "extra", 1),
+                       lambda: delattr(record, field)):
+            with pytest.raises(AttributeError):
+                change()
+        assert record == twin and not record != twin
+        if kind in ("Dem", "FeatureRecord"):
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            # the hash a frozen dataclass gives: that of the fields' tuple
+            assert hash(record) == hash(twin) == hash(record._values())
+        assert repr(record) == shown
+        assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_shape_stays_outside_the_fields(self):
+        se = StructuringElement({(0, 0), (0, 1), (0, -1)}, "B2")
+        assert se._fields == ("offsets", "name")
+        assert pickle.loads(pickle.dumps(se)).as_line() == ("column", 1)
+
+
 class TestSpectrumValidation:
     def test_fields_are_the_volume_list(self):
-        assert [f.name for f in dataclasses.fields(PatternSpectrum)] == [
-            "se_name", "family", "volumes"]
+        assert PatternSpectrum._fields == ("se_name", "family", "volumes")
 
     def test_derived_scales_and_probs(self):
         ps = PatternSpectrum("B4", "nse", (16, 10, 10, 0))
